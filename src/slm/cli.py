@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, parse_config
-from .errors import SLMError
+from .errors import InvalidParameterError, SLMError
 from .hierarchy import TruncatedState, solve_hierarchy
 from .kernels import domination_theta
 from .kinetic import BernoulliParams, bernoulli_q, solve_kinetic
@@ -191,21 +191,30 @@ def cmd_hierarchy(args):
 def cmd_stats(args):
     cfg = parse_config(args.config)
     out = _prepare_out(args, cfg, "stats")
-    snap_path = os.path.join(args.snapshots, "snapshots.csv")
-    data = np.loadtxt(snap_path, delimiter=",", skiprows=1, ndmin=2)
-    if data.size == 0:
-        raise SLMError(f"no snapshot rows in {snap_path}")
-    times = sorted(set(data[:, 1]))
+    # (run, t, N) comes from summary.csv: a run empty at t enters as a (0, d) array
+    sum_path = os.path.join(args.snapshots, "summary.csv")
+    index = np.loadtxt(sum_path, delimiter=",", skiprows=1, ndmin=2)
+    if index.size == 0:
+        raise SLMError(f"no summary rows in {sum_path}")
+    data = np.empty((0, 2 + cfg.grid.dim))
+    if index[:, 2].any():
+        snap_path = os.path.join(args.snapshots, "snapshots.csv")
+        data = np.loadtxt(snap_path, delimiter=",", skiprows=1, ndmin=2)
     edges = default_pair_edges(
         cfg.grid.side,
         max(cfg.params.dispersal.support_radius, cfg.params.competition.support_radius),
         cfg.pair_bins,
     )
     dens_rows, pair_rows, diag_rows = [], [], []
-    for t in times:
+    for t in sorted(set(index[:, 1])):
+        rows = index[index[:, 1] == t]
+        runs, counts = rows[:, 0], rows[:, 2]
+        if not counts.any():
+            raise InvalidParameterError(f"every run is empty at t={_fmt(t)}; nothing to estimate")
         sel = data[data[:, 1] == t]
-        runs = sorted(set(sel[:, 0]))
         ensemble = [sel[sel[:, 0] == r][:, 2:] for r in runs]
+        if [len(p) for p in ensemble] != list(counts):
+            raise SLMError(f"snapshots.csv and summary.csv disagree at t={_fmt(t)}")
         est = estimate_correlations(ensemble, cfg.grid, edges, t)
         for flat, (m, s) in enumerate(zip(est.k1_hat.mean.ravel(), est.k1_hat.se.ravel())):
             dens_rows.append((t, flat, m, s))

@@ -14,15 +14,23 @@ with k3 supplied by a pluggable closure.  At eps = 0 the system is the
 truncated Vlasov hierarchy: products k2 = k1 (x) k1 stay products and k1
 obeys the kinetic equation.  Pair functions are gridded, so this module
 is restricted to 1-d tori.
+
+The convolutions a+ * k1, a+ * k2 and a- * k2 (in the first argument of
+k2) use the kernel's cached FFT.  A closure never builds the M^3 tensor
+k3: it returns its contraction with a-, so one right-hand side needs
+O(M^2) memory and M >= 1024 is feasible.  The only M x M kernel table
+is the gather a(x_i - x_j) for the pointwise terms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ClosureSingularityError, InvalidParameterError
 from .grid import Grid, require_same_grid
+from .kernels import Kernel
 from .kinetic import Field, _clip_negatives, step_times
 from .model import ModelParams
 
@@ -85,42 +93,38 @@ class TruncatedState:
 # -- closures ------------------------------------------------------------
 
 
-def closure(rule: str, state: TruncatedState):
-    """Return a zero-argument evaluator producing the full k3 tensor
-    k3[i, j, z] = k3(x_i, x_j, x_z) for the current (k1, k2).
+def _pair_values(kernel: Kernel) -> np.ndarray:
+    """A[i, j] = a(x_i - x_j) on the 1-d pair grid: a read-only sliding-window
+    view over two copies of the tabulation (row i reads it backwards from i)."""
+    m = kernel.grid.cells
+    v = kernel.values
+    return sliding_window_view(np.concatenate((v, v)), m)[1 : m + 1, ::-1]
 
-    mean-field: k2 k1 symmetrized over which point factors out.
-    kirkwood:   k2(x,y) k2(y,z) k2(x,z) / (k1(x) k1(y) k1(z)), guarded by
-                a density floor below which it errors out.
+
+def closure_contraction(rule: str, state: TruncatedState, competition: Kernel) -> np.ndarray:
+    """t1[i, j] = h sum_z a-(x_i - x_z) k3(x_i, x_j, x_z) for the closure
+    ``rule``, contracted without forming k3 (O(M^2) memory).
+
+    mean-field: k3 = (k2(x,y) k1(z) + k2(x,z) k1(y) + k2(y,z) k1(x)) / 3.
+    kirkwood:   k3 = k2(x,y) k2(y,z) k2(x,z) / (k1(x) k1(y) k1(z)), guarded
+                by a density floor below which it errors out.
     """
     if rule not in CLOSURES:
         raise InvalidParameterError(f"unknown closure {rule!r}; choose from {CLOSURES}")
     k1 = state.k1.values
     k2 = state.k2.values
-
+    cm = competition.grid.spacing * _pair_values(competition)
     if rule == "mean-field":
-
-        def evaluate():
-            return (
-                k2[:, :, None] * k1[None, None, :]
-                + k2[:, None, :] * k1[None, :, None]
-                + k2[None, :, :] * k1[:, None, None]
-            ) / 3.0
-
-    else:
-
-        def evaluate():
-            floor = KIRKWOOD_FLOOR_FACTOR * max(float(k1.max()), 0.0)
-            if float(k1.min()) < floor or floor == 0.0:
-                raise ClosureSingularityError(
-                    f"kirkwood closure needs k1 >= {floor:.3g} everywhere"
-                )
-            return (
-                k2[:, :, None] * k2[:, None, :] * k2[None, :, :]
-                / (k1[:, None, None] * k1[None, :, None] * k1[None, None, :])
-            )
-
-    return evaluate
+        own = np.einsum("ij,ij->i", cm, k2)
+        return (
+            k2 * competition.convolve(k1)[:, None]
+            + own[:, None] * k1[None, :]
+            + k1[:, None] * competition.convolve(k2)
+        ) / 3.0
+    floor = KIRKWOOD_FLOOR_FACTOR * max(float(k1.max()), 0.0)
+    if float(k1.min()) < floor or floor == 0.0:
+        raise ClosureSingularityError(f"kirkwood closure needs k1 >= {floor:.3g} everywhere")
+    return k2 * (((cm * k2) / k1[None, :]) @ k2) / np.outer(k1, k1)
 
 
 # -- right-hand sides ----------------------------------------------------
@@ -134,10 +138,8 @@ def rhs_k1(state: TruncatedState, params: ModelParams) -> Field:
     require_same_grid(state.grid, params.grid)
     k1 = state.k1.values
     k2 = state.k2.values
-    cm = params.competition.circulant()
-    cp = params.dispersal.circulant()
-    pair_term = np.einsum("ij,ij->i", cm, k2)
-    return Field(state.grid, -params.mortality * k1 - pair_term + cp @ k1)
+    pair_term = state.grid.spacing * np.einsum("ij,ij->i", _pair_values(params.competition), k2)
+    return Field(state.grid, -params.mortality * k1 - pair_term + params.dispersal.convolve(k1))
 
 
 def rhs_k2(state: TruncatedState, closure_rule: str, params: ModelParams) -> Field2:
@@ -151,19 +153,16 @@ def rhs_k2(state: TruncatedState, closure_rule: str, params: ModelParams) -> Fie
         raise InvalidParameterError("k2 must be symmetric")
     k1 = state.k1.values
     k2 = state.k2.values
-    cm = params.competition.circulant()
-    cp = params.dispersal.circulant()
-    am = params.competition.offset_matrix()
-    ap = params.dispersal.offset_matrix()
-
-    k3 = closure(closure_rule, state)()
     # int a-(z - x_i) k3(x_i, x_j, z) dz
-    t1 = np.einsum("iz,ijz->ij", cm, k3)
+    t1 = closure_contraction(closure_rule, state, params.competition)
     # int a+(x_i - w) k2(w, x_j) dw
-    s1 = cp @ k2
+    s1 = params.dispersal.convolve(k2)
 
     vpart = -2.0 * params.mortality * k2 - (t1 + t1.T) + (s1 + s1.T)
-    bpart = -2.0 * am * k2 + ap * (k1[:, None] + k1[None, :])
+    bpart = (
+        -2.0 * _pair_values(params.competition) * k2
+        + _pair_values(params.dispersal) * (k1[:, None] + k1[None, :])
+    )
     return Field2(state.grid, vpart + state.epsilon * bpart)
 
 

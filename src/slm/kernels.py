@@ -18,13 +18,14 @@ from .grid import Grid, require_same_grid
 _BALL_VOLUME = {1: lambda r: 2.0 * r, 2: lambda r: np.pi * r * r, 3: lambda r: 4.0 / 3.0 * np.pi * r**3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Nonnegative even kernel tabulated on the offset lattice of ``grid``.
 
     ``values[j]`` is the kernel value on the offset cell centered at the
     minimum-image offset represented by index ``j`` (per axis).  ``mass``
-    and ``sup`` are cached from the tabulation.
+    and ``sup`` are cached from the tabulation.  Equality and hashing are
+    by identity, which keeps the lazily cached CDF and spectrum per instance.
     """
 
     shape: str
@@ -100,35 +101,31 @@ class Kernel:
             out[:, ax] = offs[idx[ax]] + rng.uniform(-0.5 * h, 0.5 * h, size=size)
         return out
 
-    # -- convolution helpers --------------------------------------------
+    # -- convolution ----------------------------------------------------
 
-    def support_cells(self):
-        """(index tuples, weights) of nonzero offset cells, cached lazily."""
-        cached = getattr(self, "_support", None)
+    @property
+    def spectrum(self) -> np.ndarray:
+        """``h^d * rfftn(values)``, the transfer function of ``a * .``; cached lazily."""
+        cached = getattr(self, "_spectrum", None)
         if cached is None:
-            nz = np.nonzero(self.values)
-            cached = (np.stack(nz, axis=-1), self.values[nz])
-            object.__setattr__(self, "_support", cached)
+            cached = self.grid.cell_volume * np.fft.rfftn(self.values)
+            object.__setattr__(self, "_spectrum", cached)
         return cached
 
-    def circulant(self) -> np.ndarray:
-        """Matrix C[i, j] = h * a(x_i - x_j) for 1-d grids; symmetric.
-
-        Used for the quadrature of convolution-type integrals.
+    def convolve(self, f: np.ndarray) -> np.ndarray:
+        """Circular convolution ``(a * f)(x_i) = h^d sum_j a(x_i - x_j) f(x_j)``
+        over the leading ``dim`` axes of ``f``, batched over trailing axes (a
+        pair function k2[i, j] is convolved in i).  The sum is the exact
+        integral for step functions; the FFT adds only round-off.
         """
-        if self.dim != 1:
-            raise InvalidParameterError("circulant matrix is only built for 1-d grids")
-        cached = getattr(self, "_circulant", None)
-        if cached is None:
-            m = self.grid.cells
-            i = np.arange(m)
-            cached = self.grid.spacing * self.values[(i[:, None] - i[None, :]) % m]
-            object.__setattr__(self, "_circulant", cached)
-        return cached
-
-    def offset_matrix(self) -> np.ndarray:
-        """Matrix A[i, j] = a(x_i - x_j) for 1-d grids (no quadrature weight)."""
-        return self.circulant() / self.grid.spacing
+        f = np.asarray(f, dtype=float)
+        if f.shape[: self.dim] != self.grid.shape:
+            raise IncompatibleGridsError(
+                f"array shape {f.shape} does not start with grid shape {self.grid.shape}"
+            )
+        spec = self.spectrum.reshape(self.spectrum.shape + (1,) * (f.ndim - self.dim))
+        axes = tuple(range(self.dim))
+        return np.fft.irfftn(spec * np.fft.rfftn(f, axes=axes), s=self.grid.shape, axes=axes)
 
 
 # -- constructors --------------------------------------------------------

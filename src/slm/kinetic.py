@@ -107,15 +107,9 @@ def bernoulli_solution(u0: float, t, p: BernoulliParams):
 
 
 def convolve_periodic(kernel: Kernel, f: Field) -> Field:
-    """Midpoint-quadrature circular convolution (a * f)(x_i)."""
+    """Midpoint-quadrature circular convolution (a * f)(x_i), by FFT."""
     require_same_grid(kernel.grid, f.grid)
-    if kernel.dim == 1:
-        return Field(f.grid, kernel.circulant() @ f.values)
-    idx, weights = kernel.support_cells()
-    out = np.zeros_like(f.values)
-    for shift, w in zip(idx, weights):
-        out += w * np.roll(f.values, shift=tuple(shift), axis=tuple(range(kernel.dim)))
-    return Field(f.grid, f.grid.cell_volume * out)
+    return Field(f.grid, kernel.convolve(f.values))
 
 
 def kinetic_rhs(f: Field, params: ModelParams) -> Field:

@@ -152,6 +152,38 @@ class TestCommands:
         for f in ("density.csv", "pairs.csv", "diagnostic.csv"):
             assert os.path.exists(os.path.join(out, f))
 
+    def test_stats_counts_extinct_runs(self, tmp_path):
+        # subcritical (m > <a+>): some runs die out before the last snapshot
+        cfg = BASE_CFG.replace("mortality = 0.3", "mortality = 1.5")
+        cfg = cfg.replace("horizon = 1.0", "horizon = 2.0")
+        cfg = cfg.replace("snapshot_times = 0.5 1.0", "snapshot_times = 1.0 2.0")
+        cfg = cfg.replace("runs = 4", "runs = 20")
+        p = tmp_path / "extinct.cfg"
+        p.write_text(cfg)
+        sim, out = str(tmp_path / "sim"), str(tmp_path / "st")
+        assert main(["simulate", "--config", str(p), "--out", sim]) == 0
+        assert main(["stats", "--config", str(p), "--out", out, "--snapshots", sim]) == 0
+        summary = np.loadtxt(os.path.join(sim, "summary.csv"), delimiter=",", skiprows=1)
+        density = np.loadtxt(os.path.join(out, "density.csv"), delimiter=",", skiprows=1)
+        last = summary[summary[:, 1] == 2.0, 2]
+        assert 0 < np.count_nonzero(last == 0) < len(last)  # the case under test
+        for t in (1.0, 2.0):
+            mean_n = summary[summary[:, 1] == t, 2].mean()
+            k1_hat = density[density[:, 0] == t, 2]
+            assert k1_hat.mean() == pytest.approx(mean_n / 10.0, rel=1e-12)
+
+    def test_stats_all_runs_empty(self, tmp_path, capsys):
+        cfg = BASE_CFG.replace("mortality = 0.3", "mortality = 20.0")
+        cfg = cfg.replace("horizon = 1.0", "horizon = 2.0")
+        cfg = cfg.replace("snapshot_times = 0.5 1.0", "snapshot_times = 2.0")
+        p = tmp_path / "dead.cfg"
+        p.write_text(cfg)
+        sim, out = str(tmp_path / "sim"), str(tmp_path / "st")
+        assert main(["simulate", "--config", str(p), "--out", sim]) == 0
+        assert main(["stats", "--config", str(p), "--out", out, "--snapshots", sim]) == 2
+        err = capsys.readouterr().err
+        assert "error-category: invalid-parameter" in err and "t=2.0" in err
+
     def test_scaling_outputs(self, tmp_path):
         cfg = BASE_CFG + "\n[scaling]\neps_list = 1 0.5\nscaling_runs = 5\n"
         p = tmp_path / "s.cfg"

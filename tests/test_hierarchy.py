@@ -1,18 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import closure_contraction as dense_contraction
+from oracles import closure_tensor, rel_err
 
 from slm.errors import ClosureSingularityError, InvalidParameterError
 from slm.grid import Grid
 from slm.hierarchy import (
     Field2,
     TruncatedState,
-    closure,
+    closure_contraction,
     hierarchy_stability_dt,
     rhs_k1,
     rhs_k2,
     solve_hierarchy,
 )
-from slm.kernels import Kernel, make_indicator_kernel, make_zero_kernel
+from slm.kernels import Kernel, make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
 from slm.kinetic import Field, kinetic_rhs, solve_kinetic
 from slm.model import ModelParams
 
@@ -41,14 +45,14 @@ class TestClosures:
     def test_constant_examples(self, grid):
         # k1 = 1, k2 = 2 everywhere: kirkwood gives 8, mean-field gives 2
         st = TruncatedState(Field.constant(grid, 1.0), Field2(grid, np.full((64, 64), 2.0)), 1.0)
-        assert np.allclose(closure("kirkwood", st)(), 8.0)
-        assert np.allclose(closure("mean-field", st)(), 2.0)
+        assert np.allclose(closure_tensor("kirkwood", st), 8.0)
+        assert np.allclose(closure_tensor("mean-field", st), 2.0)
 
     @pytest.mark.parametrize("rule", ["mean-field", "kirkwood"])
     def test_exact_on_products(self, grid, rule):
         k1 = wavy_field(grid)
         st = TruncatedState.poisson_like(k1, 1.0)
-        k3 = closure(rule, st)()
+        k3 = closure_tensor(rule, st)
         v = k1.values
         expected = v[:, None, None] * v[None, :, None] * v[None, None, :]
         assert np.allclose(k3, expected, rtol=1e-13)
@@ -59,21 +63,61 @@ class TestClosures:
         sym = 0.5 * (sym + sym.T) + 1.0
         st = TruncatedState(Field(grid, rng.random(64) + 0.5), Field2(grid, sym), 1.0)
         for rule in ("mean-field", "kirkwood"):
-            k3 = closure(rule, st)()
+            k3 = closure_tensor(rule, st)
             for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
                 assert np.allclose(k3, np.transpose(k3, perm), rtol=1e-12)
 
-    def test_kirkwood_floor_error(self, grid):
+    def test_kirkwood_floor_error(self, grid, params):
         v = np.full(64, 1.0)
         v[5] = 0.0
         st = TruncatedState(Field(grid, v), Field2(grid, np.ones((64, 64))), 1.0)
         with pytest.raises(ClosureSingularityError):
-            closure("kirkwood", st)()
+            closure_tensor("kirkwood", st)
+        with pytest.raises(ClosureSingularityError):
+            rhs_k2(st, "kirkwood", params)
 
-    def test_unknown_rule(self, grid):
+    def test_unknown_rule(self, grid, params):
         st = TruncatedState.poisson_like(Field.constant(grid, 1.0), 1.0)
         with pytest.raises(InvalidParameterError):
-            closure("superposition", st)
+            closure_tensor("superposition", st)
+        with pytest.raises(InvalidParameterError):
+            rhs_k2(st, "superposition", params)
+
+
+def random_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    m = grid.cells
+    sym = rng.random((m, m))
+    sym = 0.5 * (sym + sym.T) + 0.5
+    return TruncatedState(Field(grid, rng.random(m) + 0.5), Field2(grid, sym), 1.0)
+
+
+class TestContraction:
+    """The O(M^2) contractions against the dense k3 oracle."""
+
+    @pytest.mark.parametrize("cells", [24, 64])
+    @pytest.mark.parametrize("rule", ["mean-field", "kirkwood"])
+    def test_matches_dense_tensor(self, rule, cells):
+        grid = Grid(1, 10.0, cells)
+        aminus = make_gaussian_kernel(0.5, 1, grid)
+        st = random_state(grid, cells)
+        got = closure_contraction(rule, st, aminus)
+        assert rel_err(got, dense_contraction(rule, st, aminus)) <= 1e-13
+
+    @pytest.mark.parametrize("rule", ["mean-field", "kirkwood"])
+    def test_rhs_k2_memory_is_quadratic(self, rule):
+        # the dense k3 tensor alone would take 8 * 512^3 B = 1.07 GB
+        grid = Grid(1, 10.0, 512)
+        params = ModelParams(0.2, unit_mass_indicator(grid, 0.8), unit_mass_indicator(grid, 0.6))
+        st = random_state(grid, 1)
+        rhs_k2(st, rule, params)  # fill the kernel caches outside the trace
+        tracemalloc.start()
+        try:
+            rhs_k2(st, rule, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestRhsK1:

@@ -14,6 +14,7 @@ from slm.kernels import (
     make_tabulated_kernel,
     make_zero_kernel,
 )
+from slm.model import ModelParams
 
 
 @pytest.fixture
@@ -67,6 +68,17 @@ class TestConstruction:
     def test_negative_values_rejected(self, grid):
         with pytest.raises(InvalidParameterError):
             Kernel("tabulated-grid", grid, -np.ones(grid.shape))
+
+    def test_equality_and_hash_do_not_raise(self, grid):
+        # identity semantics: equal tabulations are still distinct kernels
+        k_a = make_indicator_kernel(1.0, 0.5, 1, grid)
+        k_b = make_indicator_kernel(1.0, 0.5, 1, grid)
+        assert (k_a == k_b) is False and k_a == k_a
+        assert hash(k_a) == hash(k_a)
+        p = ModelParams(0.2, k_a, k_b)
+        assert p == ModelParams(0.2, k_a, k_b)
+        assert p != ModelParams(0.2, k_b, k_a)
+        assert hash(p) == hash(ModelParams(0.2, k_a, k_b))
 
 
 class TestMoments:

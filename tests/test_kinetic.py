@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from oracles import circulant, rel_err, roll_convolution
 
 from slm.errors import IncompatibleGridsError, InstabilityError, InvalidParameterError
 from slm.grid import Grid
-from slm.kernels import Kernel, make_indicator_kernel, make_zero_kernel
+from slm.kernels import Kernel, make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
 from slm.kinetic import (
     BernoulliParams,
     Field,
@@ -106,6 +107,31 @@ class TestConvolution:
         other = Field.constant(Grid(1, 10.0, 50), 1.0)
         with pytest.raises(IncompatibleGridsError):
             convolve_periodic(params.dispersal, other)
+
+    @pytest.mark.parametrize(
+        "dim,cells", [(1, 99), (1, 100), (2, 31), (2, 32), (3, 15), (3, 16)]
+    )
+    def test_matches_roll_oracle(self, dim, cells):
+        g = Grid(dim, 8.0, cells)
+        rng = np.random.default_rng(cells)
+        f = Field(g, rng.random(g.shape))  # no symmetry
+        # an uneven sparse tabulation tells convolution from correlation
+        uneven = Kernel("tabulated-grid", g, rng.random(g.shape) * (rng.random(g.shape) < 0.2))
+        for k in (make_indicator_kernel(0.7, 1.3, dim, g), make_gaussian_kernel(0.6, dim, g), uneven):
+            out = convolve_periodic(k, f).values
+            assert rel_err(out, roll_convolution(k, f.values)) <= 1e-13
+
+    @pytest.mark.parametrize("cells", [63, 64])
+    def test_pair_function_first_axis(self, cells):
+        # a * k2 in the first argument of a pair function is C @ k2
+        g = Grid(1, 10.0, cells)
+        k = make_gaussian_kernel(0.5, 1, g)
+        k2 = np.random.default_rng(cells).random((cells, cells))
+        assert rel_err(k.convolve(k2), circulant(k) @ k2) <= 1e-13
+
+    def test_batch_shape_mismatch(self, grid, params):
+        with pytest.raises(IncompatibleGridsError):
+            params.dispersal.convolve(np.ones((50, 100)))
 
 
 class TestRhs:

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import InvalidParameterError, SLMError
 from .hierarchy import TruncatedState, solve_hierarchy
 from .kernels import domination_theta
 from .kinetic import BernoulliParams, bernoulli_q, solve_kinetic
-from .microsim import init_poisson_field, run, run_rng
+from .microsim import run_ensemble
 from .scaling import vlasov_error
 from .stats import default_pair_edges, estimate_correlations, subpoisson_diagnostic
 from .theory import optimize_alpha
@@ -42,7 +41,7 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
 
 
-def _prepare_out(args, cfg: RunConfig, command: str) -> str:
+def _prepare_out(args, cfg: RunConfig) -> str:
     root = os.environ.get("SLM_OUT_ROOT", "")
     out = os.path.join(root, args.out) if root else args.out
     os.makedirs(out, exist_ok=True)
@@ -67,40 +66,28 @@ def _finish_manifest(out, command, files):
 # -- simulate ------------------------------------------------------------
 
 
-def _one_run(payload):
-    cfg, run_index, keep_events = payload
-    rng = run_rng(cfg.seed, run_index)
-    config = init_poisson_field(cfg.rho0, cfg.params.competition, rng)
-    traj = run(
-        config,
-        cfg.params,
-        cfg.horizon,
-        cfg.snapshot_times,
-        rng,
-        population_cap=cfg.population_cap,
-        keep_events=keep_events,
-    )
-    return run_index, traj
-
-
 def cmd_simulate(args):
     cfg = parse_config(args.config)
     if args.runs is not None:
         cfg.runs = args.runs
     if args.seed is not None:
         cfg.seed = args.seed
-    out = _prepare_out(args, cfg, "simulate")
-    payloads = [(cfg, r, args.events) for r in range(cfg.runs)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_one_run, payloads))
-    else:
-        results = [_one_run(p) for p in payloads]
-    results.sort(key=lambda item: item[0])
+    out = _prepare_out(args, cfg)
+    trajectories = run_ensemble(
+        cfg.rho0,
+        cfg.params,
+        cfg.horizon,
+        cfg.snapshot_times,
+        cfg.seed,
+        cfg.runs,
+        jobs=args.jobs,
+        population_cap=cfg.population_cap,
+        keep_events=args.events,
+    )
 
     axes = [f"x{i}" for i in range(cfg.grid.dim)]
     snap_rows, summary_rows, files = [], [], []
-    for ridx, traj in results:
+    for ridx, traj in enumerate(trajectories):
         for t, pts in zip(traj.times, traj.snapshots):
             summary_rows.append((ridx, t, len(pts)))
             for p in np.atleast_2d(pts):
@@ -134,7 +121,7 @@ def _field_rows(t, field):
 
 def cmd_kinetic(args):
     cfg = parse_config(args.config)
-    out = _prepare_out(args, cfg, "kinetic")
+    out = _prepare_out(args, cfg)
     snaps = solve_kinetic(cfg.rho0, cfg.params, cfg.horizon, cfg.dt, cfg.snapshot_times)
     bp = BernoulliParams.from_model(cfg.params)
     q = bernoulli_q(bp) if bp.aminus_mass > 0 else math.nan
@@ -161,7 +148,7 @@ def cmd_hierarchy(args):
     cfg = parse_config(args.config)
     closure_rule = args.closure or cfg.closure
     params = cfg.params if args.epsilon is None else cfg.params.with_epsilon(args.epsilon)
-    out = _prepare_out(args, cfg, "hierarchy")
+    out = _prepare_out(args, cfg)
     state0 = TruncatedState.poisson_like(cfg.rho0, params.epsilon)
     snaps, diag = solve_hierarchy(
         state0, closure_rule, params, cfg.horizon, cfg.dt, cfg.snapshot_times
@@ -190,7 +177,7 @@ def cmd_hierarchy(args):
 
 def cmd_stats(args):
     cfg = parse_config(args.config)
-    out = _prepare_out(args, cfg, "stats")
+    out = _prepare_out(args, cfg)
     # (run, t, N) comes from summary.csv: a run empty at t enters as a (0, d) array
     sum_path = os.path.join(args.snapshots, "summary.csv")
     index = np.loadtxt(sum_path, delimiter=",", skiprows=1, ndmin=2)
@@ -234,7 +221,7 @@ def cmd_stats(args):
 
 def cmd_scaling(args):
     cfg = parse_config(args.config)
-    out = _prepare_out(args, cfg, "scaling")
+    out = _prepare_out(args, cfg)
     report = vlasov_error(
         cfg.eps_list,
         cfg.rho0,
@@ -293,7 +280,7 @@ def cmd_analyze(args):
     print(f"optimal alpha_*  : {alpha_star:.6g}")
     print(f"T*               : {t_star:.6g}")
     if args.out:
-        out = _prepare_out(args, cfg, "analyze")
+        out = _prepare_out(args, cfg)
         _write_csv(
             os.path.join(out, "analysis.csv"),
             ["theta", "alpha_up", "alpha_star_opt", "T_star"],

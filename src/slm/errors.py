@@ -43,6 +43,12 @@ class BlowUpError(SLMError):
         self.cap = cap
 
 
+class AuditDriftError(SLMError):
+    """Incremental competitive rates disagree with a recomputation."""
+
+    category = "audit-drift"
+
+
 class AbsorbedStateError(SLMError):
     """Total event rate is zero; the process can never move again."""
 

@@ -61,19 +61,9 @@ class Grid:
         axes = np.meshgrid(*([d] * self.dim), indexing="ij")
         return np.sqrt(sum(a * a for a in axes))
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        return np.mod(x, self.side)
-
-    def min_image(self, dx: np.ndarray) -> np.ndarray:
-        """Shortest periodic representative of a coordinate difference."""
-        return dx - self.side * np.round(dx / self.side)
-
     def offset_index(self, dx: np.ndarray) -> np.ndarray:
         """Index of the offset cell containing dx (nearest lattice offset)."""
         return np.mod(np.floor(np.asarray(dx) / self.spacing + 0.5).astype(int), self.cells)
-
-    def cell_of(self, x: np.ndarray) -> np.ndarray:
-        return np.mod(np.floor(np.asarray(x) / self.spacing).astype(int), self.cells)
 
 
 def require_same_grid(*grids: Grid) -> Grid:

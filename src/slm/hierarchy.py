@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ClosureSingularityError, InvalidParameterError
 from .grid import Grid, require_same_grid
 from .kernels import Kernel
-from .kinetic import Field, _clip_negatives, step_times
+from .kinetic import Field, integrate_rk4, stability_dt
 from .model import ModelParams
 
 CLOSURES = ("mean-field", "kirkwood")
@@ -59,9 +59,6 @@ class Field2:
 
     def symmetry_defect(self) -> float:
         return float(np.max(np.abs(self.values - self.values.T)))
-
-    def copy(self) -> "Field2":
-        return Field2(self.grid, self.values.copy())
 
 
 @dataclass
@@ -169,16 +166,6 @@ def rhs_k2(state: TruncatedState, closure_rule: str, params: ModelParams) -> Fie
 # -- time stepping -------------------------------------------------------
 
 
-def hierarchy_stability_dt(state: TruncatedState, params: ModelParams) -> float:
-    rho_scale = state.witness_C
-    denom = (
-        params.mortality
-        + params.competition.mass * rho_scale
-        + params.dispersal.mass
-    )
-    return 0.1 / denom if denom > 0 else np.inf
-
-
 def solve_hierarchy(
     state0: TruncatedState,
     closure_rule: str,
@@ -187,7 +174,8 @@ def solve_hierarchy(
     dt: float,
     snapshot_times,
 ) -> tuple:
-    """RK4 on the coupled (k1, k2) system.
+    """RK4 on the coupled (k1, k2) system (:func:`integrate_rk4`), with
+    the kinetic guard evaluated at the witness C of the current state.
 
     k2 is re-symmetrized after every step and the pre-symmetrization
     drift is logged.  Returns (snapshots, diagnostics) where snapshots is
@@ -195,46 +183,31 @@ def solve_hierarchy(
     maximal symmetry drift per step.
     """
     require_same_grid(state0.grid, params.grid)
-    times = step_times(horizon, dt, snapshot_times)
-    guard = hierarchy_stability_dt(state0, params)
-    if dt > guard * (1 + 1e-9):
-        raise InvalidParameterError(f"dt={dt:.3g} exceeds the stability guard {guard:.3g}")
     eps = state0.epsilon
     grid = state0.grid
 
-    def rhs(v1, v2):
-        st = TruncatedState(Field(grid, v1), Field2(grid, v2), eps)
+    def state(y):
+        return TruncatedState(Field(grid, y[0]), Field2(grid, y[1]), eps)
+
+    def rhs(y):
+        st = state(y)
         return rhs_k1(st, params).values, rhs_k2(st, closure_rule, params).values
 
-    v1 = state0.k1.values.copy()
-    v2 = state0.k2.values.copy()
-    scale1 = max(state0.k1.max, 1e-300)
-    scale2 = max(float(v2.max()), 1e-300)
     max_drift = 0.0
-    snapshots = []
-    t = 0.0
-    for target in times:
-        seg = target - t
-        if seg > 1e-12:
-            nsteps = max(1, round(seg / dt))
-            step = seg / nsteps
-            for _ in range(nsteps):
-                a1, a2 = rhs(v1, v2)
-                b1, b2 = rhs(v1 + 0.5 * step * a1, v2 + 0.5 * step * a2)
-                c1, c2 = rhs(v1 + 0.5 * step * b1, v2 + 0.5 * step * b2)
-                d1, d2 = rhs(v1 + step * c1, v2 + step * c2)
-                v1 = v1 + (step / 6.0) * (a1 + 2 * b1 + 2 * c1 + d1)
-                v2 = v2 + (step / 6.0) * (a2 + 2 * b2 + 2 * c2 + d2)
-                t += step
-                drift = float(np.max(np.abs(v2 - v2.T)))
-                max_drift = max(max_drift, drift)
-                v2 = 0.5 * (v2 + v2.T)
-                v1 = _clip_negatives(v1, t, scale1)
-                v2 = _clip_negatives(v2, t, scale2)
-                scale1 = max(scale1, float(v1.max()))
-                scale2 = max(scale2, float(v2.max()))
-            t = target
-        snapshots.append(
-            TruncatedState(Field(grid, v1.copy()), Field2(grid, v2.copy()), eps)
-        )
-    return snapshots, {"max_symmetry_drift": max_drift, "scale_k2": scale2}
+
+    def symmetrize(y):
+        nonlocal max_drift
+        v1, v2 = y
+        max_drift = max(max_drift, float(np.max(np.abs(v2 - v2.T))))
+        return v1, 0.5 * (v2 + v2.T)
+
+    snaps = integrate_rk4(
+        (state0.k1.values, state0.k2.values),
+        rhs,
+        horizon,
+        dt,
+        snapshot_times,
+        lambda y: stability_dt(params, state(y).witness_C),
+        symmetrize,
+    )
+    return [state(y) for y in snaps], {"max_symmetry_drift": max_drift}

@@ -39,9 +39,6 @@ class Field:
     def constant(cls, grid: Grid, value: float) -> "Field":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     @property
     def max(self) -> float:
         return float(self.values.max())
@@ -128,12 +125,14 @@ def stability_dt(params: ModelParams, rho_max: float) -> float:
     return 0.1 / denom if denom > 0 else np.inf
 
 
-def _rk4_step(values, dt, rhs):
-    k1 = rhs(values)
-    k2 = rhs(values + 0.5 * dt * k1)
-    k3 = rhs(values + 0.5 * dt * k2)
-    k4 = rhs(values + dt * k3)
-    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(y: tuple, dt: float, rhs) -> tuple:
+    k1 = rhs(y)
+    k2 = rhs(tuple(v + 0.5 * dt * k for v, k in zip(y, k1)))
+    k3 = rhs(tuple(v + 0.5 * dt * k for v, k in zip(y, k2)))
+    k4 = rhs(tuple(v + dt * k for v, k in zip(y, k3)))
+    return tuple(
+        v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
 
 
 def _clip_negatives(values, t, scale):
@@ -148,47 +147,61 @@ def _clip_negatives(values, t, scale):
     return np.maximum(values, 0.0)
 
 
-def step_times(horizon: float, dt: float, snapshot_times) -> list:
-    """Validate and sort the snapshot schedule."""
+def integrate_rk4(
+    y: tuple, rhs, horizon: float, dt: float, snapshot_times, guard, after_step=None
+) -> list:
+    """Classical RK4 for dy/dt = rhs(y), with y a tuple of nonnegative
+    arrays; returns a copy of y at each sorted snapshot time.
+
+    Segments between snapshots are covered by round(segment/dt) equal
+    steps so snapshots land exactly on requested times.  Before each
+    segment dt is checked against ``guard(y)``, the explicit-stepping
+    limit at the current state.  After each step ``after_step(y)`` (if
+    given) returns the state to continue from; then every component has
+    round-off negatives clipped against its own running maximum.
+    """
     times = sorted(float(t) for t in snapshot_times)
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
     if times and (times[0] < 0 or times[-1] > horizon + 1e-12):
         raise InvalidParameterError("snapshot times must lie in [0, horizon]")
-    return times
-
-
-def solve_kinetic(rho0: Field, params: ModelParams, horizon: float, dt: float, snapshot_times) -> list:
-    """Classical RK4 integration; returns one Field per snapshot time.
-
-    Segments between snapshots are covered by round(segment/dt) equal
-    steps so snapshots land exactly on requested times.
-    """
-    require_same_grid(rho0.grid, params.grid)
-    if rho0.min < 0:
-        raise InvalidParameterError("initial density must be nonnegative")
-    times = step_times(horizon, dt, snapshot_times)
-    guard = stability_dt(params, rho0.max)
-    if dt > guard * (1 + 1e-9):
-        raise InvalidParameterError(f"dt={dt:.3g} exceeds the stability guard {guard:.3g}")
-
-    def rhs(v):
-        return kinetic_rhs(Field(rho0.grid, v), params).values
-
-    scale = max(rho0.max, 1e-300)
+    scales = [max(float(v.max()), 1e-300) for v in y]
     out = []
     t = 0.0
-    values = rho0.values.copy()
     for target in times:
         seg = target - t
         if seg > 1e-12:
+            limit = guard(y)
+            if dt > limit * (1 + 1e-9):
+                raise InvalidParameterError(
+                    f"dt={dt:.3g} exceeds the stability guard {limit:.3g} at t={t:.6g}"
+                )
             nsteps = max(1, round(seg / dt))
             step = seg / nsteps
             for _ in range(nsteps):
-                values = _rk4_step(values, step, rhs)
+                y = _rk4_step(y, step, rhs)
                 t += step
-                values = _clip_negatives(values, t, scale)
-                scale = max(scale, float(values.max()))
+                if after_step is not None:
+                    y = after_step(y)
+                y = tuple(_clip_negatives(v, t, s) for v, s in zip(y, scales))
+                scales = [max(s, float(v.max())) for v, s in zip(y, scales)]
             t = target
-        out.append(Field(rho0.grid, values.copy()))
+        out.append(tuple(v.copy() for v in y))
     return out
+
+
+def solve_kinetic(rho0: Field, params: ModelParams, horizon: float, dt: float, snapshot_times) -> list:
+    """Classical RK4 integration (:func:`integrate_rk4`); returns one
+    Field per snapshot time."""
+    require_same_grid(rho0.grid, params.grid)
+    if rho0.min < 0:
+        raise InvalidParameterError("initial density must be nonnegative")
+
+    def rhs(y):
+        return (kinetic_rhs(Field(rho0.grid, y[0]), params).values,)
+
+    def guard(y):
+        return stability_dt(params, float(y[0].max()))
+
+    snaps = integrate_rk4((rho0.values,), rhs, horizon, dt, snapshot_times, guard)
+    return [Field(rho0.grid, values) for (values,) in snaps]

@@ -10,12 +10,15 @@ cell list and audited against a from-scratch recomputation.
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import (
     AbsorbedStateError,
+    AuditDriftError,
     BlowUpError,
     InvalidParameterError,
 )
@@ -80,7 +83,6 @@ class Event:
     kind: str  # birth | death-natural | death-competition
     position: np.ndarray
     time: float
-    parent_index: int | None = None
 
 
 class Configuration:
@@ -172,9 +174,6 @@ class Configuration:
     def positions(self) -> np.ndarray:
         return self.pos[: self.n].copy()
 
-    def comp_rates(self) -> np.ndarray:
-        return self.crate[: self.n].copy()
-
     def audit(self) -> float:
         """Max relative drift |incremental - recomputed| / (1 + c)."""
         worst = 0.0
@@ -229,7 +228,7 @@ def step_event(
     if total <= 0:
         raise AbsorbedStateError("total event rate is zero")
     t = t + rng.exponential(1.0 / total)
-    return _realize_event(config, params, rng, t)
+    return _realize_event(config, params, rng, t, birth, total)
 
 
 @dataclass
@@ -257,8 +256,9 @@ def run(
     """Exact-jump trajectory with snapshots at the requested times.
 
     Mutates ``config``.  Raises BlowUpError when the population cap is
-    exceeded; an absorbed (empty, rateless) state simply freezes the
-    remaining snapshots.
+    exceeded, and AuditDriftError when an audit finds the incremental
+    competitive rates more than AUDIT_TOLERANCE off; an absorbed (empty,
+    rateless) state simply freezes the remaining snapshots.
     """
     times = sorted(float(s) for s in snapshot_times)
     if times and times[-1] > horizon + 1e-12:
@@ -272,19 +272,14 @@ def run(
         if total <= 0:
             traj.absorbed = True
             break
-        wait = rng.exponential(1.0 / total)
-        if t + wait > times[next_snap]:
-            # commit the waiting time only past the snapshot boundary
-            while next_snap < len(times) and t + wait > times[next_snap]:
-                traj.snapshots.append(config.positions())
-                next_snap += 1
-            t = t + wait
-            if next_snap >= len(times):
-                break
-            ev = _realize_event(config, params, rng, t)
-        else:
-            t = t + wait
-            ev = _realize_event(config, params, rng, t)
+        t = t + rng.exponential(1.0 / total)
+        # snapshots due before the jump see the configuration before it
+        while next_snap < len(times) and t > times[next_snap]:
+            traj.snapshots.append(config.positions())
+            next_snap += 1
+        if next_snap == len(times):
+            break
+        ev = _realize_event(config, params, rng, t, birth, total)
         traj.events += 1
         if ev.kind == "birth":
             traj.births += 1
@@ -295,22 +290,26 @@ def run(
         if config.n > population_cap:
             raise BlowUpError(t, config.n, population_cap)
         if traj.events % audit_interval == 0:
-            traj.max_audit_drift = max(traj.max_audit_drift, config.audit())
+            drift = config.audit()
+            traj.max_audit_drift = max(traj.max_audit_drift, drift)
+            if drift > AUDIT_TOLERANCE:
+                raise AuditDriftError(
+                    f"rate drift {drift:.3g} above {AUDIT_TOLERANCE:g} at t={t:.6g}"
+                )
     while len(traj.snapshots) < len(times):
         traj.snapshots.append(config.positions())
     return traj
 
 
-def _realize_event(config, params, rng, t) -> Event:
-    """Event-type/position part of step_event with the waiting time already drawn."""
-    birth, death = total_rates(config, params)
-    total = birth + death
+def _realize_event(config, params, rng, t, birth, total) -> Event:
+    """Event-type/position part of step_event with the waiting time already
+    drawn; ``birth`` and ``total`` are the current rates from total_rates."""
     if rng.random() * total < birth:
         parent = int(rng.integers(config.n))
         disp = params.dispersal.sample_displacement(rng, 1)[0]
         pos = np.mod(config.pos[parent] + disp, config.side)
         config.add_particle(pos)
-        return Event("birth", pos, t, parent)
+        return Event("birth", pos, t)
     n = config.n
     weights = params.mortality + params.epsilon * config.crate[:n]
     cum = np.cumsum(weights)
@@ -324,4 +323,30 @@ def _realize_event(config, params, rng, t) -> Event:
     )
     pos = config.pos[i].copy()
     config.remove_particle(i)
-    return Event(kind, pos, t, None)
+    return Event(kind, pos, t)
+
+
+def _ensemble_member(rho0, params, horizon, snapshot_times, seed, cap, keep_events, run_index):
+    rng = run_rng(seed, run_index)
+    config = init_poisson_field(rho0, params.competition, rng)
+    return run(
+        config, params, horizon, snapshot_times, rng, population_cap=cap, keep_events=keep_events
+    )
+
+
+def run_ensemble(
+    rho0, params: ModelParams, horizon: float, snapshot_times, seed: int, runs: int, jobs: int = 1,
+    population_cap: int = DEFAULT_POPULATION_CAP, keep_events: bool = False,
+) -> list:
+    """Trajectories of runs 0..runs-1 in run order, spread over ``jobs``
+    worker processes when jobs > 1.  Run i draws its inhomogeneous Poisson
+    start from the Field ``rho0`` and its events from ``run_rng(seed, i)``,
+    so the result does not depend on ``jobs``.
+    """
+    member = partial(
+        _ensemble_member, rho0, params, horizon, snapshot_times, seed, population_cap, keep_events
+    )
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(member, range(runs)))
+    return [member(r) for r in range(runs)]

@@ -12,12 +12,9 @@ import numpy as np
 from .errors import HorizonViolationError, InvalidParameterError
 from .hierarchy import TruncatedState, solve_hierarchy
 from .kinetic import Field, solve_kinetic, stability_dt
-from .microsim import init_poisson_field, run, run_rng
+from .microsim import run_ensemble
 from .model import ModelParams
 from .stats import density_estimate
-
-DEFAULT_EPS_LIST = (1.0, 0.5, 0.25, 0.1)
-
 
 @dataclass
 class ScalingReport:
@@ -85,17 +82,13 @@ def vlasov_error(
             ses.append(0.0)
         else:
             sparams, srho0 = scaled_params(params, rho0, eps)
-            ensembles = [[] for _ in snapshot_times]
-            for ridx in range(runs):
-                rng = run_rng(seed, ridx)
-                config = init_poisson_field(srho0, sparams.competition, rng)
-                traj = run(config, sparams, T, snapshot_times, rng, population_cap=population_cap)
-                for s, pts in enumerate(traj.snapshots):
-                    ensembles[s].append(pts)
+            trajectories = run_ensemble(
+                srho0, sparams, T, snapshot_times, seed, runs, population_cap=population_cap
+            )
             err = 0.0
             se = 0.0
-            for snap_pts, ref in zip(ensembles, reference):
-                est = density_estimate(snap_pts, rho0.grid)
+            for s, ref in enumerate(reference):
+                est = density_estimate([traj.snapshots[s] for traj in trajectories], rho0.grid)
                 err = max(err, float(np.max(np.abs(eps * est.mean - ref.values))))
                 se = max(se, eps * float(np.max(est.se)))
             ses.append(se)

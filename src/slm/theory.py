@@ -6,10 +6,10 @@ for the initial space.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     InvalidIntervalError,
@@ -60,11 +60,27 @@ def horizon_T(alpha_star: float, alpha_up: float, aplus_mass: float, aminus_mass
     return float((alpha_up - alpha_star) / denom)
 
 
+def _lambert_w0(log_z: float) -> float:
+    """Principal branch W0(z) for z > 0, given log z: Newton's method on
+    w + log w = log z.  The function is increasing and concave in w, so
+    after the first step the iterates rise monotonically to the root;
+    convergence is quadratic, hence a relative step below 1e-12 leaves
+    only round-off."""
+    w = log_z if log_z > 1.0 else math.exp(log_z)
+    for _ in range(100):
+        step = (w + math.log(w) - log_z) * w / (1.0 + w)
+        w -= step
+        if abs(step) <= 1e-12 * w:
+            break
+    return w
+
+
 def optimize_alpha(alpha_up: float, aplus_mass: float, aminus_mass: float) -> tuple:
     """(alpha_star, T_max) maximizing the horizon over alpha_star < alpha_up.
 
-    The maximum is unique; it is located by a coarse scan followed by
-    bounded scalar maximization on the bracketing interval.
+    Setting dT/dalpha = 0 gives (alpha_up - alpha - 1) <a-> e^{-alpha} = <a+>,
+    whose unique root is alpha_star = alpha_up - 1 - W0(<a+> e^{alpha_up - 1} / <a->)
+    with W0 the principal Lambert W branch (W0(0) = 0).
     """
     if aminus_mass <= 0:
         raise NoInteriorMaximumError(
@@ -72,22 +88,11 @@ def optimize_alpha(alpha_up: float, aplus_mass: float, aminus_mass: float) -> tu
         )
     if aplus_mass < 0:
         raise InvalidParameterError("dispersal mass must be nonnegative")
-
-    def neg_T(a):
-        return -(alpha_up - a) / (aplus_mass + aminus_mass * np.exp(-a))
-
-    # coarse scan: the maximizer sits where e^{-a} trades off against the gap
-    lo = alpha_up - 50.0
-    scan = np.linspace(lo, alpha_up - 1e-9, 2001)
-    best = scan[np.argmin([neg_T(a) for a in scan])]
-    span = (scan[1] - scan[0]) * 2
-    res = minimize_scalar(
-        neg_T,
-        bounds=(max(lo, best - span), min(alpha_up - 1e-12, best + span)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x), float(-res.fun)
+    w = 0.0
+    if aplus_mass > 0:
+        w = _lambert_w0(math.log(aplus_mass) - math.log(aminus_mass) + alpha_up - 1.0)
+    alpha_star = alpha_up - 1.0 - w
+    return alpha_star, horizon_T(alpha_star, alpha_up, aplus_mass, aminus_mass)
 
 
 def check_initial_space(theta: float, alpha_up: float) -> bool:

@@ -25,7 +25,7 @@ from slm.kinetic import (
     solve_kinetic,
     stability_dt,
 )
-from slm.microsim import Configuration, init_poisson, init_poisson_field, run, run_rng, step_event
+from slm.microsim import Configuration, init_poisson, run, run_ensemble, run_rng, step_event
 from slm.model import ModelParams
 from slm.scaling import scaled_params, vlasov_error
 from slm.stats import default_pair_edges, estimate_correlations, subpoisson_diagnostic
@@ -169,17 +169,11 @@ def test_criterion_06_micro_meso_agreement(announce):
     times = [0.5, 1.0]
     reference = solve_kinetic(rho0, params, T, 0.01, times)
     sparams, srho0 = scaled_params(params, rho0, eps)
-    ensembles = [[] for _ in times]
-    for ridx in range(runs):
-        rng = run_rng(2026, ridx)
-        config = init_poisson_field(srho0, sparams.competition, rng)
-        traj = run(config, sparams, T, times, rng)
-        for s, pts in enumerate(traj.snapshots):
-            ensembles[s].append(pts)
+    trajectories = run_ensemble(srho0, sparams, T, times, 2026, runs)
     volume = grid.side**grid.dim
     worst_z = 0.0
-    for snap_pts, ref in zip(ensembles, reference):
-        per_run = np.array([len(p) for p in snap_pts]) / volume
+    for s, ref in enumerate(reference):
+        per_run = np.array([len(traj.snapshots[s]) for traj in trajectories]) / volume
         mean = eps * per_run.mean()
         se = eps * per_run.std(ddof=1) / np.sqrt(runs)
         worst_z = max(worst_z, abs(mean - ref.mean) / se)

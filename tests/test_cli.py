@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,6 +211,15 @@ class TestCommands:
         p.write_text(cfg)
         assert main(["analyze", "--config", str(p)]) == 0
         assert "no finite theta" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # no command needs scipy, and importing scipy.optimize dominated start-up
+    code = "import sys, slm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["slm"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFailures:

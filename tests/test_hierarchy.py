@@ -11,13 +11,12 @@ from slm.hierarchy import (
     Field2,
     TruncatedState,
     closure_contraction,
-    hierarchy_stability_dt,
     rhs_k1,
     rhs_k2,
     solve_hierarchy,
 )
 from slm.kernels import Kernel, make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
-from slm.kinetic import Field, kinetic_rhs, solve_kinetic
+from slm.kinetic import Field, kinetic_rhs, solve_kinetic, stability_dt
 from slm.model import ModelParams
 
 
@@ -236,6 +235,18 @@ class TestSolver:
         with pytest.raises(InvalidParameterError):
             solve_hierarchy(st, "mean-field", params, 1.0, 5.0, [1.0])
 
+    def test_dt_guard_rechecked_per_segment(self):
+        # at eps = 0, k1 and k2 grow towards q = 2 and q^2; dt = 0.04 passes
+        # the guard at t = 0 but not at the second segment's start (t = 2)
+        g = Grid(1, 10.0, 100)
+        params = ModelParams(
+            0.0, make_indicator_kernel(2.0, 0.5, 1, g), make_indicator_kernel(1.0, 0.5, 1, g)
+        )
+        st = TruncatedState.poisson_like(Field.constant(g, 0.1), 0.0)
+        assert stability_dt(params, st.witness_C) > 0.04
+        with pytest.raises(InvalidParameterError, match="at t=2"):
+            solve_hierarchy(st, "mean-field", params, 4.0, 0.04, [2.0, 4.0])
+
     def test_stability_guard_positive(self, grid, params):
         st = TruncatedState.poisson_like(Field.constant(grid, 1.0), 1.0)
-        assert 0 < hierarchy_stability_dt(st, params) < 1.0
+        assert 0 < stability_dt(params, st.witness_C) < 1.0

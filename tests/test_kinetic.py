@@ -179,6 +179,17 @@ class TestSolver:
         with pytest.raises(InvalidParameterError):
             solve_kinetic(Field.constant(grid, 1.0), params, 1.0, 10.0, [1.0])
 
+    def test_dt_guard_rechecked_per_segment(self, grid):
+        # the guard at t = 0 (0.043) admits dt = 0.04, but rho grows towards
+        # q = 2 and the guard at the second segment's start (t = 2) is 0.025
+        params = ModelParams(
+            0.0, make_indicator_kernel(2.0, 0.5, 1, grid), make_indicator_kernel(1.0, 0.5, 1, grid)
+        )
+        rho0 = Field.constant(grid, 0.1)
+        assert stability_dt(params, rho0.max) > 0.04
+        with pytest.raises(InvalidParameterError, match="at t=2"):
+            solve_kinetic(rho0, params, 4.0, 0.04, [2.0, 4.0])
+
     def test_negative_initial_rejected(self, grid, params):
         with pytest.raises(InvalidParameterError):
             solve_kinetic(Field.constant(grid, -0.1), params, 1.0, 0.01, [1.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slm.errors import AbsorbedStateError, BlowUpError, InvalidParameterError
+from slm.errors import AbsorbedStateError, AuditDriftError, BlowUpError, InvalidParameterError
 from slm.grid import Grid
 from slm.kernels import make_indicator_kernel, make_zero_kernel
 from slm.kinetic import Field
@@ -10,6 +10,7 @@ from slm.microsim import (
     init_poisson,
     init_poisson_field,
     run,
+    run_ensemble,
     run_rng,
     step_event,
     total_rates,
@@ -99,6 +100,21 @@ class TestInit:
     def test_negative_intensity_rejected(self, grid, params):
         with pytest.raises(InvalidParameterError):
             init_poisson(-1.0, grid.side, 1, params.competition, run_rng(0, 0))
+
+
+class TestEnsemble:
+    def test_run_i_uses_stream_i(self, grid, params):
+        # run i is init_poisson_field then run, both on run_rng(seed, i)
+        rho0 = Field.constant(grid, 0.8)
+        trajs = run_ensemble(rho0, params, 2.0, [1.0, 2.0], 4, 3, keep_events=True)
+        assert len(trajs) == 3
+        for i, traj in enumerate(trajs):
+            rng = run_rng(4, i)
+            config = init_poisson_field(rho0, params.competition, rng)
+            ref = run(config, params, 2.0, [1.0, 2.0], rng)
+            assert traj.events == ref.events and len(traj.event_log) == ref.events
+            for a, b in zip(traj.snapshots, ref.snapshots):
+                assert np.array_equal(a, b)
 
 
 class TestRun:
@@ -200,6 +216,14 @@ class TestRun:
         # binomial(1/2) z-score on the half-box split
         z = abs(left - total / 2) / np.sqrt(total / 4)
         assert z < 4.0
+
+    def test_audit_drift_raises(self, grid, params):
+        rng = run_rng(10, 0)
+        config = init_poisson(2.0, grid.side, 1, params.competition, rng)
+        config.crate[: config.n] += 1.0  # every cached rate is now off by one
+        with pytest.raises(AuditDriftError) as exc:
+            run(config, params, 4.0, [4.0], rng, audit_interval=1)
+        assert exc.value.category == "audit-drift"
 
     def test_2d_smoke(self):
         g = Grid(2, 6.0, 24)

@@ -96,6 +96,18 @@ class TestOptimizeAlpha:
         _, t2 = optimize_alpha(1.0 + c, 1.0, np.exp(c) * 1.0)
         assert t1 == pytest.approx(t2, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "alpha_up, ap, am",
+        [(1.0, 1.0, 1.0), (-0.4, 2.0, 0.7), (3.0, 1e-4, 50.0), (-8.0, 40.0, 1e-3), (0.5, 0.0, 2.0)],
+    )
+    def test_matches_lambertw(self, alpha_up, ap, am):
+        from scipy.special import lambertw
+
+        a_opt, t_max = optimize_alpha(alpha_up, ap, am)
+        w = lambertw(ap * np.exp(alpha_up - 1.0) / am).real
+        assert a_opt == pytest.approx(alpha_up - 1.0 - w, rel=1e-13, abs=1e-13)
+        assert t_max == horizon_T(a_opt, alpha_up, ap, am)
+
     def test_no_interior_maximum(self):
         with pytest.raises(NoInteriorMaximumError):
             optimize_alpha(1.0, 1.0, 0.0)

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Every command reads a run-config file, writes CSV outputs plus a
-manifest and a copy of the fully resolved config into the output
-directory, and exits nonzero with a one-line machine-parsable category
-on failure.
+Each command computes its level of description and returns its output
+tables; ``main`` alone writes them.  It parses the run-config file once,
+with the command-line overrides applied, runs the command, and only then
+fills the output directory with the tables, a ``manifest.json`` and a
+copy of the fully resolved config, so a failed command writes nothing.
+Failures exit nonzero with a one-line machine-parsable category.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .errors import InvalidParameterError, SLMError
 from .hierarchy import TruncatedState, solve_hierarchy
 from .kernels import domination_theta
@@ -27,52 +29,54 @@ from .stats import default_pair_edges, estimate_correlations, subpoisson_diagnos
 from .theory import optimize_alpha
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form; reruns are byte-identical."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    # str of a Python int or float is its shortest round-trip form: reruns are byte-identical
+    cells = [map(str, np.asarray(col).tolist()) for col in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _prepare_out(args, cfg: RunConfig) -> str:
-    root = os.environ.get("SLM_OUT_ROOT", "")
-    out = os.path.join(root, args.out) if root else args.out
+def _write_json(path, data):
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_outputs(out, command, cfg, tables):
+    """resolved.cfg, each table (a dict as JSON, a (header, columns) pair
+    as CSV) and the manifest listing the tables."""
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "resolved.cfg"), "w") as fh:
         fh.write(cfg.resolved_text())
-    return out
+    for name, table in tables.items():
+        if isinstance(table, dict):
+            _write_json(os.path.join(out, name), table)
+        else:
+            _write_csv(os.path.join(out, name), *table)
+    manifest = {"tool": "slm", "version": __version__, "command": command,
+                "config": "resolved.cfg", "files": sorted(tables)}
+    _write_json(os.path.join(out, "manifest.json"), manifest)
 
 
-def _finish_manifest(out, command, files):
-    manifest = {
-        "tool": "slm",
-        "version": __version__,
-        "command": command,
-        "config": "resolved.cfg",
-        "files": sorted(files),
-    }
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _axes(grid):
+    return [f"x{i}" for i in range(grid.dim)]
+
+
+def _field_table(grid, times, fields, name):
+    """t, cell index, cell-centre coordinates and value of every cell of
+    each field, cells in C order."""
+    n = grid.size
+    coords = grid.centers()[np.indices(grid.shape).reshape(grid.dim, -1)]
+    columns = [np.repeat(times, n), np.tile(np.arange(n), len(times)), *np.tile(coords, len(times))]
+    columns.append(np.ravel([f.values for f in fields]))
+    return ["t", "cell_index"] + _axes(grid) + [name], columns
 
 
 # -- simulate ------------------------------------------------------------
 
 
-def cmd_simulate(args):
-    cfg = parse_config(args.config)
-    if args.runs is not None:
-        cfg.runs = args.runs
-    if args.seed is not None:
-        cfg.seed = args.seed
-    out = _prepare_out(args, cfg)
+def cmd_simulate(args, cfg):
     trajectories = run_ensemble(
         cfg.rho0,
         cfg.params,
@@ -84,100 +88,72 @@ def cmd_simulate(args):
         population_cap=cfg.population_cap,
         keep_events=args.events,
     )
-
-    axes = [f"x{i}" for i in range(cfg.grid.dim)]
-    snap_rows, summary_rows, files = [], [], []
-    for ridx, traj in enumerate(trajectories):
-        for t, pts in zip(traj.times, traj.snapshots):
-            summary_rows.append((ridx, t, len(pts)))
-            for p in np.atleast_2d(pts):
-                snap_rows.append((ridx, t) + tuple(p))
-        if args.events:
-            ev_file = f"events_run{ridx:04d}.csv"
-            _write_csv(
-                os.path.join(out, ev_file),
-                ["time", "kind"] + axes,
-                [(e.time, e.kind) + tuple(np.atleast_1d(e.position)) for e in traj.event_log],
+    runs = [r for r, traj in enumerate(trajectories) for _ in traj.times]
+    times = [t for traj in trajectories for t in traj.times]
+    snaps = [pts for traj in trajectories for pts in traj.snapshots]
+    counts = [len(pts) for pts in snaps]
+    pts = np.concatenate(snaps or [np.empty((0, cfg.grid.dim))])
+    tables = {
+        "snapshots.csv": (
+            ["run", "t"] + _axes(cfg.grid),
+            [np.repeat(runs, counts), np.repeat(times, counts), *pts.T],
+        ),
+        "summary.csv": (["run", "t", "N"], [runs, times, counts]),
+    }
+    if args.events:
+        for r, traj in enumerate(trajectories):
+            log = traj.event_log
+            pos = np.reshape([e.position for e in log], (-1, cfg.grid.dim))
+            tables[f"events_run{r:04d}.csv"] = (
+                ["time", "kind"] + _axes(cfg.grid),
+                [[e.time for e in log], [e.kind for e in log], *pos.T],
             )
-            files.append(ev_file)
-    _write_csv(os.path.join(out, "snapshots.csv"), ["run", "t"] + axes, snap_rows)
-    _write_csv(os.path.join(out, "summary.csv"), ["run", "t", "N"], summary_rows)
-    _finish_manifest(out, "simulate", files + ["snapshots.csv", "summary.csv"])
-    return 0
+    return tables
 
 
 # -- kinetic -------------------------------------------------------------
 
 
-def _field_rows(t, field):
-    grid = field.grid
-    centers = grid.centers()
-    rows = []
-    for flat, v in enumerate(field.values.ravel()):
-        idx = np.unravel_index(flat, grid.shape)
-        rows.append((t, flat) + tuple(centers[i] for i in idx) + (v,))
-    return rows
-
-
-def cmd_kinetic(args):
-    cfg = parse_config(args.config)
-    out = _prepare_out(args, cfg)
-    snaps = solve_kinetic(cfg.rho0, cfg.params, cfg.horizon, cfg.dt, cfg.snapshot_times)
+def cmd_kinetic(args, cfg):
+    times = cfg.snapshot_times
+    snaps = solve_kinetic(cfg.rho0, cfg.params, cfg.horizon, cfg.dt, times)
     bp = BernoulliParams.from_model(cfg.params)
     q = bernoulli_q(bp) if bp.aminus_mass > 0 else math.nan
-    axes = [f"x{i}" for i in range(cfg.grid.dim)]
-    rows, summary = [], []
-    for t, f in zip(cfg.snapshot_times, snaps):
-        rows.extend(_field_rows(t, f))
-        sup_err = float(np.max(np.abs(f.values - q))) if not math.isnan(q) else math.nan
-        summary.append((t, f.min, f.max, f.mean, sup_err))
-    _write_csv(os.path.join(out, "fields.csv"), ["t", "cell_index"] + axes + ["rho"], rows)
-    _write_csv(
-        os.path.join(out, "summary.csv"),
-        ["t", "min_rho", "max_rho", "mean_rho", "sup_error_vs_q"],
-        summary,
-    )
-    _finish_manifest(out, "kinetic", ["fields.csv", "summary.csv"])
-    return 0
+    summary = [
+        (t, f.min, f.max, f.mean, float(np.max(np.abs(f.values - q)))) for t, f in zip(times, snaps)
+    ]
+    return {
+        "fields.csv": _field_table(cfg.grid, times, snaps, "rho"),
+        "summary.csv": (["t", "min_rho", "max_rho", "mean_rho", "sup_error_vs_q"], zip(*summary)),
+    }
 
 
 # -- hierarchy -----------------------------------------------------------
 
 
-def cmd_hierarchy(args):
-    cfg = parse_config(args.config)
-    closure_rule = args.closure or cfg.closure
-    params = cfg.params if args.epsilon is None else cfg.params.with_epsilon(args.epsilon)
-    out = _prepare_out(args, cfg)
-    state0 = TruncatedState.poisson_like(cfg.rho0, params.epsilon)
+def cmd_hierarchy(args, cfg):
+    state0 = TruncatedState.poisson_like(cfg.rho0, cfg.params.epsilon)
     snaps, diag = solve_hierarchy(
-        state0, closure_rule, params, cfg.horizon, cfg.dt, cfg.snapshot_times
+        state0, cfg.closure, cfg.params, cfg.horizon, cfg.dt, cfg.snapshot_times
     )
-    offsets = cfg.slice_offsets
-    if not offsets:
-        h = cfg.grid.spacing
-        offsets = [k * h for k in range(0, min(9, cfg.grid.cells // 2), 2)]
-    rows, slice_rows = [], []
-    for t, st in zip(cfg.snapshot_times, snaps):
-        rows.extend(_field_rows(t, st.k1))
-        m = cfg.grid.cells
-        for r in offsets:
-            shift = int(round(r / cfg.grid.spacing)) % m
-            diag_vals = np.diagonal(np.roll(st.k2.values, -shift, axis=1))
-            slice_rows.append((t, r, float(diag_vals.mean())))
-    _write_csv(os.path.join(out, "k1.csv"), ["t", "cell_index", "x0", "k1"], rows)
-    _write_csv(os.path.join(out, "k2_slice.csv"), ["t", "r", "value"], slice_rows)
-    _finish_manifest(out, "hierarchy", ["k1.csv", "k2_slice.csv"])
+    h, m = cfg.grid.spacing, cfg.grid.cells
+    offsets = cfg.slice_offsets or [k * h for k in range(0, min(9, m // 2), 2)]
+    slices = [
+        (t, r, float(np.diagonal(np.roll(st.k2.values, -(round(r / h) % m), axis=1)).mean()))
+        for t, st in zip(cfg.snapshot_times, snaps)
+        for r in offsets
+    ]
     print(f"max symmetry drift per step: {diag['max_symmetry_drift']:.3e}")
-    return 0
+    return {
+        "k1.csv": _field_table(cfg.grid, cfg.snapshot_times, [st.k1 for st in snaps], "k1"),
+        "k2_slice.csv": (["t", "r", "value"], zip(*slices)),
+    }
 
 
 # -- stats ---------------------------------------------------------------
 
 
-def cmd_stats(args):
-    cfg = parse_config(args.config)
-    out = _prepare_out(args, cfg)
+def cmd_stats(args, cfg):
     # (run, t, N) comes from summary.csv: a run empty at t enters as a (0, d) array
     sum_path = os.path.join(args.snapshots, "summary.csv")
     index = np.loadtxt(sum_path, delimiter=",", skiprows=1, ndmin=2)
@@ -192,36 +168,35 @@ def cmd_stats(args):
         max(cfg.params.dispersal.support_radius, cfg.params.competition.support_radius),
         cfg.pair_bins,
     )
-    dens_rows, pair_rows, diag_rows = [], [], []
-    for t in sorted(set(index[:, 1])):
+    n = cfg.grid.size
+    density, pairs, diagnostic = [], [], []
+    for t in sorted(set(index[:, 1].tolist())):
         rows = index[index[:, 1] == t]
         runs, counts = rows[:, 0], rows[:, 2]
         if not counts.any():
-            raise InvalidParameterError(f"every run is empty at t={_fmt(t)}; nothing to estimate")
+            raise InvalidParameterError(f"every run is empty at t={t}; nothing to estimate")
         sel = data[data[:, 1] == t]
         ensemble = [sel[sel[:, 0] == r][:, 2:] for r in runs]
         if [len(p) for p in ensemble] != list(counts):
-            raise SLMError(f"snapshots.csv and summary.csv disagree at t={_fmt(t)}")
+            raise SLMError(f"snapshots.csv and summary.csv disagree at t={t}")
         est = estimate_correlations(ensemble, cfg.grid, edges, t)
-        for flat, (m, s) in enumerate(zip(est.k1_hat.mean.ravel(), est.k1_hat.se.ravel())):
-            dens_rows.append((t, flat, m, s))
-        for b in est.pair_g:
-            pair_rows.append((t, b.r_mid, b.g, b.se))
+        k1 = est.k1_hat
+        density.append((np.full(n, t), np.arange(n), k1.mean.ravel(), k1.se.ravel()))
+        pairs += [(t, b.r_mid, b.g, b.se) for b in est.pair_g]
         report = subpoisson_diagnostic(est, max(est.mean_density * 1.5, 1e-12))
-        diag_rows.append((t, report.minimal_C, len(report.flagged_cells) + len(report.flagged_bins)))
-    _write_csv(os.path.join(out, "density.csv"), ["t", "cell", "k1_hat", "se"], dens_rows)
-    _write_csv(os.path.join(out, "pairs.csv"), ["t", "r_mid", "g_hat", "se"], pair_rows)
-    _write_csv(os.path.join(out, "diagnostic.csv"), ["t", "minimal_C", "flags"], diag_rows)
-    _finish_manifest(out, "stats", ["density.csv", "pairs.csv", "diagnostic.csv"])
-    return 0
+        flags = len(report.flagged_cells) + len(report.flagged_bins)
+        diagnostic.append((t, report.minimal_C, flags))
+    return {
+        "density.csv": (["t", "cell", "k1_hat", "se"], map(np.concatenate, zip(*density))),
+        "pairs.csv": (["t", "r_mid", "g_hat", "se"], zip(*pairs)),
+        "diagnostic.csv": (["t", "minimal_C", "flags"], zip(*diagnostic)),
+    }
 
 
 # -- scaling -------------------------------------------------------------
 
 
-def cmd_scaling(args):
-    cfg = parse_config(args.config)
-    out = _prepare_out(args, cfg)
+def cmd_scaling(args, cfg):
     report = vlasov_error(
         cfg.eps_list,
         cfg.rho0,
@@ -234,36 +209,30 @@ def cmd_scaling(args):
         closure_rule=cfg.closure,
         population_cap=cfg.population_cap,
     )
-    _write_csv(
-        os.path.join(out, "report.csv"),
-        ["eps", "sup_error", "mc_se", "runs"],
-        [
-            (e, err, se, cfg.scaling_runs if args.mode == "microsim" else 0)
-            for e, err, se in zip(report.epsilons, report.errors, report.mc_se)
-        ],
-    )
-    manifest_data = {
-        "note": "order-1 sup-norm truncation surrogate of the hierarchy norm",
-        "x": "eps",
-        "y": "sup_error",
-        "source": "report.csv",
+    runs = cfg.scaling_runs if args.mode == "microsim" else 0
+    source = "report.csv"
+    return {
+        source: (
+            ["eps", "sup_error", "mc_se", "runs"],
+            [report.epsilons, report.errors, report.mc_se, [runs] * len(report.epsilons)],
+        ),
+        "plot_manifest.json": {
+            "note": "order-1 sup-norm truncation surrogate of the hierarchy norm",
+            "x": "eps",
+            "y": "sup_error",
+            "source": source,
+        },
     }
-    with open(os.path.join(out, "plot_manifest.json"), "w") as fh:
-        json.dump(manifest_data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _finish_manifest(out, "scaling", ["report.csv", "plot_manifest.json"])
-    return 0
 
 
 # -- analyze -------------------------------------------------------------
 
 
-def cmd_analyze(args):
-    cfg = parse_config(args.config)
+def cmd_analyze(args, cfg):
     theta = domination_theta(cfg.params.dispersal, cfg.params.competition)
     if theta is None:
         print("no finite theta")
-        return 0
+        return {}
     if theta > 0:
         alpha_max = -math.log(theta)
         alpha_up = cfg.alpha_up if cfg.alpha_up is not None else alpha_max - 0.5
@@ -279,15 +248,12 @@ def cmd_analyze(args):
     print(f"chosen alpha*    : {alpha_up:.6g}")
     print(f"optimal alpha_*  : {alpha_star:.6g}")
     print(f"T*               : {t_star:.6g}")
-    if args.out:
-        out = _prepare_out(args, cfg)
-        _write_csv(
-            os.path.join(out, "analysis.csv"),
+    return {
+        "analysis.csv": (
             ["theta", "alpha_up", "alpha_star_opt", "T_star"],
-            [(theta, alpha_up, alpha_star, t_star)],
+            [[theta], [alpha_up], [alpha_star], [t_star]],
         )
-        _finish_manifest(out, "analyze", ["analysis.csv"])
-    return 0
+    }
 
 
 # -- entry point ---------------------------------------------------------
@@ -305,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="exact stochastic ensemble")
     common(p)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--runs", type=int, dest="run:runs")
+    p.add_argument("--seed", type=int, dest="run:seed")
     p.add_argument("--events", action="store_true", help="write per-run event logs")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_simulate)
@@ -317,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hierarchy", help="truncated correlation dynamics")
     common(p)
-    p.add_argument("--closure", choices=["mean-field", "kirkwood"], default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--closure", choices=["mean-field", "kirkwood"], dest="hierarchy:closure")
+    p.add_argument("--epsilon", type=float, dest="model:epsilon")
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("stats", help="ensemble estimators over simulate output")
@@ -341,11 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a flag with dest "section:key" overrides that config key; resolved.cfg records the value
+    overrides = {tuple(dest.split(":")): str(value) for dest, value in vars(args).items()
+                 if ":" in dest and value is not None}
     try:
-        return args.func(args)
+        cfg = parse_config(args.config, overrides)
+        tables = args.func(args, cfg)
+        if args.out:
+            out = os.path.join(os.environ.get("SLM_OUT_ROOT", ""), args.out)
+            _write_outputs(out, args.command, cfg, tables)
     except SLMError as exc:
         print(f"error-category: {exc.category}: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -80,12 +80,28 @@ class RunConfig:
         return "\n".join(lines)
 
 
-def _getfloat(raw, resolved, section, key, default=None) -> float:
-    val = _get(raw, resolved, section, key, default)
+def _getfloat(raw, resolved, section, key) -> float:
+    val = _get(raw, resolved, section, key)
     try:
         return float(val)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {val!r}")
+
+
+def _getint(raw, resolved, section, key) -> int:
+    val = _get(raw, resolved, section, key)
+    try:
+        return int(val)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: not an integer: {val!r}")
+
+
+def _getfloats(raw, resolved, section, key) -> list:
+    val = _get(raw, resolved, section, key)
+    try:
+        return [float(s) for s in val.split()]
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: not numbers: {val!r}")
 
 
 def _get(raw, resolved, section, key, default=None):
@@ -126,8 +142,9 @@ def _build_kernel(raw, resolved, section, dim, grid, base_dir) -> Kernel:
     raise ConfigError(f"[{section}] unknown kernel shape {shape!r}")
 
 
-def parse_config(path) -> RunConfig:
-    """Parse and fully validate a run configuration file."""
+def parse_config(path, overrides=None) -> RunConfig:
+    """Parse and fully validate a run configuration file; ``overrides``
+    maps (section, key) to text that replaces the file's value."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(interpolation=None)
@@ -147,13 +164,15 @@ def parse_config(path) -> RunConfig:
                 unknown.append(f"[{section}] {key}")
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
+    for (section, key), text in (overrides or {}).items():
+        raw.setdefault(section, {})[key] = text
 
     resolved: dict = {}
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    dim = int(_getfloat(raw, resolved, "model", "dimension"))
+    dim = _getint(raw, resolved, "model", "dimension")
     side = _getfloat(raw, resolved, "model", "torus_side")
-    cells = int(_getfloat(raw, resolved, "model", "grid_cells"))
+    cells = _getint(raw, resolved, "model", "grid_cells")
     grid = Grid(dim, side, cells)
 
     mortality = _getfloat(raw, resolved, "model", "mortality")
@@ -187,17 +206,13 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("[run] dt must be positive")
     if horizon < 0:
         raise ConfigError("[run] horizon must be nonnegative")
-    snap_raw = _get(raw, resolved, "run", "snapshot_times")
-    try:
-        snapshot_times = sorted(float(s) for s in snap_raw.split())
-    except ValueError:
-        raise ConfigError(f"[run] snapshot_times: not numbers: {snap_raw!r}")
+    snapshot_times = sorted(_getfloats(raw, resolved, "run", "snapshot_times"))
     if snapshot_times and (snapshot_times[0] < 0 or snapshot_times[-1] > horizon):
         raise ConfigError("[run] snapshot_times must lie within [0, horizon]")
 
-    seed = int(_getfloat(raw, resolved, "run", "seed"))
-    runs = int(_getfloat(raw, resolved, "run", "runs"))
-    population_cap = int(_getfloat(raw, resolved, "run", "population_cap"))
+    seed = _getint(raw, resolved, "run", "seed")
+    runs = _getint(raw, resolved, "run", "runs")
+    population_cap = _getint(raw, resolved, "run", "population_cap")
     if runs < 1:
         raise ConfigError("[run] runs must be >= 1")
 
@@ -205,12 +220,11 @@ def parse_config(path) -> RunConfig:
     if "theory" in raw and "alpha_up" in raw["theory"]:
         alpha_up = _getfloat(raw, resolved, "theory", "alpha_up")
 
-    pair_bins = int(_getfloat(raw, resolved, "stats", "pair_bins"))
-    eps_list = [float(e) for e in _get(raw, resolved, "scaling", "eps_list").split()]
-    scaling_runs = int(_getfloat(raw, resolved, "scaling", "scaling_runs"))
+    pair_bins = _getint(raw, resolved, "stats", "pair_bins")
+    eps_list = _getfloats(raw, resolved, "scaling", "eps_list")
+    scaling_runs = _getint(raw, resolved, "scaling", "scaling_runs")
     closure_rule = _get(raw, resolved, "hierarchy", "closure")
-    slice_raw = _get(raw, resolved, "hierarchy", "slice_offsets")
-    slice_offsets = [float(s) for s in slice_raw.split()] if slice_raw else []
+    slice_offsets = _getfloats(raw, resolved, "hierarchy", "slice_offsets")
 
     return RunConfig(
         grid=grid,

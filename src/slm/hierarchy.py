@@ -63,12 +63,11 @@ class Field2:
 
 @dataclass
 class TruncatedState:
-    """(k0, k1, k2) with the interaction scaling epsilon; k0 is conserved."""
+    """(k1, k2) with the interaction scaling epsilon."""
 
     k1: Field
     k2: Field2
     epsilon: float
-    k0: float = 1.0
 
     def __post_init__(self):
         require_same_grid(self.k1.grid, self.k2.grid)

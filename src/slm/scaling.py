@@ -28,7 +28,6 @@ class ScalingReport:
     errors: list
     mode: str
     mc_se: list  # per-eps Monte Carlo SE of the rescaled density (microsim mode)
-    snapshot_times: list
 
 
 def scaled_params(params: ModelParams, rho0: Field, eps: float) -> tuple:
@@ -93,4 +92,4 @@ def vlasov_error(
                 se = max(se, eps * float(np.max(est.se)))
             ses.append(se)
         errors.append(err)
-    return ScalingReport(eps_list, errors, mode, ses, list(snapshot_times))
+    return ScalingReport(eps_list, errors, mode, ses)

@@ -21,7 +21,6 @@ class FieldEstimate:
     grid: Grid
     mean: np.ndarray
     se: np.ndarray
-    runs: int
 
 
 @dataclass
@@ -40,8 +39,6 @@ class PairBin:
 class CorrelationEstimate:
     k1_hat: FieldEstimate
     pair_g: list
-    runs: int
-    t: float
 
     @property
     def mean_density(self) -> float:
@@ -67,7 +64,7 @@ def density_estimate(positions_per_run: list, grid: Grid) -> FieldEstimate:
         per_run[r] = counts / grid.cell_volume
     mean = per_run.mean(axis=0)
     se = per_run.std(axis=0, ddof=1) / np.sqrt(runs)
-    return FieldEstimate(grid, mean, se, runs)
+    return FieldEstimate(grid, mean, se)
 
 
 def _min_image_distances(pts: np.ndarray, side: float) -> np.ndarray:
@@ -117,11 +114,10 @@ def pair_correlation(positions_per_run: list, side: float, dim: int, edges: np.n
 
 
 def estimate_correlations(positions_per_run: list, grid: Grid, edges: np.ndarray, t: float) -> CorrelationEstimate:
+    """Density and pair correlation of the ensemble at snapshot time ``t``."""
     return CorrelationEstimate(
         k1_hat=density_estimate(positions_per_run, grid),
         pair_g=pair_correlation(positions_per_run, grid.side, grid.dim, edges),
-        runs=len(positions_per_run),
-        t=t,
     )
 
 

@@ -1,5 +1,8 @@
+import configparser
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -52,6 +55,17 @@ def read(path):
         return fh.read()
 
 
+def with_key(text, section, key, value):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, value)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
+
+
 class TestConfig:
     def test_parses_and_resolves_defaults(self, cfg_path):
         cfg = parse_config(cfg_path)
@@ -86,6 +100,28 @@ class TestConfig:
         p.write_text(BASE_CFG.replace("snapshot_times = 0.5 1.0", "snapshot_times = 2.0"))
         with pytest.raises(ConfigError):
             parse_config(str(p))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "dimension", "1.0"),
+            ("model", "grid_cells", "100.7"),
+            ("run", "runs", "2.9"),
+            ("run", "seed", "1.5"),
+            ("run", "population_cap", "1e6"),
+            ("stats", "pair_bins", "24.5"),
+            ("scaling", "scaling_runs", "5.5"),
+            ("scaling", "eps_list", "1 half"),
+            ("hierarchy", "slice_offsets", "0 0.4x"),
+            ("run", "snapshot_times", "0.5 one"),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, section, key, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(with_key(BASE_CFG, section, key, value))
+        assert main(["analyze", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"error-category: config: [{section}] {key}: not " in err
 
     def test_table_initial(self, tmp_path):
         vals = 0.2 + 0.1 * np.arange(50) / 50.0
@@ -213,6 +249,69 @@ class TestCommands:
         assert "no finite theta" in capsys.readouterr().out
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--events"],
+            ["kinetic"],
+            ["hierarchy"],
+            ["stats", "--snapshots", "SIM"],
+            ["scaling"],
+            ["analyze"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_manifest_lists_every_written_file(self, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "\n[scaling]\neps_list = 1 0.5\nscaling_runs = 5\n")
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--config", str(cfg), "--out", sim]) == 0
+        out = str(tmp_path / "out")
+        cmd, *rest = [sim if a == "SIM" else a for a in argv]
+        assert main([cmd, "--config", str(cfg), "--out", out, *rest]) == 0
+        manifest = json.loads(read(os.path.join(out, "manifest.json")))
+        assert manifest["command"] == cmd
+        written = set(os.listdir(out)) - {"manifest.json", "resolved.cfg"}
+        assert written and manifest["files"] == sorted(written)
+
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["simulate", "--runs", "2", "--seed", "11"], ["snapshots.csv", "summary.csv"]),
+            (
+                ["hierarchy", "--closure", "kirkwood", "--epsilon", "0.5"],
+                ["k1.csv", "k2_slice.csv"],
+            ),
+        ],
+        ids=["simulate", "hierarchy"],
+    )
+    def test_resolved_cfg_reproduces_override_flags(self, cfg_path, tmp_path, argv, data):
+        cmd, *flags = argv
+        first, again = str(tmp_path / "first"), str(tmp_path / "again")
+        assert main([cmd, "--config", cfg_path, "--out", first, *flags]) == 0
+        resolved = os.path.join(first, "resolved.cfg")
+        assert main([cmd, "--config", resolved, "--out", again]) == 0
+        for f in data:
+            assert read(os.path.join(first, f)) == read(os.path.join(again, f))
+        assert read(resolved) == read(os.path.join(again, "resolved.cfg"))
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_example_config(tmp_path, capsys):
+    (block,) = re.findall(r"```ini\n(.*?)```", read(README), re.S)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block)
+    for cmd, *flags in ["kinetic"], ["hierarchy"], ["scaling", "--mode", "hierarchy"], ["analyze"]:
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd), *flags]) == 0, cmd
+    # the mean-field closure's own solution turns negative near t = 1.94
+    mean_field = ["--out", str(tmp_path / "mf"), "--closure", "mean-field"]
+    assert main(["hierarchy", "--config", str(cfg), *mean_field]) == 2
+    assert "error-category: instability" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     # no command needs scipy, and importing scipy.optimize dominated start-up
     code = "import sys, slm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -256,3 +355,4 @@ class TestFailures:
         out = str(tmp_path / "o")
         assert main(["kinetic", "--config", str(p), "--out", out]) == 2
         assert "error-category: invalid-parameter" in capsys.readouterr().err
+        assert not os.path.exists(out)  # a failed command writes nothing

@@ -6,6 +6,7 @@ functions, so that discrete conservation identities close exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,11 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return self.spacing**self.dim
+
+    @cached_property
+    def strides(self) -> np.ndarray:
+        """Flat C-order index of a cell: ``index @ strides``."""
+        return self.cells ** np.arange(self.dim - 1, -1, -1)
 
     def centers(self) -> np.ndarray:
         """Cell-center coordinates along one axis."""

@@ -38,6 +38,13 @@ CLOSURES = ("mean-field", "kirkwood")
 KIRKWOOD_FLOOR_FACTOR = 1e-8
 
 
+def require_pair_grid(grid: Grid):
+    """Reject grids that pair functions do not support, before any M x M
+    array is built."""
+    if grid.dim != 1:
+        raise InvalidParameterError("pair functions are gridded for 1-d tori only")
+
+
 @dataclass
 class Field2:
     """Symmetric two-point function on the grid (1-d only)."""
@@ -46,8 +53,7 @@ class Field2:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.grid.dim != 1:
-            raise InvalidParameterError("pair functions are gridded for 1-d tori only")
+        require_pair_grid(self.grid)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.cells, self.grid.cells):
             raise InvalidParameterError(f"pair-function shape {v.shape} does not match grid")
@@ -74,6 +80,7 @@ class TruncatedState:
 
     @classmethod
     def poisson_like(cls, k1: Field, epsilon: float) -> "TruncatedState":
+        require_pair_grid(k1.grid)
         return cls(k1, Field2.product(k1), epsilon)
 
     @property

@@ -65,12 +65,10 @@ class Kernel:
 
         ``dx`` has shape (..., dim) for dim > 1, or any shape for dim = 1.
         """
-        dx = np.asarray(dx, dtype=float)
-        if self.dim == 1:
-            idx = self.grid.offset_index(dx)
-            return self.values[idx]
         idx = self.grid.offset_index(dx)
-        return self.values[tuple(np.moveaxis(idx, -1, 0))]
+        if self.dim > 1:
+            idx = idx @ self.grid.strides
+        return self.values.ravel()[idx]
 
     def is_even(self, tol: float = 0.0) -> bool:
         v = self.values
@@ -92,14 +90,14 @@ class Kernel:
             cdf = np.cumsum(self.values.ravel())
             cdf /= cdf[-1]
             object.__setattr__(self, "_cdf", cdf)
+            # offset-cell centres in flat order, one row per cell
+            centres = self.grid.axis_offsets()[np.indices(self.grid.shape).reshape(self.dim, -1).T]
+            object.__setattr__(self, "_centres", centres)
         flat = np.searchsorted(cdf, rng.random(size), side="right")
-        idx = np.unravel_index(np.minimum(flat, cdf.size - 1), self.grid.shape)
-        offs = self.grid.axis_offsets()
         h = self.grid.spacing
-        out = np.empty((size, self.dim))
-        for ax in range(self.dim):
-            out[:, ax] = offs[idx[ax]] + rng.uniform(-0.5 * h, 0.5 * h, size=size)
-        return out
+        # one row of jitter per axis, drawn axis after axis
+        jitter = rng.uniform(-0.5 * h, 0.5 * h, size=(self.dim, size))
+        return self._centres[np.minimum(flat, cdf.size - 1)] + jitter.T
 
     # -- convolution ----------------------------------------------------
 

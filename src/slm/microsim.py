@@ -28,6 +28,8 @@ from .model import ModelParams
 DEFAULT_POPULATION_CAP = 1_000_000
 AUDIT_INTERVAL = 10_000
 AUDIT_TOLERANCE = 1e-9
+EXACT_BLOCK = 1 << 16  # pairs per block when rates are recomputed from scratch
+MAX_CELLS = 1 << 16  # cell-list cells; wider cells only add candidates, more cost memory
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -37,45 +39,80 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
 
 
 class CellList:
-    """Spatial hash with cell width >= the competition support radius, so
-    interacting pairs always sit in adjacent cells."""
+    """Array-backed spatial hash with cell width >= the competition support
+    radius, so interacting pairs always sit in neighbouring cells.
 
-    def __init__(self, side: float, dim: int, interaction_radius: float):
-        self.side = side
-        self.dim = dim
-        if interaction_radius <= 0:
-            self.ncells = 1
-        else:
-            self.ncells = max(1, int(side / interaction_radius))
+    Particle i fills slot ``slot_of[i]`` of cell ``cell_of[i]``, i.e.
+    ``members[cell_of[i], slot_of[i]] == i``, and cell c fills its first
+    ``count[c]`` slots.  ``nbr[c]`` lists the 3^d cells around c, or every
+    cell when there are fewer than 4 per axis and the shell would wrap onto
+    itself.  At most MAX_CELLS cells are used.
+    """
+
+    def __init__(self, side: float, dim: int, interaction_radius: float, positions: np.ndarray):
+        per_axis = 1 if interaction_radius <= 0 else max(1, int(side / interaction_radius))
+        self.ncells = min(per_axis, round(MAX_CELLS ** (1 / dim)))
         self.width = side / self.ncells
-        self.cells: dict = {}
-        self.brute = self.ncells < 4  # neighbor shells would wrap onto themselves
+        self.strides = self.ncells ** np.arange(dim - 1, -1, -1)
+        total = self.ncells**dim
+        if self.ncells < 4:
+            self.nbr = np.tile(np.arange(total), (total, 1))
+        else:
+            keys = np.indices((self.ncells,) * dim).reshape(dim, -1).T
+            shell = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+            self.nbr = ((keys[:, None, :] + shell) % self.ncells) @ self.strides
+        n = len(positions)
+        cells = self.cell(positions)
+        self.count = np.bincount(cells, minlength=total)
+        # slots in index order within each cell, as n successive adds would fill them
+        order = np.argsort(cells, kind="stable")
+        slots = np.empty(n, dtype=np.intp)
+        slots[order] = np.arange(n) - np.repeat(np.cumsum(self.count) - self.count, self.count)
+        self.members = np.empty((total, max(8, 2 * int(self.count.max()))), dtype=np.intp)
+        self.members[cells, slots] = np.arange(n)
+        cap = max(16, 2 * n)
+        self.cell_of = np.zeros(cap, dtype=np.intp)
+        self.slot_of = np.zeros(cap, dtype=np.intp)
+        self.cell_of[:n], self.slot_of[:n] = cells, slots
 
-    def key(self, pos) -> tuple:
-        return tuple(min(int(c / self.width), self.ncells - 1) for c in pos)
+    def cell(self, pos: np.ndarray):
+        """Flat cell index of one position (dim,) or of each row of (n, dim)."""
+        key = np.minimum((pos / self.width).astype(np.intp), self.ncells - 1)
+        return key @ self.strides
 
-    def add(self, idx: int, pos):
-        self.cells.setdefault(self.key(pos), set()).add(idx)
+    def candidates(self, c: int) -> np.ndarray:
+        """Indices in the cells around cell c: a superset of the particles
+        within one cell width of any point of c."""
+        cells = self.nbr[c]
+        count = self.count[cells]
+        width = count.max()
+        return self.members[cells, :width][np.arange(width) < count[:, None]]
 
-    def remove(self, idx: int, pos):
-        k = self.key(pos)
-        members = self.cells[k]
-        members.discard(idx)
-        if not members:
-            del self.cells[k]
+    def add(self, i: int, c: int):
+        k = self.count[c]
+        if k == self.members.shape[1]:
+            self.members = np.concatenate([self.members, np.empty_like(self.members)], axis=1)
+        if i == len(self.cell_of):
+            self.cell_of = np.concatenate([self.cell_of, np.zeros_like(self.cell_of)])
+            self.slot_of = np.concatenate([self.slot_of, np.zeros_like(self.slot_of)])
+        self.members[c, k] = i
+        self.count[c] = k + 1
+        self.cell_of[i], self.slot_of[i] = c, k
 
-    def neighbors(self, pos):
-        """Candidate indices within one cell shell of pos (may include extras)."""
-        if self.brute:
-            for members in self.cells.values():
-                yield from members
-            return
-        center = self.key(pos)
-        for delta in itertools.product((-1, 0, 1), repeat=self.dim):
-            k = tuple((c + d) % self.ncells for c, d in zip(center, delta))
-            members = self.cells.get(k)
-            if members:
-                yield from members
+    def remove(self, i: int):
+        """Drop i; the last member of its cell moves into its slot."""
+        c, s = self.cell_of[i], self.slot_of[i]
+        k = self.count[c] - 1
+        moved = self.members[c, k]
+        self.members[c, s] = moved
+        self.slot_of[moved] = s
+        self.count[c] = k
+
+    def relabel(self, old: int, new: int):
+        """Particle ``old`` is now called ``new``."""
+        c, s = self.cell_of[old], self.slot_of[old]
+        self.members[c, s] = new
+        self.cell_of[new], self.slot_of[new] = c, s
 
 
 @dataclass
@@ -103,33 +140,42 @@ class Configuration:
         self.pos[:n] = positions
         self.crate = np.zeros(cap)
         self.n = n
-        self.cells = CellList(side, dim, competition.support_radius)
         if self.interacting:
-            for i in range(n):
-                self.cells.add(i, self.pos[i])
-            self._rebuild_rates()
+            self.cells = CellList(side, dim, competition.support_radius, positions)
+            self.crate[:n] = self._exact_rates()
 
     # -- geometry --------------------------------------------------------
 
-    def _neighbor_kernel(self, pos, exclude: int = -1):
-        """(indices, a-(x_j - pos)) over cell-list neighbors of pos."""
-        idx = np.fromiter(
-            (j for j in self.cells.neighbors(pos) if j != exclude), dtype=int
-        )
-        if idx.size == 0:
-            return idx, np.zeros(0)
+    def _neighbor_kernel(self, pos, cell: int, exclude: int = -1):
+        """(indices, a-(x_j - pos)) over the cell-list neighbours of pos,
+        which lies in ``cell``."""
+        idx = self.cells.candidates(cell)
+        idx = idx[idx != exclude]
+        return idx, self._kernel_from(pos, idx)
+
+    def _kernel_from(self, pos, idx):
+        """a-(x_j - pos) at minimum image for the particles ``idx``; ``pos``
+        broadcasts against ``self.pos[idx]``."""
         dx = self.pos[idx] - pos
         dx -= self.side * np.round(dx / self.side)
-        vals = self.competition.evaluate(dx if self.dim > 1 else dx[:, 0])
-        return idx, vals
+        return self.competition.evaluate(dx if self.dim > 1 else dx[..., 0])
 
-    def _rebuild_rates(self):
-        for i in range(self.n):
-            self.crate[i] = self._pair_rate(i)
-
-    def _pair_rate(self, i: int) -> float:
-        _, vals = self._neighbor_kernel(self.pos[i], exclude=i)
-        return float(vals.sum())
+    def _exact_rates(self) -> np.ndarray:
+        """c_i recomputed from scratch, a block of members of one cell at a
+        time against the candidates around that cell."""
+        rates = np.zeros(self.n)
+        if not self.interacting:
+            return rates
+        cl = self.cells
+        for c in np.flatnonzero(cl.count):
+            idx = cl.candidates(c)
+            step = max(1, EXACT_BLOCK // len(idx))  # bounds the block when one cell holds all
+            for start in range(0, cl.count[c], step):
+                own = cl.members[c, start : min(start + step, cl.count[c])]
+                vals = self._kernel_from(self.pos[own, None], idx)
+                vals[own[:, None] == idx] = 0.0
+                rates[own] = vals.sum(axis=1)
+        return rates
 
     # -- mutation --------------------------------------------------------
 
@@ -148,25 +194,24 @@ class Configuration:
         self.pos[i] = np.mod(position, self.side)
         self.n += 1
         if self.interacting:
-            idx, vals = self._neighbor_kernel(self.pos[i])
+            c = self.cells.cell(self.pos[i])
+            idx, vals = self._neighbor_kernel(self.pos[i], c)
             self.crate[idx] += vals
             self.crate[i] = float(vals.sum())
-            self.cells.add(i, self.pos[i])
+            self.cells.add(i, c)
         return i
 
     def remove_particle(self, i: int):
         if self.interacting:
-            idx, vals = self._neighbor_kernel(self.pos[i], exclude=i)
+            idx, vals = self._neighbor_kernel(self.pos[i], self.cells.cell_of[i], exclude=i)
             self.crate[idx] -= vals
-            self.cells.remove(i, self.pos[i])
+            self.cells.remove(i)
         last = self.n - 1
         if i != last:
-            if self.interacting:
-                self.cells.remove(last, self.pos[last])
             self.pos[i] = self.pos[last]
             self.crate[i] = self.crate[last]
             if self.interacting:
-                self.cells.add(i, self.pos[i])
+                self.cells.relabel(last, i)
         self.n = last
 
     # -- views and checks ------------------------------------------------
@@ -176,11 +221,8 @@ class Configuration:
 
     def audit(self) -> float:
         """Max relative drift |incremental - recomputed| / (1 + c)."""
-        worst = 0.0
-        for i in range(self.n):
-            exact = self._pair_rate(i)
-            worst = max(worst, abs(self.crate[i] - exact) / (1.0 + exact))
-        return worst
+        exact = self._exact_rates()
+        return float(np.max(np.abs(self.crate[: self.n] - exact) / (1.0 + exact), initial=0.0))
 
 
 def init_poisson(
@@ -198,14 +240,12 @@ def init_poisson(
 def init_poisson_field(rho0, competition: Kernel, rng: np.random.Generator) -> Configuration:
     """Inhomogeneous Poisson start with cellwise intensity from a Field."""
     grid = rho0.grid
-    h = grid.spacing
     counts = rng.poisson(rho0.values * grid.cell_volume)
-    positions = []
-    for idx, cnt in np.ndenumerate(counts):
-        if cnt:
-            base = np.array(idx, dtype=float) * h
-            positions.append(base + rng.uniform(0.0, h, size=(cnt, grid.dim)))
-    pts = np.concatenate(positions) if positions else np.zeros((0, grid.dim))
+    # the cells in C order, each repeated by its count, take one uniform
+    # draw per coordinate from a single call
+    cells = np.repeat(np.arange(grid.size), counts.ravel())
+    base = np.array(np.unravel_index(cells, grid.shape), dtype=float).T * grid.spacing
+    pts = base + rng.uniform(0.0, grid.spacing, size=(len(cells), grid.dim))
     return Configuration(pts, grid.side, grid.dim, competition)
 
 
@@ -235,8 +275,11 @@ def step_event(
 class Trajectory:
     times: list
     snapshots: list  # position arrays, one per snapshot time
+    n0: int = 0
+    n_end: int = 0
     births: int = 0
     deaths: int = 0
+    competition_deaths: int = 0
     events: int = 0
     absorbed: bool = False
     max_audit_drift: float = 0.0
@@ -263,7 +306,7 @@ def run(
     times = sorted(float(s) for s in snapshot_times)
     if times and times[-1] > horizon + 1e-12:
         raise InvalidParameterError("snapshot times must not exceed the horizon")
-    traj = Trajectory(times=times, snapshots=[])
+    traj = Trajectory(times=times, snapshots=[], n0=config.n)
     t = 0.0
     next_snap = 0
     while next_snap < len(times):
@@ -285,6 +328,7 @@ def run(
             traj.births += 1
         else:
             traj.deaths += 1
+            traj.competition_deaths += ev.kind == "death-competition"
         if keep_events:
             traj.event_log.append(ev)
         if config.n > population_cap:
@@ -298,6 +342,7 @@ def run(
                 )
     while len(traj.snapshots) < len(times):
         traj.snapshots.append(config.positions())
+    traj.n_end = config.n
     return traj
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonViolationError, InvalidParameterError
-from .hierarchy import TruncatedState, solve_hierarchy
+from .hierarchy import TruncatedState, require_pair_grid, solve_hierarchy
 from .kinetic import Field, solve_kinetic, stability_dt
 from .microsim import run_ensemble
 from .model import ModelParams
@@ -61,6 +61,8 @@ def vlasov_error(
         raise InvalidParameterError("eps_list must be strictly decreasing")
     if mode not in ("microsim", "hierarchy"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
+    if mode == "hierarchy":
+        require_pair_grid(rho0.grid)  # before the kinetic reference is solved
     if T_star is not None and T >= T_star:
         raise HorizonViolationError(f"T={T} must stay below the horizon T*={T_star}")
     if snapshot_times is None:

@@ -67,24 +67,15 @@ def density_estimate(positions_per_run: list, grid: Grid) -> FieldEstimate:
     return FieldEstimate(grid, mean, se)
 
 
-def _min_image_distances(pts: np.ndarray, side: float) -> np.ndarray:
-    """Condensed pairwise minimum-image distances."""
-    n = len(pts)
-    if n < 2:
-        return np.zeros(0)
-    diff = pts[:, None, :] - pts[None, :, :]
-    diff -= side * np.round(diff / side)
-    d = np.sqrt((diff**2).sum(axis=-1))
-    iu = np.triu_indices(n, k=1)
-    return d[iu]
-
-
 def pair_correlation(positions_per_run: list, side: float, dim: int, edges: np.ndarray) -> list:
     """Radial pair correlation g(r) per distance bin.
 
     Ordered-pair counts are normalized by kappa^2 L^d V_shell with kappa
-    the ensemble mean density, so a Poisson ensemble gives g = 1.
+    the ensemble mean density, so a Poisson ensemble gives g = 1.  Bins
+    are [lo, hi) except the last, closed one, as in ``np.histogram``.
     """
+    from scipy.spatial import cKDTree  # imported here, so no other command loads scipy
+
     runs = len(positions_per_run)
     if runs < 2:
         raise InvalidParameterError("pair correlation needs at least 2 runs")
@@ -92,19 +83,27 @@ def pair_correlation(positions_per_run: list, side: float, dim: int, edges: np.n
     if edges[-1] > 0.5 * side + 1e-12:
         raise InvalidParameterError("pair bins must stay within (0, L/2]")
     volume = side**dim
-    kappa = np.mean([len(np.atleast_2d(p)) for p in positions_per_run]) / volume
+    positions_per_run = [np.asarray(p, dtype=float).reshape(-1, dim) for p in positions_per_run]
+    kappa = np.mean([len(p) for p in positions_per_run]) / volume
     if kappa <= 0:
         raise InvalidParameterError("empty ensemble")
     shell = np.array(
         [ball_volume(dim, hi) - ball_volume(dim, lo) for lo, hi in zip(edges[:-1], edges[1:])]
     )
     norm = kappa * kappa * volume * shell
+    # count_neighbors counts ordered pairs at distance <= r, self-pairs
+    # included; counting every edge but the last just below itself gives
+    # the [lo, hi) bins, and no pair lies below a first edge at 0
+    radii = np.append(np.nextafter(edges[:-1], 0.0), edges[-1])
     per_run = np.empty((runs, len(shell)))
     for r, pts in enumerate(positions_per_run):
-        pts = np.asarray(pts, dtype=float).reshape(-1, dim)
-        d = _min_image_distances(pts, side)
-        counts, _ = np.histogram(d, bins=edges)
-        per_run[r] = 2.0 * counts / norm  # ordered pairs
+        pts = np.mod(pts, side)
+        pts[pts == side] = 0.0  # np.mod(-tiny, L) rounds to L, outside cKDTree's box
+        tree = cKDTree(pts, boxsize=side)
+        below = tree.count_neighbors(tree, radii) - len(pts)
+        if edges[0] <= 0:
+            below[0] = 0
+        per_run[r] = np.diff(below) / norm
     g = per_run.mean(axis=0)
     se = per_run.std(axis=0, ddof=1) / np.sqrt(runs)
     return [

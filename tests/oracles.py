@@ -3,7 +3,10 @@
 They are the direct forms the package used before convolution went
 through the kernel's FFT and closures became contractions: a loop of
 ``np.roll`` shifts over the kernel support, the 1-d circulant matrix,
-and the full M^3 closure tensor k3.
+and the full M^3 closure tensor k3.  For the simulator and the pair
+statistics they are the forms used before the array cell list and tree
+pair counting: O(N^2) minimum-image sums and distance matrices, the
+tuple-indexed kernel lookup, and the per-axis, per-cell sampling loops.
 """
 import numpy as np
 
@@ -52,6 +55,65 @@ def closure_tensor(rule, state):
 def closure_contraction(rule, state, competition):
     """t1[i, j] = sum_z C[i, z] k3[i, j, z] through the dense tensor."""
     return np.einsum("iz,ijz->ij", circulant(competition), closure_tensor(rule, state))
+
+
+def kernel_at(kernel, dx):
+    """a(dx) by one index tuple per axis; dx is (..., dim), or any shape in 1-d."""
+    idx = kernel.grid.offset_index(dx)
+    return kernel.values[idx if kernel.dim == 1 else tuple(np.moveaxis(idx, -1, 0))]
+
+
+def min_image_offsets(positions, side):
+    """dx[i, j] = x_j - x_i reduced to the minimum image, shape (n, n, dim)."""
+    dx = positions[None, :, :] - positions[:, None, :]
+    return dx - side * np.round(dx / side)
+
+
+def pair_rates(positions, side, kernel):
+    """c_i = sum over j != i of a(x_j - x_i), all pairs."""
+    dx = min_image_offsets(np.asarray(positions, dtype=float).reshape(-1, kernel.dim), side)
+    vals = kernel_at(kernel, dx if kernel.dim > 1 else dx[..., 0])
+    np.fill_diagonal(vals, 0.0)
+    return vals.sum(axis=1)
+
+
+def audit(config):
+    """Configuration.audit() from the O(N^2) rates."""
+    exact = pair_rates(config.positions(), config.side, config.competition)
+    return float(np.max(np.abs(config.crate[: config.n] - exact) / (1.0 + exact), initial=0.0))
+
+
+def pair_distance_counts(positions, side, edges):
+    """Ordered-pair counts per np.histogram bin of the n x n distance matrix."""
+    d = np.sqrt((min_image_offsets(positions, side) ** 2).sum(axis=-1))
+    return 2 * np.histogram(d[np.triu_indices(len(positions), k=1)], bins=edges)[0]
+
+
+def sample_displacement(kernel, rng, size):
+    """Inverse-CDF cell, then one uniform jitter per axis, axis by axis."""
+    cdf = np.cumsum(kernel.values.ravel())
+    cdf /= cdf[-1]
+    flat = np.searchsorted(cdf, rng.random(size), side="right")
+    idx = np.unravel_index(np.minimum(flat, cdf.size - 1), kernel.grid.shape)
+    offs = kernel.grid.axis_offsets()
+    h = kernel.grid.spacing
+    out = np.empty((size, kernel.dim))
+    for ax in range(kernel.dim):
+        out[:, ax] = offs[idx[ax]] + rng.uniform(-0.5 * h, 0.5 * h, size=size)
+    return out
+
+
+def poisson_field_positions(rho0, rng):
+    """Cellwise Poisson counts, then one uniform draw per occupied cell."""
+    grid = rho0.grid
+    h = grid.spacing
+    counts = rng.poisson(rho0.values * grid.cell_volume)
+    positions = [np.zeros((0, grid.dim))]
+    for idx, cnt in np.ndenumerate(counts):
+        if cnt:
+            base = np.array(idx, dtype=float) * h
+            positions.append(base + rng.uniform(0.0, h, size=(cnt, grid.dim)))
+    return np.concatenate(positions)
 
 
 def rel_err(value, reference):

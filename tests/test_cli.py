@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,8 +151,29 @@ class TestCommands:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["simulate", "--config", cfg_path, "--out", out1])
         main(["simulate", "--config", cfg_path, "--out", out2])
-        for f in ("snapshots.csv", "summary.csv", "manifest.json", "resolved.cfg"):
+        for f in ("snapshots.csv", "summary.csv", "runs.csv", "manifest.json", "resolved.cfg"):
             assert read(os.path.join(out1, f)) == read(os.path.join(out2, f))
+
+    def test_simulate_runs_table(self, cfg_path, tmp_path):
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--config", cfg_path, "--out", out, "--events"]) == 0
+        lines = read(os.path.join(out, "runs.csv")).splitlines()
+        assert lines[0] == (
+            "run,n0,n_end,events,births,natural_deaths,competition_deaths,absorbed,max_audit_drift"
+        )
+        table = np.loadtxt(os.path.join(out, "runs.csv"), delimiter=",", skiprows=1, ndmin=2)
+        summary = np.loadtxt(os.path.join(out, "summary.csv"), delimiter=",", skiprows=1)
+        assert table[:, 0].tolist() == [0, 1, 2, 3]
+        for run, n0, n_end, events, births, natural, competition, absorbed, drift in table:
+            assert births - natural - competition == n_end - n0
+            assert events == births + natural + competition > 0
+            assert n_end == summary[(summary[:, 0] == run) & (summary[:, 1] == 1.0), 2][0]
+            assert absorbed == 0 and 0.0 <= drift < 1e-9
+            with open(os.path.join(out, f"events_run{int(run):04d}.csv")) as fh:
+                kinds = [row.split(",")[1] for row in fh.read().splitlines()[1:]]
+            assert [kinds.count(k) for k in ("birth", "death-natural", "death-competition")] == [
+                births, natural, competition
+            ]
 
     def test_simulate_seed_changes_output(self, cfg_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -347,6 +369,25 @@ class TestFailures:
         out = str(tmp_path / "o")
         assert main(["simulate", "--config", str(p), "--out", out]) == 2
         assert "error-category: blow-up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["hierarchy"], ["scaling", "--mode", "hierarchy"]])
+    def test_pair_functions_on_2d_fail_before_allocating(self, tmp_path, capsys, argv):
+        # a 64 x 64 grid: the pair function k2 alone would take 4096^2 doubles (134 MB)
+        cfg = BASE_CFG.replace("dimension = 1", "dimension = 2")
+        cfg = cfg.replace("grid_cells = 50", "grid_cells = 64")
+        p = tmp_path / "two.cfg"
+        p.write_text(cfg)
+        out = str(tmp_path / "o")
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--config", str(p), "--out", out]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "error-category: invalid-parameter" in err and "1-d tori only" in err
+        assert peak < 10e6
+        assert not os.path.exists(out)
 
     def test_kinetic_dt_guard_category(self, tmp_path, capsys):
         cfg = BASE_CFG.replace("dt = 0.02", "dt = 5.0")

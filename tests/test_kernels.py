@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from slm.errors import IncompatibleGridsError, InvalidParameterError, PreconditionError
 from slm.grid import Grid
 from slm.kernels import (
@@ -192,3 +193,16 @@ class TestSampling:
     def test_zero_kernel_cannot_sample(self, grid):
         with pytest.raises(InvalidParameterError):
             make_zero_kernel(grid).sample_displacement(np.random.default_rng(0), 1)
+
+
+class TestLookup:
+    @pytest.mark.parametrize("dim, cells", [(1, 41), (2, 16), (3, 9)])
+    def test_flat_lookup_matches_axis_tuples(self, dim, cells):
+        # an uneven random table, so a transposed or mis-strided index shows
+        g = Grid(dim, 5.0, cells)
+        rng = np.random.default_rng(dim)
+        k = Kernel("tabulated-grid", g, rng.random(g.shape))
+        dx = rng.uniform(-2.5, 2.5, size=(50, 3, dim))
+        got = k.evaluate(dx if dim > 1 else dx[..., 0])
+        assert got.shape == (50, 3)
+        assert np.array_equal(got, oracles.kernel_at(k, dx if dim > 1 else dx[..., 0]))

@@ -1,9 +1,16 @@
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from slm.errors import AbsorbedStateError, AuditDriftError, BlowUpError, InvalidParameterError
 from slm.grid import Grid
-from slm.kernels import make_indicator_kernel, make_zero_kernel
+from slm.kernels import make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
 from slm.kinetic import Field
 from slm.microsim import (
     Configuration,
@@ -235,3 +242,146 @@ class TestRun:
         traj = run(config, params, 2.0, [1.0, 2.0], rng)
         assert len(traj.snapshots) == 2
         assert config.audit() < 1e-12
+
+
+# -- same-seed guard --------------------------------------------------------
+
+# Event logs recorded with the dict-of-sets cell list that the array cell
+# list replaced: counts, a SHA-256 of the kinds and positions, and (in
+# data/same_seed_event_times.json) every event time.
+SAME_SEED = {
+    "1d": dict(events=96, births=47, natural=8, competition=41, n_end=12,
+               digest="432dcaddbaccd3b5504aae82372b80749c638a33363786e3b2acd977f1592d61"),
+    "2d": dict(events=63, births=27, natural=13, competition=23, n_end=85,
+               digest="5880430691ad736a0b6df70cfa379b15511241d22ac4fb70f159d47104fc225e"),
+}
+
+
+def same_seed_run(case):
+    if case == "1d":
+        g = Grid(1, 10.0, 100)
+        params = ModelParams(0.3, unit_mass_indicator(g, 0.5), make_indicator_kernel(0.6, 0.5, 1, g))
+        rng = run_rng(2024, 1)
+        config = init_poisson(2.0, g.side, 1, params.competition, rng)
+        return config, run(config, params, 3.0, [1.5, 3.0], rng, keep_events=True)
+    g = Grid(2, 10.0, 40)
+    params = ModelParams(
+        0.4, make_indicator_kernel(0.5, 0.9, 2, g), make_gaussian_kernel(0.3, 2, g), 0.8
+    )
+    profile = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers() / g.side)[:, None] * np.ones(g.cells)
+    rng = run_rng(2024, 2)
+    config = init_poisson_field(Field(g, profile), params.competition, rng)
+    return config, run(config, params, 0.4, [0.2, 0.4], rng, keep_events=True)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_same_seed_same_events(case):
+    config, traj = same_seed_run(case)
+    log = traj.event_log
+    want = SAME_SEED[case]
+    kinds = [e.kind for e in log]
+    assert traj.events == len(log) == want["events"]
+    assert traj.births == kinds.count("birth") == want["births"]
+    assert kinds.count("death-natural") == want["natural"]
+    assert kinds.count("death-competition") == want["competition"]
+    assert config.n == want["n_end"]
+    digest = hashlib.sha256("\n".join(kinds).encode())
+    digest.update(np.asarray([e.position for e in log], dtype="<f8").tobytes())
+    assert digest.hexdigest() == want["digest"]
+    with open(os.path.join(os.path.dirname(__file__), "data", "same_seed_event_times.json")) as fh:
+        times = json.load(fh)[case]
+    assert np.allclose([e.time for e in log], times, rtol=1e-12, atol=0.0)
+
+
+# -- the array structures against O(N^2) and loop oracles -----------------
+
+# grid cells per axis, and kernel radii that give both a cell list with
+# four or more cells per axis and one that falls back to all cells (brute)
+CELLS = {1: 40, 2: 16, 3: 8}
+RADII = (0.3, 0.7, 1.5)
+
+
+@st.composite
+def mutated_configurations(draw):
+    """A Configuration on a 4-torus after a random add/remove sequence."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    grid = Grid(dim, 4.0, CELLS[dim])
+    kernel = make_indicator_kernel(1.0, draw(st.sampled_from(RADII)), dim, grid)
+    coord = st.floats(0.0, grid.side, exclude_max=True)
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    config = Configuration(draw(st.lists(point, max_size=30)), grid.side, dim, kernel)
+    for op in draw(st.lists(st.one_of(point, st.floats(0.0, 1.0, exclude_max=True)), max_size=40)):
+        if isinstance(op, list):
+            config.add_particle(np.array(op) - 0.5 * grid.side)  # wraps through the boundary
+        elif config.n:
+            config.remove_particle(int(op * config.n))
+    return config, draw(point)
+
+
+def within(config, query, radius):
+    dx = config.positions() - np.asarray(query)
+    dx -= config.side * np.round(dx / config.side)
+    return set(np.flatnonzero(np.sqrt((dx**2).sum(axis=1)) <= radius).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_configurations())
+def test_cell_list_finds_every_interacting_particle(case):
+    config, query = case
+    cl, n, radius = config.cells, config.n, config.competition.support_radius
+    assert cl.width >= radius or cl.ncells == 1
+    # every particle sits in the slot its cell index says, and in the cell of its position
+    assert cl.count.sum() == n
+    for i in range(n):
+        assert cl.members[cl.cell_of[i], cl.slot_of[i]] == i
+        assert cl.cell_of[i] == cl.cell(config.pos[i])
+    for pos in list(config.positions()) + [np.asarray(query)]:
+        found = cl.candidates(cl.cell(pos))
+        assert len(set(found.tolist())) == len(found)
+        assert within(config, pos, radius) <= set(found.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_configurations(), st.floats(0.0, 1e-3))
+def test_audit_matches_dense_oracle(case, noise):
+    config, _ = case
+    assert config.audit() == pytest.approx(oracles.audit(config), rel=1e-9, abs=1e-13)
+    assert config.audit() < 1e-12
+    config.crate[: config.n] += noise * np.arange(config.n)  # a drift the audit must report
+    assert config.audit() == pytest.approx(oracles.audit(config), rel=1e-9, abs=1e-13)
+
+
+def test_cell_list_size_is_bounded():
+    # cells as narrow as the kernel would number 1e9 in 3-d; wider ones stay correct
+    from slm.microsim import MAX_CELLS, CellList
+
+    cl = CellList(10.0, 3, 0.01, np.random.default_rng(0).uniform(0.0, 10.0, size=(50, 3)))
+    assert cl.ncells == 40 and cl.ncells**3 <= MAX_CELLS
+    assert cl.nbr.nbytes + cl.members.nbytes < 20e6
+    assert cl.width >= 0.01
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exact_rates_blockwise_when_one_cell_holds_all(dim, monkeypatch):
+    # a tiny block size splits every cell's members into several blocks
+    import slm.microsim
+
+    monkeypatch.setattr(slm.microsim, "EXACT_BLOCK", 7)
+    grid = Grid(dim, 4.0, CELLS[dim])
+    kernel = make_indicator_kernel(1.0, 1.5, dim, grid)
+    pts = np.random.default_rng(dim).uniform(0.0, 4.0, size=(40, dim))
+    config = Configuration(pts, grid.side, dim, kernel)
+    assert config.cells.ncells < 4
+    assert np.allclose(config.crate[:40], oracles.pair_rates(pts, grid.side, kernel), rtol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_start_and_sampler_draw_as_the_loops_did(dim):
+    grid = Grid(dim, 4.0, CELLS[dim])
+    rho0 = Field(grid, 1.5 + 3 * np.random.default_rng(dim).random(grid.shape))
+    config = init_poisson_field(rho0, make_indicator_kernel(1.0, 0.3, dim, grid), run_rng(dim, 0))
+    assert np.array_equal(config.positions(), oracles.poisson_field_positions(rho0, run_rng(dim, 0)))
+    kernel = make_gaussian_kernel(0.3, dim, grid)
+    for size in (1, 7):
+        got = kernel.sample_displacement(run_rng(dim, size), size)
+        assert np.array_equal(got, oracles.sample_displacement(kernel, run_rng(dim, size), size))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from slm.errors import InvalidParameterError
 from slm.grid import Grid
+from slm.kernels import ball_volume
 from slm.stats import (
     default_pair_edges,
     density_estimate,
@@ -106,6 +108,76 @@ class TestPairCorrelation:
         b = pair_correlation(perm, grid.side, 1, edges)
         for x, y in zip(a, b):
             assert x.g == pytest.approx(y.g, rel=1e-12)
+
+
+def ordered_counts(pts, side, edges):
+    """Ordered-pair counts per bin recovered from pair_correlation on the
+    ensemble [pts, pts] (kappa is then n / L^d)."""
+    dim = pts.shape[1]
+    bins = pair_correlation([pts, pts], side, dim, edges)
+    shell = np.diff([ball_volume(dim, e) for e in edges])
+    norm = (len(pts) / side**dim) ** 2 * side**dim * shell
+    return np.rint(np.array([b.g for b in bins]) * norm).astype(int)
+
+
+class TestPairCounting:
+    """Tree pair counts against np.histogram of the dense distance matrix."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 300), (2, 400), (3, 300)])
+    def test_matches_dense_histogram(self, dim, n):
+        pts = np.random.default_rng(dim).uniform(0.0, 6.0, size=(n, dim))
+        edges = np.linspace(0.0, 3.0, 13)
+        want = oracles.pair_distance_counts(pts, 6.0, edges)
+        assert want.sum() > 0
+        assert np.array_equal(ordered_counts(pts, 6.0, edges), want)
+
+    def test_lattice_ties_keep_histogram_bins(self):
+        # points on a dyadic lattice put many distances exactly on the edges
+        pts = np.random.default_rng(7).integers(0, 64, size=(80, 2)) / 8.0
+        edges = np.linspace(0.0, 4.0, 17)
+        want = oracles.pair_distance_counts(pts, 8.0, edges)
+        assert np.array_equal(ordered_counts(pts, 8.0, edges), want)
+
+    def test_duplicated_point(self):
+        pts = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 1.0]])
+        edges = np.linspace(0.0, 4.0, 5)
+        got = ordered_counts(pts, 10.0, edges)
+        assert got.tolist() == [2, 0, 4, 0]
+        assert np.array_equal(got, oracles.pair_distance_counts(pts, 10.0, edges))
+
+    def test_pair_on_a_dyadic_edge(self):
+        # distance 0.5 opens the bin [0.5, 0.75); distance 1 closes the last bin
+        edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        for pts, hot in (([[0.25], [0.75]], 2), ([[0.0], [1.0]], 3)):
+            pts = np.array(pts)
+            want = 2 * np.histogram([abs(pts[1, 0] - pts[0, 0])], bins=edges)[0]
+            assert np.flatnonzero(want).tolist() == [hot]
+            assert np.array_equal(ordered_counts(pts, 10.0, edges), want)
+
+    def test_empty_run(self):
+        pts = np.array([[1.0, 1.0], [1.5, 1.0], [9.0, 9.0]])
+        edges = np.linspace(0.0, 2.0, 5)
+        empty = pair_correlation([np.zeros((0, 2)), pts], 10.0, 2, edges)
+        full = pair_correlation([pts, pts], 10.0, 2, edges)
+        # kappa halves, so each g doubles and then averages with the empty run's 0
+        for e, f in zip(empty, full):
+            assert e.g == pytest.approx(2.0 * f.g, rel=1e-12)
+        assert [b.g > 0 for b in empty] == [False, True, False, False]
+
+    def test_flat_1d_runs_count_every_point(self):
+        # a 1-d run may come as shape (n,); kappa must count n points, not one row
+        runs = [np.array([1.0, 1.5, 3.0]), np.array([4.0, 4.2, 7.0])]
+        edges = np.linspace(0.0, 2.0, 5)
+        flat = pair_correlation(runs, 10.0, 1, edges)
+        column = pair_correlation([p[:, None] for p in runs], 10.0, 1, edges)
+        assert [b.g for b in flat] == [b.g for b in column]
+
+    def test_coordinate_wrapping_onto_the_side(self):
+        # np.mod(-1e-20, 10) is 10.0, the open end of the periodic box
+        assert np.mod(-1e-20, 10.0) == 10.0
+        pts = np.array([[-1e-20, 5.0], [0.5, 5.0], [9.75, 5.0]])
+        edges = np.array([0.0, 0.3, 0.6, 0.9])
+        assert ordered_counts(pts, 10.0, edges).tolist() == [2, 2, 2]
 
 
 class TestSubPoisson:

@@ -29,12 +29,27 @@ from .stats import default_pair_edges, estimate_correlations, subpoisson_diagnos
 from .theory import optimize_alpha
 
 
+CSV_BLOCK_ROWS = 4096  # rows formatted at a time, which bounds the writer's memory
+
+
+def _cells(col):
+    """str of each value of a 1-d array.  A 64-bit numeric array formats
+    each distinct bit pattern once (so -0.0 and 0.0 keep their own strings)."""
+    if col.dtype.kind not in "fiu" or col.dtype.itemsize != 8:
+        return map(str, col.tolist())
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    return np.array([str(v) for v in bits.view(col.dtype).tolist()], dtype=object)[inverse]
+
+
 def _write_csv(path, header, columns):
     # str of a Python int or float is its shortest round-trip form: reruns are byte-identical
-    cells = [map(str, np.asarray(col).tolist()) for col in columns]
+    columns = [np.asarray(col) for col in columns]
+    rows = min(map(len, columns), default=0)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            cells = [_cells(col[start : start + CSV_BLOCK_ROWS]) for col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _write_json(path, data):

@@ -16,7 +16,8 @@ obeys the kinetic equation.  Pair functions are gridded, so this module
 is restricted to 1-d tori.
 
 The convolutions a+ * k1, a+ * k2 and a- * k2 (in the first argument of
-k2) use the kernel's cached FFT.  A closure never builds the M^3 tensor
+k2) use the kernels' cached FFTs; a+ * k2 and a- * k2 share one transform
+of k2.  A closure never builds the M^3 tensor
 k3: it returns its contraction with a-, so one right-hand side needs
 O(M^2) memory and M >= 1024 is feasible.  The only M x M kernel table
 is the gather a(x_i - x_j) for the pointwise terms.
@@ -90,7 +91,12 @@ class TruncatedState:
     @property
     def witness_C(self) -> float:
         """Grid witness for the sub-Poissonian bound at orders <= 2."""
-        return max(self.k1.max, float(np.sqrt(max(self.k2.values.max(), 0.0))))
+        return witness(self.k1.max, float(self.k2.values.max()))
+
+
+def witness(k1_max: float, k2_max: float) -> float:
+    """max(max k1, sqrt(max k2)), the witness C from the maxima of k1 and k2."""
+    return max(k1_max, float(np.sqrt(max(k2_max, 0.0))))
 
 
 # -- closures ------------------------------------------------------------
@@ -104,9 +110,13 @@ def _pair_values(kernel: Kernel) -> np.ndarray:
     return sliding_window_view(np.concatenate((v, v)), m)[1 : m + 1, ::-1]
 
 
-def closure_contraction(rule: str, state: TruncatedState, competition: Kernel) -> np.ndarray:
+def closure_contraction(
+    rule: str, state: TruncatedState, competition: Kernel, competition_k2: np.ndarray | None = None
+) -> np.ndarray:
     """t1[i, j] = h sum_z a-(x_i - x_z) k3(x_i, x_j, x_z) for the closure
-    ``rule``, contracted without forming k3 (O(M^2) memory).
+    ``rule``, contracted without forming k3 (O(M^2) memory).  Mean-field
+    needs a- * k2 (in the first argument); pass it as ``competition_k2``
+    if it is already known.
 
     mean-field: k3 = (k2(x,y) k1(z) + k2(x,z) k1(y) + k2(y,z) k1(x)) / 3.
     kirkwood:   k3 = k2(x,y) k2(y,z) k2(x,z) / (k1(x) k1(y) k1(z)), guarded
@@ -119,10 +129,12 @@ def closure_contraction(rule: str, state: TruncatedState, competition: Kernel) -
     cm = competition.grid.spacing * _pair_values(competition)
     if rule == "mean-field":
         own = np.einsum("ij,ij->i", cm, k2)
+        if competition_k2 is None:
+            competition_k2 = competition.convolve(k2)
         return (
             k2 * competition.convolve(k1)[:, None]
             + own[:, None] * k1[None, :]
-            + k1[:, None] * competition.convolve(k2)
+            + k1[:, None] * competition_k2
         ) / 3.0
     floor = KIRKWOOD_FLOOR_FACTOR * max(float(k1.max()), 0.0)
     if float(k1.min()) < floor or floor == 0.0:
@@ -156,10 +168,13 @@ def rhs_k2(state: TruncatedState, closure_rule: str, params: ModelParams) -> Fie
         raise InvalidParameterError("k2 must be symmetric")
     k1 = state.k1.values
     k2 = state.k2.values
+    # int a+(x_i - w) k2(w, x_j) dw; mean-field also takes a- * k2 from the same transform
+    if closure_rule == "mean-field":
+        competition_k2, s1 = params.convolve_both(k2)
+    else:
+        competition_k2, s1 = None, params.dispersal.convolve(k2)
     # int a-(z - x_i) k3(x_i, x_j, z) dz
-    t1 = closure_contraction(closure_rule, state, params.competition)
-    # int a+(x_i - w) k2(w, x_j) dw
-    s1 = params.dispersal.convolve(k2)
+    t1 = closure_contraction(closure_rule, state, params.competition, competition_k2)
 
     vpart = -2.0 * params.mortality * k2 - (t1 + t1.T) + (s1 + s1.T)
     bpart = (
@@ -181,7 +196,8 @@ def solve_hierarchy(
     snapshot_times,
 ) -> tuple:
     """RK4 on the coupled (k1, k2) system (:func:`integrate_rk4`), with
-    the kinetic guard evaluated at the witness C of the current state.
+    the kinetic guard evaluated at the witness C of the current state
+    before every step.
 
     k2 is re-symmetrized after every step and the pre-symmetrization
     drift is logged.  Returns (snapshots, diagnostics) where snapshots is
@@ -213,7 +229,7 @@ def solve_hierarchy(
         horizon,
         dt,
         snapshot_times,
-        lambda y: stability_dt(params, state(y).witness_C),
+        lambda peaks: stability_dt(params, witness(*peaks)),
         symmetrize,
     )
     return [state(y) for y in snaps], {"max_symmetry_drift": max_drift}

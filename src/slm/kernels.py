@@ -116,14 +116,31 @@ class Kernel:
         pair function k2[i, j] is convolved in i).  The sum is the exact
         integral for step functions; the FFT adds only round-off.
         """
-        f = np.asarray(f, dtype=float)
-        if f.shape[: self.dim] != self.grid.shape:
-            raise IncompatibleGridsError(
-                f"array shape {f.shape} does not start with grid shape {self.grid.shape}"
-            )
-        spec = self.spectrum.reshape(self.spectrum.shape + (1,) * (f.ndim - self.dim))
-        axes = tuple(range(self.dim))
-        return np.fft.irfftn(spec * np.fft.rfftn(f, axes=axes), s=self.grid.shape, axes=axes)
+        return convolve_spectra(self.spectrum[None], self.grid, f)[0]
+
+
+def convolve_spectra(spectra: np.ndarray, grid: Grid, f: np.ndarray) -> np.ndarray:
+    """``out[k] = a_k * f`` for the kernels whose :attr:`Kernel.spectrum`
+    are stacked along axis 0 of ``spectra``, as :meth:`Kernel.convolve`
+    does for one kernel: one forward transform of ``f`` serves every
+    kernel, and one inverse transform is batched over the kernels.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape[: grid.dim] != grid.shape:
+        raise IncompatibleGridsError(
+            f"array shape {f.shape} does not start with grid shape {grid.shape}"
+        )
+    # rfftn over the grid axes of f and irfftn over those of the product,
+    # pass by pass in numpy's order, with the complex passes in place: a
+    # fresh large temporary costs page faults, and on small grids the n-d
+    # wrappers' argument handling costs as much as the transforms
+    fhat = np.fft.rfft(f, axis=grid.dim - 1)
+    for ax in reversed(range(grid.dim - 1)):
+        np.fft.fft(fhat, axis=ax, out=fhat)
+    prod = spectra.reshape(spectra.shape + (1,) * (f.ndim - grid.dim)) * fhat
+    for ax in range(1, grid.dim):
+        np.fft.ifft(prod, axis=ax, out=prod)
+    return np.fft.irfft(prod, n=grid.cells, axis=grid.dim)
 
 
 # -- constructors --------------------------------------------------------

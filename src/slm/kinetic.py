@@ -110,12 +110,13 @@ def convolve_periodic(kernel: Kernel, f: Field) -> Field:
 
 
 def kinetic_rhs(f: Field, params: ModelParams) -> Field:
-    """-m rho - rho (a- * rho) + (a+ * rho), evaluated per cell.
+    """-m rho - rho (a- * rho) + (a+ * rho), evaluated per cell; both
+    convolutions come from one transform of rho.
 
     This is the scaling-limit equation; epsilon does not appear here.
     """
-    comp = convolve_periodic(params.competition, f).values
-    disp = convolve_periodic(params.dispersal, f).values
+    require_same_grid(params.grid, f.grid)
+    comp, disp = params.convolve_both(f.values)
     return Field(f.grid, -params.mortality * f.values - f.values * comp + disp)
 
 
@@ -154,37 +155,40 @@ def integrate_rk4(
     arrays; returns a copy of y at each sorted snapshot time.
 
     Segments between snapshots are covered by round(segment/dt) equal
-    steps so snapshots land exactly on requested times.  Before each
-    segment dt is checked against ``guard(y)``, the explicit-stepping
-    limit at the current state.  After each step ``after_step(y)`` (if
-    given) returns the state to continue from; then every component has
-    round-off negatives clipped against its own running maximum.
+    steps so snapshots land exactly on requested times.  Before each step
+    dt is checked against ``guard(peaks)``, the explicit-stepping limit
+    at the current per-component maxima of y.  After each step
+    ``after_step(y)`` (if given) returns the state to continue from; then
+    every component has round-off negatives clipped against its own
+    running maximum.
     """
     times = sorted(float(t) for t in snapshot_times)
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
     if times and (times[0] < 0 or times[-1] > horizon + 1e-12):
         raise InvalidParameterError("snapshot times must lie in [0, horizon]")
-    scales = [max(float(v.max()), 1e-300) for v in y]
+    peaks = [float(v.max()) for v in y]
+    scales = [max(p, 1e-300) for p in peaks]
     out = []
     t = 0.0
     for target in times:
         seg = target - t
         if seg > 1e-12:
-            limit = guard(y)
-            if dt > limit * (1 + 1e-9):
-                raise InvalidParameterError(
-                    f"dt={dt:.3g} exceeds the stability guard {limit:.3g} at t={t:.6g}"
-                )
             nsteps = max(1, round(seg / dt))
             step = seg / nsteps
             for _ in range(nsteps):
+                limit = guard(peaks)
+                if dt > limit * (1 + 1e-9):
+                    raise InvalidParameterError(
+                        f"dt={dt:.3g} exceeds the stability guard {limit:.3g} at t={t:.6g}"
+                    )
                 y = _rk4_step(y, step, rhs)
                 t += step
                 if after_step is not None:
                     y = after_step(y)
                 y = tuple(_clip_negatives(v, t, s) for v, s in zip(y, scales))
-                scales = [max(s, float(v.max())) for v, s in zip(y, scales)]
+                peaks = [float(v.max()) for v in y]
+                scales = [max(s, p) for s, p in zip(scales, peaks)]
             t = target
         out.append(tuple(v.copy() for v in y))
     return out
@@ -200,8 +204,8 @@ def solve_kinetic(rho0: Field, params: ModelParams, horizon: float, dt: float, s
     def rhs(y):
         return (kinetic_rhs(Field(rho0.grid, y[0]), params).values,)
 
-    def guard(y):
-        return stability_dt(params, float(y[0].max()))
+    def guard(peaks):
+        return stability_dt(params, peaks[0])
 
     snaps = integrate_rk4((rho0.values,), rhs, horizon, dt, snapshot_times, guard)
     return [Field(rho0.grid, values) for (values,) in snaps]

@@ -10,7 +10,6 @@ cell list and audited against a from-scratch recomputation.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -392,6 +391,9 @@ def run_ensemble(
         _ensemble_member, rho0, params, horizon, snapshot_times, seed, population_cap, keep_events
     )
     if jobs > 1:
+        # imported here: multiprocessing costs every command ~12 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(member, range(runs)))
     return [member(r) for r in range(runs)]

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidParameterError
 from .grid import require_same_grid
-from .kernels import Kernel
+from .kernels import Kernel, convolve_spectra
 
 
 @dataclass(frozen=True)
@@ -29,6 +32,15 @@ class ModelParams:
     @property
     def grid(self):
         return self.dispersal.grid
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """The (a-, a+) spectra stacked along axis 0."""
+        return np.stack((self.competition.spectrum, self.dispersal.spectrum))
+
+    def convolve_both(self, f: np.ndarray) -> np.ndarray:
+        """(a- * f, a+ * f) stacked along axis 0, from one transform of f."""
+        return convolve_spectra(self.spectra, self.grid, f)
 
     def with_epsilon(self, eps: float) -> "ModelParams":
         return replace(self, epsilon=eps)

@@ -7,6 +7,9 @@ and the full M^3 closure tensor k3.  For the simulator and the pair
 statistics they are the forms used before the array cell list and tree
 pair counting: O(N^2) minimum-image sums and distance matrices, the
 tuple-indexed kernel lookup, and the per-axis, per-cell sampling loops.
+The right-hand sides take each kernel's convolution from its own
+``Kernel.convolve`` call, as the package did before one transform of a
+state served both kernels, and the CSV writer formats every cell.
 """
 import numpy as np
 
@@ -24,11 +27,16 @@ def roll_convolution(kernel, f):
     return kernel.grid.cell_volume * out
 
 
-def circulant(kernel):
-    """C[i, j] = h a(x_i - x_j) on a 1-d grid."""
+def pair_table(kernel):
+    """A[i, j] = a(x_i - x_j) on a 1-d grid."""
     m = kernel.grid.cells
     i = np.arange(m)
-    return kernel.grid.spacing * kernel.values[(i[:, None] - i[None, :]) % m]
+    return kernel.values[(i[:, None] - i[None, :]) % m]
+
+
+def circulant(kernel):
+    """C[i, j] = h a(x_i - x_j) on a 1-d grid."""
+    return kernel.grid.spacing * pair_table(kernel)
 
 
 def closure_tensor(rule, state):
@@ -55,6 +63,43 @@ def closure_tensor(rule, state):
 def closure_contraction(rule, state, competition):
     """t1[i, j] = sum_z C[i, z] k3[i, j, z] through the dense tensor."""
     return np.einsum("iz,ijz->ij", circulant(competition), closure_tensor(rule, state))
+
+
+def kinetic_rhs(f, params):
+    """-m rho - rho (a- * rho) + (a+ * rho), one Kernel.convolve per kernel."""
+    rho = f.values
+    return (
+        -params.mortality * rho
+        - rho * params.competition.convolve(rho)
+        + params.dispersal.convolve(rho)
+    )
+
+
+def rhs_k1(state, params):
+    """-m k1 - h sum_j a-(x_i - x_j) k2(x_i, x_j) + (a+ * k1)."""
+    k1 = state.k1.values
+    pair_term = np.einsum("ij,ij->i", circulant(params.competition), state.k2.values)
+    return -params.mortality * k1 - pair_term + params.dispersal.convolve(k1)
+
+
+def rhs_k2(state, rule, params):
+    """Second truncated equation: a- * k1, a- * k2 (mean-field) and a+ * k2
+    each by its own Kernel.convolve call; Kirkwood through the dense k3."""
+    k1 = state.k1.values
+    k2 = state.k2.values
+    aminus = params.competition
+    if rule == "mean-field":
+        own = np.einsum("ij,ij->i", circulant(aminus), k2)
+        t1 = (
+            k2 * aminus.convolve(k1)[:, None]
+            + own[:, None] * k1[None, :]
+            + k1[:, None] * aminus.convolve(k2)
+        ) / 3.0
+    else:
+        t1 = closure_contraction(rule, state, aminus)
+    s1 = params.dispersal.convolve(k2)
+    bpart = -2.0 * pair_table(aminus) * k2 + pair_table(params.dispersal) * (k1[:, None] + k1[None, :])
+    return -2.0 * params.mortality * k2 - (t1 + t1.T) + (s1 + s1.T) + state.epsilon * bpart
 
 
 def kernel_at(kernel, dx):
@@ -114,6 +159,14 @@ def poisson_field_positions(rho0, rng):
             base = np.array(idx, dtype=float) * h
             positions.append(base + rng.uniform(0.0, h, size=(cnt, grid.dim)))
     return np.concatenate(positions)
+
+
+def write_csv(path, header, columns):
+    """A header line, then str of every cell of the columns, row by row."""
+    cells = [map(str, np.asarray(col).tolist()) for col in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def rel_err(value, reference):

@@ -5,11 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from slm import cli
 from slm.cli import main
 from slm.config import parse_config
 from slm.errors import ConfigError
@@ -317,6 +323,56 @@ class TestOutputPath:
         for f in data:
             assert read(os.path.join(first, f)) == read(os.path.join(again, f))
         assert read(resolved) == read(os.path.join(again, "resolved.cfg"))
+
+
+# -0.0, a NaN with a payload, a negative signalling NaN, the smallest subnormal, +-inf
+SPECIAL_FLOATS = np.array(
+    [0x8000000000000000, 0x7FF8000000000001, 0xFFF0000000000002, 1, 0x7FF0000000000000,
+     0xFFF0000000000000],
+    dtype=np.uint64,
+).view(np.float64)
+CELL_VALUES = {
+    "float": st.floats(allow_subnormal=True) | st.sampled_from(list(SPECIAL_FLOATS)),
+    "int": st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1]),
+    "str": st.text("abz-_. 09", max_size=4),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns, as_rows, block): each column repeats values from a
+    small pool; as_rows passes the columns as tuples from zip(*rows), and
+    block is the writer's block size."""
+    n = draw(st.integers(0, 30))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELL_VALUES)), max_size=4))
+    columns = []
+    for kind in kinds:
+        pool = draw(st.lists(CELL_VALUES[kind], min_size=1, max_size=5))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        values = [pool[i] for i in picks]
+        columns.append(values if kind == "str" else np.array(values, dtype=f"{kind}64"))
+    return [f"c{i}" for i in range(len(kinds))], columns, draw(st.booleans()), draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_tables())
+@example((
+    ["zeros", "specials", "ints"],
+    [np.array([0.0, -0.0, 0.0]), SPECIAL_FLOATS[:3], np.array([-(2**63), 2**63 - 1, -(2**63)])],
+    False,
+    4096,
+))
+def test_write_csv_matches_every_cell_oracle(table):
+    header, columns, as_rows, block = table
+    rows = list(zip(*(np.asarray(col).tolist() for col in columns)))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CSV_BLOCK_ROWS", block):
+        written = []
+        for write in (cli._write_csv, oracles.write_csv):
+            path = os.path.join(tmp, f"{len(written)}.csv")
+            write(path, header, zip(*rows) if as_rows else columns)
+            with open(path, "rb") as fh:
+                written.append(fh.read())
+    assert written[0] == written[1]
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 from oracles import closure_contraction as dense_contraction
 from oracles import closure_tensor, rel_err
@@ -117,6 +118,38 @@ class TestContraction:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestSharedTransform:
+    """rhs_k1 and rhs_k2 against separate Kernel.convolve calls."""
+
+    @pytest.mark.parametrize("cells", [63, 64])
+    def test_rhs_k1_matches_separate_convolutions(self, cells):
+        grid = Grid(1, 10.0, cells)
+        params = ModelParams(0.3, make_gaussian_kernel(0.7, 1, grid), make_gaussian_kernel(0.5, 1, grid))
+        st = random_state(grid, cells)
+        assert rel_err(rhs_k1(st, params).values, oracles.rhs_k1(st, params)) <= 1e-13
+
+    @pytest.mark.parametrize("cells", [63, 64])
+    @pytest.mark.parametrize("rule", ["mean-field", "kirkwood"])
+    def test_rhs_k2_matches_separate_convolutions(self, rule, cells):
+        grid = Grid(1, 10.0, cells)
+        params = ModelParams(0.3, make_gaussian_kernel(0.7, 1, grid), make_gaussian_kernel(0.5, 1, grid))
+        st = random_state(grid, cells)
+        assert rel_err(rhs_k2(st, rule, params).values, oracles.rhs_k2(st, rule, params)) <= 1e-13
+
+    @pytest.mark.parametrize("rule,forward,inverse", [("mean-field", 2, 3), ("kirkwood", 1, 1)])
+    def test_transforms_per_rhs_k2(self, rule, forward, inverse, grid, params, monkeypatch):
+        # mean-field: a- * k1, then a- * k2 and a+ * k2 from one transform of
+        # k2; kirkwood: a+ * k2 alone.  An inverse counts once per kernel.
+        st = random_state(grid, 3)
+        rhs_k2(st, rule, params)  # fill the spectrum caches
+        rffts, irffts = [], []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: rffts.append(1) or rfft(*a, **k))
+        monkeypatch.setattr(np.fft, "irfft", lambda a, *r, **k: irffts.append(len(a)) or irfft(a, *r, **k))
+        rhs_k2(st, rule, params)
+        assert (len(rffts), sum(irffts)) == (forward, inverse)
 
 
 class TestRhsK1:
@@ -237,15 +270,25 @@ class TestSolver:
 
     def test_dt_guard_rechecked_per_segment(self):
         # at eps = 0, k1 and k2 grow towards q = 2 and q^2; dt = 0.04 passes
-        # the guard at t = 0 but not at the second segment's start (t = 2)
+        # the guard at t = 0 but not within the first segment (t = 0.52)
         g = Grid(1, 10.0, 100)
         params = ModelParams(
             0.0, make_indicator_kernel(2.0, 0.5, 1, g), make_indicator_kernel(1.0, 0.5, 1, g)
         )
         st = TruncatedState.poisson_like(Field.constant(g, 0.1), 0.0)
         assert stability_dt(params, st.witness_C) > 0.04
-        with pytest.raises(InvalidParameterError, match="at t=2"):
+        with pytest.raises(InvalidParameterError, match=r"at t=0\.52"):
             solve_hierarchy(st, "mean-field", params, 4.0, 0.04, [2.0, 4.0])
+
+    def test_dt_guard_rechecked_per_step(self):
+        # one segment: a guard checked only at the segment start never fails
+        g = Grid(1, 10.0, 100)
+        params = ModelParams(
+            0.0, make_indicator_kernel(2.0, 0.5, 1, g), make_indicator_kernel(1.0, 0.5, 1, g)
+        )
+        st = TruncatedState.poisson_like(Field.constant(g, 0.1), 0.0)
+        with pytest.raises(InvalidParameterError, match=r"stability guard 0\.0398 at t=0\.52"):
+            solve_hierarchy(st, "mean-field", params, 4.0, 0.04, [4.0])
 
     def test_stability_guard_positive(self, grid, params):
         st = TruncatedState.poisson_like(Field.constant(grid, 1.0), 1.0)

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from oracles import circulant, rel_err, roll_convolution
 
@@ -151,6 +152,40 @@ class TestRhs:
         assert np.allclose(out.values, expected, rtol=1e-13)
 
 
+class TestSharedTransform:
+    """Both convolutions of one transform against two Kernel.convolve calls."""
+
+    @pytest.mark.parametrize(
+        "dim,cells", [(1, 99), (1, 100), (2, 31), (2, 32), (3, 15), (3, 16)]
+    )
+    def test_kinetic_rhs_matches_separate_convolutions(self, dim, cells):
+        g = Grid(dim, 8.0, cells)
+        rng = np.random.default_rng(cells)
+        uneven = Kernel("tabulated-grid", g, rng.random(g.shape) * (rng.random(g.shape) < 0.2))
+        params = ModelParams(0.3, uneven, make_gaussian_kernel(0.6, dim, g))
+        f = Field(g, rng.random(g.shape))
+        assert rel_err(kinetic_rhs(f, params).values, oracles.kinetic_rhs(f, params)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_forward_transform_per_call(self, dim, monkeypatch):
+        # a forward transform of a real state starts with one rfft pass, and
+        # an inverse ends with one irfft pass, here batched over both kernels
+        g = Grid(dim, 8.0, 16)
+        params = ModelParams(0.3, make_indicator_kernel(0.7, 1.3, dim, g), make_gaussian_kernel(0.6, dim, g))
+        f = Field(g, np.random.default_rng(2).random(g.shape))
+        kinetic_rhs(f, params)  # fill the spectrum caches
+        rffts, irffts = [], []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: rffts.append(1) or rfft(*a, **k))
+        monkeypatch.setattr(np.fft, "irfft", lambda a, *r, **k: irffts.append(len(a)) or irfft(a, *r, **k))
+        kinetic_rhs(f, params)
+        assert (len(rffts), irffts) == (1, [2])
+
+    def test_grid_mismatch(self, params):
+        with pytest.raises(IncompatibleGridsError):
+            kinetic_rhs(Field.constant(Grid(1, 5.0, 100), 1.0), params)
+
+
 class TestSolver:
     def test_constant_matches_bernoulli(self, grid, params):
         times = [1.0, 2.0, 5.0, 10.0]
@@ -181,14 +216,22 @@ class TestSolver:
 
     def test_dt_guard_rechecked_per_segment(self, grid):
         # the guard at t = 0 (0.043) admits dt = 0.04, but rho grows towards
-        # q = 2 and the guard at the second segment's start (t = 2) is 0.025
+        # q = 2 and the guard falls below dt within the first segment (t = 0.52)
         params = ModelParams(
             0.0, make_indicator_kernel(2.0, 0.5, 1, grid), make_indicator_kernel(1.0, 0.5, 1, grid)
         )
         rho0 = Field.constant(grid, 0.1)
         assert stability_dt(params, rho0.max) > 0.04
-        with pytest.raises(InvalidParameterError, match="at t=2"):
+        with pytest.raises(InvalidParameterError, match=r"at t=0\.52"):
             solve_kinetic(rho0, params, 4.0, 0.04, [2.0, 4.0])
+
+    def test_dt_guard_rechecked_per_step(self, grid):
+        # one segment: a guard checked only at the segment start never fails
+        params = ModelParams(
+            0.0, make_indicator_kernel(2.0, 0.5, 1, grid), make_indicator_kernel(1.0, 0.5, 1, grid)
+        )
+        with pytest.raises(InvalidParameterError, match=r"stability guard 0\.0398 at t=0\.52"):
+            solve_kinetic(Field.constant(grid, 0.1), params, 4.0, 0.04, [4.0])
 
     def test_negative_initial_rejected(self, grid, params):
         with pytest.raises(InvalidParameterError):

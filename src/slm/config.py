@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, SLMError
+from .errors import ConfigError, SLMError
 from .grid import Grid
 from .kernels import (
     Kernel,
@@ -23,29 +23,26 @@ from .kernels import (
 from .kinetic import Field
 from .model import ModelParams
 
-_SCHEMA = {
-    "model": {"dimension", "torus_side", "grid_cells", "mortality", "epsilon"},
-    "kernel.dispersal": {"shape", "height", "radius", "sigma", "cutoff", "file"},
-    "kernel.competition": {"shape", "height", "radius", "sigma", "cutoff", "file"},
-    "initial": {"kind", "density", "file"},
-    "run": {"horizon", "dt", "snapshot_times", "seed", "runs", "population_cap"},
-    "theory": {"alpha_up"},
-    "stats": {"pair_bins"},
-    "scaling": {"eps_list", "scaling_runs"},
-    "hierarchy": {"closure", "slice_offsets"},
+_KERNEL_KEYS = {"shape": (str, "indicator"), "height": (float, None), "radius": (float, None),
+                "sigma": (float, None), "cutoff": (float, None), "file": (str, None)}
+
+# section -> key -> (type, default text); a default of None makes the key
+# required, or leaves it out when it is read as optional
+_KEYS = {
+    "model": {"dimension": (int, None), "torus_side": (float, None), "grid_cells": (int, None),
+              "mortality": (float, None), "epsilon": (float, "1.0")},
+    "kernel.dispersal": _KERNEL_KEYS,
+    "kernel.competition": _KERNEL_KEYS,
+    "initial": {"kind": (str, "constant"), "density": (float, None), "file": (str, None)},
+    "run": {"horizon": (float, None), "dt": (float, None), "snapshot_times": (list, None),
+            "seed": (int, "0"), "runs": (int, "100"), "population_cap": (int, "1000000")},
+    "theory": {"alpha_up": (float, None)},
+    "stats": {"pair_bins": (int, "24")},
+    "scaling": {"eps_list": (list, "1 0.5 0.25 0.1"), "scaling_runs": (int, "200")},
+    "hierarchy": {"closure": (str, "mean-field"), "slice_offsets": (list, "")},
 }
 
-_DEFAULTS = {
-    ("model", "epsilon"): "1.0",
-    ("run", "seed"): "0",
-    ("run", "runs"): "100",
-    ("run", "population_cap"): "1000000",
-    ("stats", "pair_bins"): "24",
-    ("scaling", "eps_list"): "1 0.5 0.25 0.1",
-    ("scaling", "scaling_runs"): "200",
-    ("hierarchy", "closure"): "mean-field",
-    ("hierarchy", "slice_offsets"): "",
-}
+_NOT = {int: "an integer", float: "a number", list: "numbers"}
 
 
 @dataclass
@@ -69,7 +66,7 @@ class RunConfig:
 
     def resolved_text(self) -> str:
         lines = []
-        for section in _SCHEMA:
+        for section in _KEYS:
             entries = {k: v for (s, k), v in self.resolved.items() if s == section}
             if not entries:
                 continue
@@ -80,63 +77,20 @@ class RunConfig:
         return "\n".join(lines)
 
 
-def _getfloat(raw, resolved, section, key) -> float:
-    val = _get(raw, resolved, section, key)
-    try:
-        return float(val)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {val!r}")
-
-
-def _getint(raw, resolved, section, key) -> int:
-    val = _get(raw, resolved, section, key)
-    try:
-        return int(val)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {val!r}")
-
-
-def _getfloats(raw, resolved, section, key) -> list:
-    val = _get(raw, resolved, section, key)
-    try:
-        return [float(s) for s in val.split()]
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not numbers: {val!r}")
-
-
-def _get(raw, resolved, section, key, default=None):
-    sec = raw.get(section, {})
-    if key in sec:
-        resolved[(section, key)] = sec[key]
-        return sec[key]
-    if default is None and (section, key) not in _DEFAULTS:
-        raise ConfigError(f"missing required key [{section}] {key}")
-    val = _DEFAULTS.get((section, key), default)
-    resolved[(section, key)] = val
-    return val
-
-
-def _build_kernel(raw, resolved, section, dim, grid, base_dir) -> Kernel:
-    shape = _get(raw, resolved, section, "shape", "indicator")
+def _build_kernel(get, section, grid, base_dir) -> Kernel:
+    shape = get(section, "shape")
     if shape == "indicator":
-        return make_indicator_kernel(
-            _getfloat(raw, resolved, section, "height"),
-            _getfloat(raw, resolved, section, "radius"),
-            dim,
-            grid,
-        )
+        return make_indicator_kernel(get(section, "height"), get(section, "radius"), grid.dim, grid)
     if shape == "gaussian":
-        sigma = _getfloat(raw, resolved, section, "sigma")
-        height = None
-        if "height" in raw.get(section, {}):
-            height = _getfloat(raw, resolved, section, "height")
-        cutoff = None
-        if "cutoff" in raw.get(section, {}):
-            cutoff = _getfloat(raw, resolved, section, "cutoff")
-        return make_gaussian_kernel(sigma, dim, grid, height=height, cutoff=cutoff)
+        return make_gaussian_kernel(
+            get(section, "sigma"),
+            grid.dim,
+            grid,
+            height=get(section, "height", optional=True),
+            cutoff=get(section, "cutoff", optional=True),
+        )
     if shape == "tabulated":
-        path = _get(raw, resolved, section, "file")
-        return load_tabulated_kernel(os.path.join(base_dir, path), dim, grid)
+        return load_tabulated_kernel(os.path.join(base_dir, get(section, "file")), grid.dim, grid)
     if shape == "zero":
         return make_zero_kernel(grid)
     raise ConfigError(f"[{section}] unknown kernel shape {shape!r}")
@@ -156,91 +110,86 @@ def parse_config(path, overrides=None) -> RunConfig:
 
     unknown = []
     for section, entries in raw.items():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             unknown.append(f"[{section}]")
             continue
-        for key in entries:
-            if key not in _SCHEMA[section]:
-                unknown.append(f"[{section}] {key}")
+        unknown += [f"[{section}] {key}" for key in entries if key not in _KEYS[section]]
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
     for (section, key), text in (overrides or {}).items():
         raw.setdefault(section, {})[key] = text
 
     resolved: dict = {}
+
+    def get(section, key, optional=False):
+        """The value of ``key``, converted by its type in the table and
+        recorded for resolved.cfg; None if it is optional and absent."""
+        kind, default = _KEYS[section][key]
+        text = raw.get(section, {}).get(key, default)
+        if text is None:
+            if optional:
+                return None
+            raise ConfigError(f"missing required key [{section}] {key}")
+        resolved[(section, key)] = text
+        if kind is str:
+            return text
+        try:
+            value = [float(s) for s in text.split()] if kind is list else kind(text)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: not {_NOT[kind]}: {text!r}")
+        if kind is not int and not np.all(np.isfinite(value)):
+            raise ConfigError(f"[{section}] {key}: not a finite number: {text!r}")
+        return value
+
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    dim = _getint(raw, resolved, "model", "dimension")
-    side = _getfloat(raw, resolved, "model", "torus_side")
-    cells = _getint(raw, resolved, "model", "grid_cells")
-    grid = Grid(dim, side, cells)
-
-    mortality = _getfloat(raw, resolved, "model", "mortality")
-    epsilon = _getfloat(raw, resolved, "model", "epsilon")
-    dispersal = _build_kernel(raw, resolved, "kernel.dispersal", dim, grid, base_dir)
-    competition = _build_kernel(raw, resolved, "kernel.competition", dim, grid, base_dir)
+    grid = Grid(get("model", "dimension"), get("model", "torus_side"), get("model", "grid_cells"))
+    mortality = get("model", "mortality")
+    epsilon = get("model", "epsilon")
+    dispersal = _build_kernel(get, "kernel.dispersal", grid, base_dir)
+    competition = _build_kernel(get, "kernel.competition", grid, base_dir)
     try:
         params = ModelParams(mortality, dispersal, competition, epsilon)
     except SLMError as exc:
         raise ConfigError(str(exc))
 
-    kind = _get(raw, resolved, "initial", "kind", "constant")
+    kind = get("initial", "kind")
     if kind == "constant":
-        rho0 = Field.constant(grid, _getfloat(raw, resolved, "initial", "density"))
+        rho0 = Field.constant(grid, get("initial", "density"))
     elif kind == "table":
-        fpath = os.path.join(base_dir, _get(raw, resolved, "initial", "file"))
-        vals = np.loadtxt(fpath, delimiter=",")
+        vals = np.loadtxt(os.path.join(base_dir, get("initial", "file")), delimiter=",")
         if vals.size != grid.size:
-            raise ConfigError(
-                f"initial table has {vals.size} values, grid needs {grid.size}"
-            )
+            raise ConfigError(f"initial table has {vals.size} values, grid needs {grid.size}")
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError("initial table has a non-finite value")
         rho0 = Field(grid, vals.reshape(grid.shape))
     else:
         raise ConfigError(f"[initial] unknown kind {kind!r}")
     if rho0.min < 0:
         raise ConfigError("initial density must be nonnegative")
 
-    horizon = _getfloat(raw, resolved, "run", "horizon")
-    dt = _getfloat(raw, resolved, "run", "dt")
+    horizon = get("run", "horizon")
+    dt = get("run", "dt")
     if dt <= 0:
         raise ConfigError("[run] dt must be positive")
     if horizon < 0:
         raise ConfigError("[run] horizon must be nonnegative")
-    snapshot_times = sorted(_getfloats(raw, resolved, "run", "snapshot_times"))
+    snapshot_times = sorted(get("run", "snapshot_times"))
     if snapshot_times and (snapshot_times[0] < 0 or snapshot_times[-1] > horizon):
         raise ConfigError("[run] snapshot_times must lie within [0, horizon]")
-
-    seed = _getint(raw, resolved, "run", "seed")
-    runs = _getint(raw, resolved, "run", "runs")
-    population_cap = _getint(raw, resolved, "run", "population_cap")
+    seed = get("run", "seed")
+    runs = get("run", "runs")
+    population_cap = get("run", "population_cap")
     if runs < 1:
         raise ConfigError("[run] runs must be >= 1")
 
-    alpha_up = None
-    if "theory" in raw and "alpha_up" in raw["theory"]:
-        alpha_up = _getfloat(raw, resolved, "theory", "alpha_up")
-
-    pair_bins = _getint(raw, resolved, "stats", "pair_bins")
-    eps_list = _getfloats(raw, resolved, "scaling", "eps_list")
-    scaling_runs = _getint(raw, resolved, "scaling", "scaling_runs")
-    closure_rule = _get(raw, resolved, "hierarchy", "closure")
-    slice_offsets = _getfloats(raw, resolved, "hierarchy", "slice_offsets")
-
-    return RunConfig(
-        grid=grid,
-        params=params,
-        rho0=rho0,
-        horizon=horizon,
-        dt=dt,
-        snapshot_times=snapshot_times,
-        seed=seed,
-        runs=runs,
-        population_cap=population_cap,
-        alpha_up=alpha_up,
-        pair_bins=pair_bins,
-        eps_list=eps_list,
-        scaling_runs=scaling_runs,
-        closure=closure_rule,
-        slice_offsets=slice_offsets,
-        resolved=resolved,
+    # the read order decides which fault is reported first; the remaining
+    # keys are read in the order of RunConfig's fields
+    cfg = RunConfig(
+        grid, params, rho0, horizon, dt, snapshot_times, seed, runs, population_cap,
+        get("theory", "alpha_up", optional=True), get("stats", "pair_bins"),
+        get("scaling", "eps_list"), get("scaling", "scaling_runs"), get("hierarchy", "closure"),
+        get("hierarchy", "slice_offsets"), resolved,
     )
+    if cfg.pair_bins < 1:
+        raise ConfigError("[stats] pair_bins must be >= 1")
+    return cfg

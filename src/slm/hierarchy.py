@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ClosureSingularityError, InvalidParameterError
 from .grid import Grid, require_same_grid
@@ -102,14 +101,6 @@ def witness(k1_max: float, k2_max: float) -> float:
 # -- closures ------------------------------------------------------------
 
 
-def _pair_values(kernel: Kernel) -> np.ndarray:
-    """A[i, j] = a(x_i - x_j) on the 1-d pair grid: a read-only sliding-window
-    view over two copies of the tabulation (row i reads it backwards from i)."""
-    m = kernel.grid.cells
-    v = kernel.values
-    return sliding_window_view(np.concatenate((v, v)), m)[1 : m + 1, ::-1]
-
-
 def closure_contraction(
     rule: str, state: TruncatedState, competition: Kernel, competition_k2: np.ndarray | None = None
 ) -> np.ndarray:
@@ -126,7 +117,7 @@ def closure_contraction(
         raise InvalidParameterError(f"unknown closure {rule!r}; choose from {CLOSURES}")
     k1 = state.k1.values
     k2 = state.k2.values
-    cm = competition.grid.spacing * _pair_values(competition)
+    cm = competition.grid.spacing * competition.pair_values
     if rule == "mean-field":
         own = np.einsum("ij,ij->i", cm, k2)
         if competition_k2 is None:
@@ -153,7 +144,7 @@ def rhs_k1(state: TruncatedState, params: ModelParams) -> Field:
     require_same_grid(state.grid, params.grid)
     k1 = state.k1.values
     k2 = state.k2.values
-    pair_term = state.grid.spacing * np.einsum("ij,ij->i", _pair_values(params.competition), k2)
+    pair_term = state.grid.spacing * np.einsum("ij,ij->i", params.competition.pair_values, k2)
     return Field(state.grid, -params.mortality * k1 - pair_term + params.dispersal.convolve(k1))
 
 
@@ -178,8 +169,8 @@ def rhs_k2(state: TruncatedState, closure_rule: str, params: ModelParams) -> Fie
 
     vpart = -2.0 * params.mortality * k2 - (t1 + t1.T) + (s1 + s1.T)
     bpart = (
-        -2.0 * _pair_values(params.competition) * k2
-        + _pair_values(params.dispersal) * (k1[:, None] + k1[None, :])
+        -2.0 * params.competition.pair_values * k2
+        + params.dispersal.pair_values * (k1[:, None] + k1[None, :])
     )
     return Field2(state.grid, vpart + state.epsilon * bpart)
 

@@ -9,8 +9,10 @@ simulated, and micro- and mesoscopic levels share one object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IncompatibleGridsError, InvalidParameterError, PreconditionError
 from .grid import Grid, require_same_grid
@@ -25,7 +27,8 @@ class Kernel:
     ``values[j]`` is the kernel value on the offset cell centered at the
     minimum-image offset represented by index ``j`` (per axis).  ``mass``
     and ``sup`` are cached from the tabulation.  Equality and hashing are
-    by identity, which keeps the lazily cached CDF and spectrum per instance.
+    by identity, which keeps the lazily cached tables (sampler CDF, spectrum,
+    pair values) per instance.
     """
 
     shape: str
@@ -40,8 +43,8 @@ class Kernel:
             raise InvalidParameterError(
                 f"kernel values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        if np.any(v < 0):
-            raise InvalidParameterError("kernel values must be nonnegative")
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise InvalidParameterError("kernel values must be finite and nonnegative")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "mass", float(self.grid.cell_volume * v.sum()))
         object.__setattr__(self, "sup", float(v.max()) if v.size else 0.0)
@@ -85,30 +88,37 @@ class Kernel:
         """
         if self.mass <= 0:
             raise InvalidParameterError("cannot sample from a kernel with zero mass")
-        cdf = getattr(self, "_cdf", None)
-        if cdf is None:
-            cdf = np.cumsum(self.values.ravel())
-            cdf /= cdf[-1]
-            object.__setattr__(self, "_cdf", cdf)
-            # offset-cell centres in flat order, one row per cell
-            centres = self.grid.axis_offsets()[np.indices(self.grid.shape).reshape(self.dim, -1).T]
-            object.__setattr__(self, "_centres", centres)
+        cdf = self._cdf
         flat = np.searchsorted(cdf, rng.random(size), side="right")
         h = self.grid.spacing
         # one row of jitter per axis, drawn axis after axis
         jitter = rng.uniform(-0.5 * h, 0.5 * h, size=(self.dim, size))
         return self._centres[np.minimum(flat, cdf.size - 1)] + jitter.T
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        cdf = np.cumsum(self.values.ravel())
+        cdf /= cdf[-1]
+        return cdf
+
+    @cached_property
+    def _centres(self) -> np.ndarray:
+        """Offset-cell centres in flat order, one row per cell."""
+        return self.grid.axis_offsets()[np.indices(self.grid.shape).reshape(self.dim, -1).T]
+
     # -- convolution ----------------------------------------------------
 
-    @property
+    @cached_property
     def spectrum(self) -> np.ndarray:
         """``h^d * rfftn(values)``, the transfer function of ``a * .``; cached lazily."""
-        cached = getattr(self, "_spectrum", None)
-        if cached is None:
-            cached = self.grid.cell_volume * np.fft.rfftn(self.values)
-            object.__setattr__(self, "_spectrum", cached)
-        return cached
+        return self.grid.cell_volume * np.fft.rfftn(self.values)
+
+    @cached_property
+    def pair_values(self) -> np.ndarray:
+        """A[i, j] = a(x_i - x_j) on the 1-d pair grid: a read-only sliding-window
+        view over two copies of the tabulation (row i reads it backwards from i)."""
+        m = self.grid.cells
+        return sliding_window_view(np.concatenate((self.values, self.values)), m)[1 : m + 1, ::-1]
 
     def convolve(self, f: np.ndarray) -> np.ndarray:
         """Circular convolution ``(a * f)(x_i) = h^d sum_j a(x_i - x_j) f(x_j)``
@@ -197,10 +207,10 @@ def make_tabulated_kernel(offsets: np.ndarray, profile: np.ndarray, dim: int, gr
     profile = np.asarray(profile, dtype=float)
     if offsets.ndim != 1 or offsets.shape != profile.shape or offsets.size < 2:
         raise InvalidParameterError("tabulated kernel needs two equal-length columns")
-    if np.any(np.diff(offsets) <= 0):
+    if not np.all(np.diff(offsets) > 0):
         raise InvalidParameterError("tabulated offsets must be strictly increasing")
-    if np.any(profile < 0):
-        raise InvalidParameterError("tabulated values must be nonnegative")
+    if not np.all(np.isfinite(profile) & (profile >= 0)):
+        raise InvalidParameterError("tabulated values must be finite and nonnegative")
     if dim != grid.dim:
         raise InvalidParameterError(f"dim {dim} does not match grid dim {grid.dim}")
     _check_support(float(offsets[-1]), grid)

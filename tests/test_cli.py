@@ -63,14 +63,25 @@ def read(path):
 
 
 def with_key(text, section, key, value):
+    """``text`` with ``[section] key`` set to ``value``, or removed if ``value`` is None."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
     if not cp.has_section(section):
         cp.add_section(section)
-    cp.set(section, key, value)
+    if value is None:
+        cp.remove_option(section, key)
+    else:
+        cp.set(section, key, value)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
+
+
+GAUSSIAN_CFG = BASE_CFG.replace(
+    "[kernel.competition]\nshape = indicator\nheight = 1.0\nradius = 0.5",
+    "[kernel.competition]\nshape = gaussian\nsigma = 0.3",
+)
+TABLE_CFG = BASE_CFG.replace("kind = constant\ndensity = 0.5", "kind = table\nfile = rho0.csv")
 
 
 class TestConfig:
@@ -96,11 +107,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(str(p))
 
-    def test_missing_required_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("model", "dimension"), ("model", "torus_side"), ("model", "grid_cells"),
+            ("model", "mortality"), ("kernel.dispersal", "height"), ("kernel.dispersal", "radius"),
+            ("kernel.competition", "height"), ("kernel.competition", "radius"),
+            ("initial", "density"), ("run", "horizon"), ("run", "dt"), ("run", "snapshot_times"),
+            ("kernel.competition", "sigma"), ("initial", "file"),
+        ],
+    )
+    def test_missing_required_key(self, tmp_path, section, key):
+        # every required key of BASE_CFG, and those of a gaussian kernel and a table start
+        text = {"sigma": GAUSSIAN_CFG, "file": TABLE_CFG}.get(key, BASE_CFG)
         p = tmp_path / "bad.cfg"
-        p.write_text(BASE_CFG.replace("mortality = 0.3\n", ""))
-        with pytest.raises(ConfigError):
+        p.write_text(with_key(text, section, key, None))
+        with pytest.raises(ConfigError, match=re.escape(f"missing required key [{section}] {key}")):
             parse_config(str(p))
+
+    def test_optional_keys_left_out_of_resolved_cfg(self, tmp_path):
+        p = tmp_path / "gauss.cfg"
+        p.write_text(GAUSSIAN_CFG)
+        text = parse_config(str(p)).resolved_text()
+        assert "[kernel.competition]\nshape = gaussian\nsigma = 0.3\n\n" in text
+        assert "[theory]" not in text and "alpha_up" not in text
+        p.write_text(GAUSSIAN_CFG.replace("sigma = 0.3", "sigma = 0.3\nheight = 2.0\ncutoff = 1.0")
+                     + "\n[theory]\nalpha_up = 0.5\n")
+        text = parse_config(str(p)).resolved_text()
+        assert "cutoff = 1.0\nheight = 2.0\nshape = gaussian\nsigma = 0.3\n" in text
+        assert "[theory]\nalpha_up = 0.5\n" in text
 
     def test_snapshot_beyond_horizon(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -121,6 +156,11 @@ class TestConfig:
             ("scaling", "eps_list", "1 half"),
             ("hierarchy", "slice_offsets", "0 0.4x"),
             ("run", "snapshot_times", "0.5 one"),
+            ("model", "mortality", "nan"),
+            ("model", "torus_side", "inf"),
+            ("initial", "density", "nan"),
+            ("run", "dt", "nan"),
+            ("scaling", "eps_list", "1 nan"),
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, section, key, value):
@@ -130,15 +170,43 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"error-category: config: [{section}] {key}: not " in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_pair_bins_below_one_is_config_error(self, tmp_path, capsys, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(with_key(BASE_CFG, "stats", "pair_bins", value))
+        assert main(["analyze", "--config", str(p)]) == 2
+        assert "error-category: config: [stats] pair_bins must be >= 1" in capsys.readouterr().err
+
     def test_table_initial(self, tmp_path):
         vals = 0.2 + 0.1 * np.arange(50) / 50.0
         np.savetxt(tmp_path / "rho0.csv", vals, delimiter=",")
         p = tmp_path / "table.cfg"
-        p.write_text(
-            BASE_CFG.replace("kind = constant\ndensity = 0.5", "kind = table\nfile = rho0.csv")
-        )
+        p.write_text(TABLE_CFG)
         cfg = parse_config(str(p))
         assert np.allclose(cfg.rho0.values, vals)
+
+    def test_non_finite_table_cell_is_config_error(self, tmp_path, capsys):
+        vals = np.full(50, 0.5)
+        vals[7] = np.nan
+        np.savetxt(tmp_path / "rho0.csv", vals, delimiter=",")
+        p = tmp_path / "table.cfg"
+        p.write_text(TABLE_CFG)
+        out = str(tmp_path / "o")
+        assert main(["kinetic", "--config", str(p), "--out", out]) == 2
+        assert "error-category: config: initial table has a non-finite value" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_non_finite_kernel_file_is_rejected(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_text("0.0,1.0\n0.25,nan\n0.5,1.0\n")
+        p = tmp_path / "tab.cfg"
+        p.write_text(BASE_CFG.replace(
+            "[kernel.dispersal]\nshape = indicator\nheight = 1.0\nradius = 0.5",
+            "[kernel.dispersal]\nshape = tabulated\nfile = a.csv",
+        ))
+        out = str(tmp_path / "o")
+        assert main(["kinetic", "--config", str(p), "--out", out]) == 2
+        assert "error-category: invalid-parameter: tabulated values must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestCommands:

@@ -70,6 +70,17 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             Kernel("tabulated-grid", grid, -np.ones(grid.shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, grid, bad):
+        vals = np.ones(grid.shape)
+        vals[3] = bad
+        with pytest.raises(InvalidParameterError):
+            Kernel("tabulated-grid", grid, vals)
+
+    def test_tabulated_rejects_nan_offsets(self, grid):
+        with pytest.raises(InvalidParameterError):
+            make_tabulated_kernel([0.0, np.nan, 1.0], [1.0, 1.0, 1.0], 1, grid)
+
     def test_equality_and_hash_do_not_raise(self, grid):
         # identity semantics: equal tabulations are still distinct kernels
         k_a = make_indicator_kernel(1.0, 0.5, 1, grid)
@@ -206,3 +217,10 @@ class TestLookup:
         got = k.evaluate(dx if dim > 1 else dx[..., 0])
         assert got.shape == (50, 3)
         assert np.array_equal(got, oracles.kernel_at(k, dx if dim > 1 else dx[..., 0]))
+
+    def test_pair_values_match_pointwise_lookup(self):
+        g = Grid(1, 5.0, 41)
+        k = Kernel("tabulated-grid", g, np.random.default_rng(1).random(g.shape))
+        i = np.arange(g.cells)
+        assert np.array_equal(k.pair_values, k.values[np.subtract.outer(i, i) % g.cells])
+        assert k.pair_values is k.pair_values  # built once per kernel

@@ -115,10 +115,11 @@ def cmd_simulate(args, cfg):
         ),
         "summary.csv": (["run", "t", "N"], [runs, times, counts]),
         "runs.csv": (
-            ["run", "n0", "n_end", "events", "births", "natural_deaths", "competition_deaths",
-             "absorbed", "max_audit_drift"],
-            zip(*[(r, tr.n0, tr.n_end, tr.events, tr.births, tr.deaths - tr.competition_deaths,
-                   tr.competition_deaths, int(tr.absorbed), tr.max_audit_drift)
+            ["run", "n0", "n_end", "peak_n", "events", "proposals", "births", "natural_deaths",
+             "competition_deaths", "absorbed", "max_audit_drift"],
+            zip(*[(r, tr.n0, tr.n_end, tr.peak_n, tr.events, tr.proposals, tr.births,
+                   tr.deaths - tr.competition_deaths, tr.competition_deaths, int(tr.absorbed),
+                   tr.max_audit_drift)
                   for r, tr in enumerate(trajectories)]),
         ),
     }

@@ -181,6 +181,8 @@ def parse_config(path, overrides=None) -> RunConfig:
     population_cap = get("run", "population_cap")
     if runs < 1:
         raise ConfigError("[run] runs must be >= 1")
+    if seed < 0:
+        raise ConfigError("[run] seed must be >= 0")
 
     # the read order decides which fault is reported first; the remaining
     # keys are read in the order of RunConfig's fields
@@ -192,4 +194,6 @@ def parse_config(path, overrides=None) -> RunConfig:
     )
     if cfg.pair_bins < 1:
         raise ConfigError("[stats] pair_bins must be >= 1")
+    if not cfg.eps_list:
+        raise ConfigError("[scaling] eps_list must not be empty")
     return cfg

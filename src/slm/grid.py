@@ -69,7 +69,11 @@ class Grid:
 
     def offset_index(self, dx: np.ndarray) -> np.ndarray:
         """Index of the offset cell containing dx (nearest lattice offset)."""
-        return np.mod(np.floor(np.asarray(dx) / self.spacing + 0.5).astype(int), self.cells)
+        k = np.asarray(dx) / self.spacing
+        k += 0.5
+        idx = np.floor(k).astype(np.intp)
+        idx %= self.cells
+        return idx
 
 
 def require_same_grid(*grids: Grid) -> Grid:

@@ -71,7 +71,7 @@ class Kernel:
         idx = self.grid.offset_index(dx)
         if self.dim > 1:
             idx = idx @ self.grid.strides
-        return self.values.ravel()[idx]
+        return self.values.ravel().take(idx)
 
     def is_even(self, tol: float = 0.0) -> bool:
         v = self.values
@@ -82,15 +82,20 @@ class Kernel:
 
     # -- sampling --------------------------------------------------------
 
-    def sample_displacement(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+    def sample_displacement(self, rng: np.random.Generator, size: int | None = 1) -> np.ndarray:
         """Draw displacements from the density a/<a> (inverse CDF over cells
-        plus a uniform jitter inside the chosen cell).  Returns (size, dim).
+        plus a uniform jitter inside the chosen cell).  Returns (size, dim),
+        or one draw of shape (dim,) for ``size=None``, from the same stream
+        and arithmetic as ``size=1``.
         """
         if self.mass <= 0:
             raise InvalidParameterError("cannot sample from a kernel with zero mass")
         cdf = self._cdf
-        flat = np.searchsorted(cdf, rng.random(size), side="right")
         h = self.grid.spacing
+        if size is None:
+            flat = min(int(cdf.searchsorted(rng.random(), side="right")), cdf.size - 1)
+            return self._centres[flat] + rng.uniform(-0.5 * h, 0.5 * h, size=self.dim)
+        flat = np.searchsorted(cdf, rng.random(size), side="right")
         # one row of jitter per axis, drawn axis after axis
         jitter = rng.uniform(-0.5 * h, 0.5 * h, size=(self.dim, size))
         return self._centres[np.minimum(flat, cdf.size - 1)] + jitter.T

@@ -1,11 +1,17 @@
 """Exact event-driven simulation of the birth/death/competition process
 on a finite torus.
 
-Each particle dies at rate m + eps * c_i with c_i = sum_j a-(x_i - x_j),
-and the total birth rate is N <a+> with offspring displaced from the
-parent by a draw from a+/<a+>.  Waiting times are exponential in the
-total rate; competitive rates are maintained incrementally through a
-cell list and audited against a from-scratch recomputation.
+Each particle gives birth at rate <a+>, with offspring displaced from the
+parent by a draw from a+/<a+>, and dies at rate m + eps * c_i with
+c_i = sum_j a-(x_i - x_j).  The jumps are drawn by thinning against one
+per-particle bound B = <a+> + m + eps * c_hat with c_hat >= max_i c_i:
+proposals come at rate N B, each picks a particle uniformly and a level
+u uniform on [0, B), and u selects a birth, a natural death, a competitive
+death or, above <a+> + m + eps * c_i, a null proposal that changes
+nothing.  This has the law of the direct method and costs O(1) per
+proposal instead of a sum over all particles.  Competitive rates are
+maintained incrementally through a cell list and audited against a
+from-scratch recomputation.
 """
 from __future__ import annotations
 
@@ -45,7 +51,8 @@ class CellList:
     ``members[cell_of[i], slot_of[i]] == i``, and cell c fills its first
     ``count[c]`` slots.  ``nbr[c]`` lists the 3^d cells around c, or every
     cell when there are fewer than 4 per axis and the shell would wrap onto
-    itself.  At most MAX_CELLS cells are used.
+    itself.  At most MAX_CELLS cells are used.  ``columns`` numbers the
+    slots of a row of ``members``, for the candidates' mask.
     """
 
     def __init__(self, side: float, dim: int, interaction_radius: float, positions: np.ndarray):
@@ -53,6 +60,7 @@ class CellList:
         self.ncells = min(per_axis, round(MAX_CELLS ** (1 / dim)))
         self.width = side / self.ncells
         self.strides = self.ncells ** np.arange(dim - 1, -1, -1)
+        self._strides = self.strides.tolist()
         total = self.ncells**dim
         if self.ncells < 4:
             self.nbr = np.tile(np.arange(total), (total, 1))
@@ -69,13 +77,19 @@ class CellList:
         slots[order] = np.arange(n) - np.repeat(np.cumsum(self.count) - self.count, self.count)
         self.members = np.empty((total, max(8, 2 * int(self.count.max()))), dtype=np.intp)
         self.members[cells, slots] = np.arange(n)
+        self.columns = np.arange(self.members.shape[1])
         cap = max(16, 2 * n)
         self.cell_of = np.zeros(cap, dtype=np.intp)
         self.slot_of = np.zeros(cap, dtype=np.intp)
         self.cell_of[:n], self.slot_of[:n] = cells, slots
 
     def cell(self, pos: np.ndarray):
-        """Flat cell index of one position (dim,) or of each row of (n, dim)."""
+        """Flat cell index of one position (dim,), in plain Python, or of
+        each row of (n, dim)."""
+        if pos.ndim == 1:
+            top = self.ncells - 1
+            keys = (min(int(x / self.width), top) for x in pos.tolist())
+            return sum(k * s for k, s in zip(keys, self._strides))
         key = np.minimum((pos / self.width).astype(np.intp), self.ncells - 1)
         return key @ self.strides
 
@@ -83,14 +97,13 @@ class CellList:
         """Indices in the cells around cell c: a superset of the particles
         within one cell width of any point of c."""
         cells = self.nbr[c]
-        count = self.count[cells]
-        width = count.max()
-        return self.members[cells, :width][np.arange(width) < count[:, None]]
+        return self.members.take(cells, axis=0)[self.columns < self.count.take(cells)[:, None]]
 
     def add(self, i: int, c: int):
         k = self.count[c]
         if k == self.members.shape[1]:
             self.members = np.concatenate([self.members, np.empty_like(self.members)], axis=1)
+            self.columns = np.arange(self.members.shape[1])
         if i == len(self.cell_of):
             self.cell_of = np.concatenate([self.cell_of, np.zeros_like(self.cell_of)])
             self.slot_of = np.concatenate([self.slot_of, np.zeros_like(self.slot_of)])
@@ -121,14 +134,25 @@ class Event:
     time: float
 
 
+def _wrap(x: np.ndarray, side: float) -> np.ndarray:
+    """x mod side in [0, side): np.mod rounds a tiny negative x up to side."""
+    x = np.mod(x, side)
+    x[x == side] = 0.0
+    return x
+
+
 class Configuration:
     """Finite point configuration with incrementally maintained
-    competitive death rates c_i (unscaled by epsilon)."""
+    competitive death rates c_i (unscaled by epsilon) and a bound
+    ``crate_bound`` >= max_i c_i for the thinned event loop.  A birth
+    raises the bound to the rates it touches; deaths only lower rates, so
+    it stays valid until :meth:`tighten` resets it to the maximum.
+    """
 
     def __init__(self, positions: np.ndarray, side: float, dim: int, competition: Kernel):
         positions = np.asarray(positions, dtype=float).reshape(-1, dim)
         if positions.size and (positions.min() < 0 or positions.max() >= side):
-            positions = np.mod(positions, side)
+            positions = _wrap(positions, side)
         self.side = side
         self.dim = dim
         self.competition = competition
@@ -142,21 +166,24 @@ class Configuration:
         if self.interacting:
             self.cells = CellList(side, dim, competition.support_radius, positions)
             self.crate[:n] = self._exact_rates()
+        self.tighten()
 
     # -- geometry --------------------------------------------------------
 
-    def _neighbor_kernel(self, pos, cell: int, exclude: int = -1):
+    def _neighbor_kernel(self, pos, cell: int):
         """(indices, a-(x_j - pos)) over the cell-list neighbours of pos,
         which lies in ``cell``."""
         idx = self.cells.candidates(cell)
-        idx = idx[idx != exclude]
         return idx, self._kernel_from(pos, idx)
 
     def _kernel_from(self, pos, idx):
         """a-(x_j - pos) at minimum image for the particles ``idx``; ``pos``
         broadcasts against ``self.pos[idx]``."""
-        dx = self.pos[idx] - pos
-        dx -= self.side * np.round(dx / self.side)
+        dx = self.pos.take(idx, axis=0) - pos
+        image = dx / self.side
+        np.rint(image, out=image)
+        image *= self.side
+        dx -= image
         return self.competition.evaluate(dx if self.dim > 1 else dx[..., 0])
 
     def _exact_rates(self) -> np.ndarray:
@@ -190,19 +217,22 @@ class Configuration:
         if self.n == len(self.pos):
             self._grow()
         i = self.n
-        self.pos[i] = np.mod(position, self.side)
+        pos = self.pos[i] = _wrap(np.asarray(position, dtype=float), self.side)
         self.n += 1
         if self.interacting:
-            c = self.cells.cell(self.pos[i])
-            idx, vals = self._neighbor_kernel(self.pos[i], c)
+            c = self.cells.cell(pos)
+            idx, vals = self._neighbor_kernel(pos, c)
             self.crate[idx] += vals
             self.crate[i] = float(vals.sum())
+            touched = self.crate.take(idx).max(initial=0.0)
+            self.crate_bound = max(self.crate_bound, self.crate[i], touched)
             self.cells.add(i, c)
         return i
 
     def remove_particle(self, i: int):
         if self.interacting:
-            idx, vals = self._neighbor_kernel(self.pos[i], self.cells.cell_of[i], exclude=i)
+            # the candidates include i itself; c_i is overwritten or dropped below
+            idx, vals = self._neighbor_kernel(self.pos[i], self.cells.cell_of[i])
             self.crate[idx] -= vals
             self.cells.remove(i)
         last = self.n - 1
@@ -212,6 +242,11 @@ class Configuration:
             if self.interacting:
                 self.cells.relabel(last, i)
         self.n = last
+
+    def tighten(self):
+        """Reset ``crate_bound`` to max_i c_i."""
+        self.crate_bound = float(self.crate[: self.n].max(initial=0.0))
+        self.nulls = 0  # null proposals since the bound was last tightened
 
     # -- views and checks ------------------------------------------------
 
@@ -248,26 +283,21 @@ def init_poisson_field(rho0, competition: Kernel, rng: np.random.Generator) -> C
     return Configuration(pts, grid.side, grid.dim, competition)
 
 
-def total_rates(config: Configuration, params: ModelParams) -> tuple:
-    """(birth, death) totals: N <a+> and m N + eps * sum_i c_i."""
-    n = config.n
-    birth = n * params.dispersal.mass
-    death = params.mortality * n + params.epsilon * config.crate[:n].sum()
-    return birth, death
-
-
 def step_event(
     config: Configuration, params: ModelParams, rng: np.random.Generator, t: float = 0.0
 ) -> Event:
     """Advance the configuration by exactly one jump; mutates config in
-    place and returns the realized event (its time is t + waiting time).
+    place and returns the realized event (its time is t plus the waiting
+    times of the proposals up to and including the first real one).
     """
-    birth, death = total_rates(config, params)
-    total = birth + death
-    if total <= 0:
-        raise AbsorbedStateError("total event rate is zero")
-    t = t + rng.exponential(1.0 / total)
-    return _realize_event(config, params, rng, t, birth, total)
+    while True:
+        bound = _bound(config, params)
+        if config.n * bound <= 0:
+            raise AbsorbedStateError("total event rate is zero")
+        t = t + rng.exponential(1.0 / (config.n * bound))
+        ev = _propose(config, params, rng, t, bound)
+        if ev is not None:
+            return ev
 
 
 @dataclass
@@ -276,10 +306,12 @@ class Trajectory:
     snapshots: list  # position arrays, one per snapshot time
     n0: int = 0
     n_end: int = 0
+    peak_n: int = 0
     births: int = 0
     deaths: int = 0
     competition_deaths: int = 0
     events: int = 0
+    proposals: int = 0  # events plus null proposals
     absorbed: bool = False
     max_audit_drift: float = 0.0
     event_log: list = field(default_factory=list)
@@ -305,26 +337,29 @@ def run(
     times = sorted(float(s) for s in snapshot_times)
     if times and times[-1] > horizon + 1e-12:
         raise InvalidParameterError("snapshot times must not exceed the horizon")
-    traj = Trajectory(times=times, snapshots=[], n0=config.n)
+    traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
     t = 0.0
     next_snap = 0
     while next_snap < len(times):
-        birth, death = total_rates(config, params)
-        total = birth + death
-        if total <= 0:
+        bound = _bound(config, params)
+        if config.n * bound <= 0:
             traj.absorbed = True
             break
-        t = t + rng.exponential(1.0 / total)
-        # snapshots due before the jump see the configuration before it
+        t = t + rng.exponential(1.0 / (config.n * bound))
+        # snapshots due before the proposal see the configuration before it
         while next_snap < len(times) and t > times[next_snap]:
             traj.snapshots.append(config.positions())
             next_snap += 1
         if next_snap == len(times):
             break
-        ev = _realize_event(config, params, rng, t, birth, total)
+        traj.proposals += 1
+        ev = _propose(config, params, rng, t, bound)
+        if ev is None:
+            continue
         traj.events += 1
         if ev.kind == "birth":
             traj.births += 1
+            traj.peak_n = max(traj.peak_n, config.n)
         else:
             traj.deaths += 1
             traj.competition_deaths += ev.kind == "death-competition"
@@ -339,32 +374,41 @@ def run(
                 raise AuditDriftError(
                     f"rate drift {drift:.3g} above {AUDIT_TOLERANCE:g} at t={t:.6g}"
                 )
+            config.tighten()
     while len(traj.snapshots) < len(times):
         traj.snapshots.append(config.positions())
     traj.n_end = config.n
     return traj
 
 
-def _realize_event(config, params, rng, t, birth, total) -> Event:
-    """Event-type/position part of step_event with the waiting time already
-    drawn; ``birth`` and ``total`` are the current rates from total_rates."""
-    if rng.random() * total < birth:
-        parent = int(rng.integers(config.n))
-        disp = params.dispersal.sample_displacement(rng, 1)[0]
-        pos = np.mod(config.pos[parent] + disp, config.side)
-        config.add_particle(pos)
-        return Event("birth", pos, t)
-    n = config.n
-    weights = params.mortality + params.epsilon * config.crate[:n]
-    cum = np.cumsum(weights)
-    i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    i = min(i, n - 1)
-    comp = params.epsilon * config.crate[i]
-    kind = (
-        "death-competition"
-        if rng.random() * (params.mortality + comp) >= params.mortality
-        else "death-natural"
-    )
+def _bound(config, params) -> float:
+    """B = <a+> + m + eps * crate_bound, at least every particle's total rate."""
+    return params.dispersal.mass + params.mortality + params.epsilon * config.crate_bound
+
+
+def _propose(config, params, rng, t, bound) -> Event | None:
+    """One thinned proposal at time t against the bound from _bound: a
+    uniform particle i and a uniform level u on [0, bound) pick a birth
+    from i, its natural or competitive death, or nothing (None).  After as
+    many null proposals as particles the bound is tightened, which is O(1)
+    per proposal and ends the nulls once every c_i has dropped to zero.
+    """
+    i = int(rng.integers(config.n))
+    birth = params.dispersal.mass
+    natural = birth + params.mortality
+    u = rng.random() * bound
+    if u < birth:
+        j = config.add_particle(config.pos[i] + params.dispersal.sample_displacement(rng, None))
+        return Event("birth", config.pos[j].copy(), t)
+    if u < natural:
+        kind = "death-natural"
+    elif u < natural + params.epsilon * config.crate[i]:
+        kind = "death-competition"
+    else:
+        config.nulls += 1
+        if config.nulls >= config.n:
+            config.tighten()
+        return None
     pos = config.pos[i].copy()
     config.remove_particle(i)
     return Event(kind, pos, t)

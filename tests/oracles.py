@@ -4,9 +4,10 @@ They are the direct forms the package used before convolution went
 through the kernel's FFT and closures became contractions: a loop of
 ``np.roll`` shifts over the kernel support, the 1-d circulant matrix,
 and the full M^3 closure tensor k3.  For the simulator and the pair
-statistics they are the forms used before the array cell list and tree
-pair counting: O(N^2) minimum-image sums and distance matrices, the
-tuple-indexed kernel lookup, and the per-axis, per-cell sampling loops.
+statistics they are the forms used before the array cell list, the
+thinned event loop and tree pair counting: O(N^2) minimum-image sums and
+distance matrices, the per-event rate totals, the tuple-indexed kernel
+lookup, and the per-axis, per-cell sampling loops.
 The right-hand sides take each kernel's convolution from its own
 ``Kernel.convolve`` call, as the package did before one transform of a
 state served both kernels, and the CSV writer formats every cell.
@@ -120,6 +121,14 @@ def pair_rates(positions, side, kernel):
     vals = kernel_at(kernel, dx if kernel.dim > 1 else dx[..., 0])
     np.fill_diagonal(vals, 0.0)
     return vals.sum(axis=1)
+
+
+def total_rates(config, params):
+    """(birth, death) totals: N <a+> and m N + eps * sum_i c_i."""
+    n = config.n
+    birth = n * params.dispersal.mass
+    death = params.mortality * n + params.epsilon * config.crate[:n].sum()
+    return birth, death
 
 
 def audit(config):

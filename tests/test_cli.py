@@ -170,6 +170,25 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"error-category: config: [{section}] {key}: not " in err
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("run", "seed", "-1", "[run] seed must be >= 0"),
+            ("scaling", "eps_list", "", "[scaling] eps_list must not be empty"),
+        ],
+    )
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, section, key, value, message):
+        p = tmp_path / "bad.cfg"
+        p.write_text(with_key(BASE_CFG, section, key, value))
+        assert main(["analyze", "--config", str(p)]) == 2
+        assert f"error-category: config: {message}" in capsys.readouterr().err
+
+    def test_negative_seed_override_is_config_error(self, cfg_path, tmp_path, capsys):
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--config", cfg_path, "--out", out, "--seed", "-1"]) == 2
+        assert "error-category: config: [run] seed must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_pair_bins_below_one_is_config_error(self, tmp_path, capsys, value):
         p = tmp_path / "bad.cfg"
@@ -233,14 +252,17 @@ class TestCommands:
         assert main(["simulate", "--config", cfg_path, "--out", out, "--events"]) == 0
         lines = read(os.path.join(out, "runs.csv")).splitlines()
         assert lines[0] == (
-            "run,n0,n_end,events,births,natural_deaths,competition_deaths,absorbed,max_audit_drift"
+            "run,n0,n_end,peak_n,events,proposals,births,natural_deaths,competition_deaths,"
+            "absorbed,max_audit_drift"
         )
         table = np.loadtxt(os.path.join(out, "runs.csv"), delimiter=",", skiprows=1, ndmin=2)
         summary = np.loadtxt(os.path.join(out, "summary.csv"), delimiter=",", skiprows=1)
         assert table[:, 0].tolist() == [0, 1, 2, 3]
-        for run, n0, n_end, events, births, natural, competition, absorbed, drift in table:
+        for (run, n0, n_end, peak, events, proposals, births, natural, competition, absorbed,
+             drift) in table:
             assert births - natural - competition == n_end - n0
-            assert events == births + natural + competition > 0
+            assert proposals >= events == births + natural + competition > 0
+            assert peak >= max(n0, n_end)
             assert n_end == summary[(summary[:, 0] == run) & (summary[:, 1] == 1.0), 2][0]
             assert absorbed == 0 and 0.0 <= drift < 1e-9
             with open(os.path.join(out, f"events_run{int(run):04d}.csv")) as fh:
@@ -261,9 +283,8 @@ class TestCommands:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["simulate", "--config", cfg_path, "--out", out1])
         main(["simulate", "--config", cfg_path, "--out", out2, "--jobs", "2"])
-        assert read(os.path.join(out1, "snapshots.csv")) == read(
-            os.path.join(out2, "snapshots.csv")
-        )
+        for f in ("snapshots.csv", "runs.csv"):
+            assert read(os.path.join(out1, f)) == read(os.path.join(out2, f))
 
     def test_kinetic_outputs(self, cfg_path, tmp_path):
         out = str(tmp_path / "kin")

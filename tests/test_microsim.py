@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 import oracles
 from slm.errors import AbsorbedStateError, AuditDriftError, BlowUpError, InvalidParameterError
@@ -20,7 +22,6 @@ from slm.microsim import (
     run_ensemble,
     run_rng,
     step_event,
-    total_rates,
 )
 from slm.model import ModelParams
 
@@ -43,13 +44,13 @@ def params(grid):
 class TestRates:
     def test_empty_configuration(self, grid, params):
         config = Configuration(np.zeros((0, 1)), grid.side, 1, params.competition)
-        assert total_rates(config, params) == (0.0, 0.0)
+        assert oracles.total_rates(config, params) == (0.0, 0.0)
         with pytest.raises(AbsorbedStateError):
             step_event(config, params, run_rng(0, 0))
 
     def test_single_particle(self, grid, params):
         config = Configuration([[5.0]], grid.side, 1, params.competition)
-        birth, death = total_rates(config, params)
+        birth, death = oracles.total_rates(config, params)
         assert birth == pytest.approx(params.dispersal.mass)
         assert death == pytest.approx(params.mortality)
 
@@ -60,12 +61,12 @@ class TestRates:
         g = aminus.grid
         params = ModelParams(0.3, unit_mass_indicator(g, 0.5), aminus, epsilon=0.7)
         config = Configuration([[5.0], [5.2]], g.side, 1, aminus)
-        _, death = total_rates(config, params)
+        _, death = oracles.total_rates(config, params)
         assert death == pytest.approx(2 * 0.3 + 2 * 0.7 * 0.8)
 
     def test_two_far_particles(self, grid, params):
         config = Configuration([[1.0], [6.0]], grid.side, 1, params.competition)
-        _, death = total_rates(config, params)
+        _, death = oracles.total_rates(config, params)
         assert death == pytest.approx(2 * params.mortality)
 
     def test_periodic_wraparound_pair(self, grid, params):
@@ -103,6 +104,20 @@ class TestInit:
         # expected 15 vs 5 per L=10 box
         assert left / 200 == pytest.approx(15.0, abs=1.0)
         assert right / 200 == pytest.approx(5.0, abs=1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tiny_negative_coordinate_wraps_to_zero(self, dim):
+        # np.mod(-1e-20, 10) is 10.0 itself, outside [0, 10)
+        g = Grid(dim, 10.0, 20)
+        point = [-1e-20] + [3.0] * (dim - 1)
+        for kernel in (make_indicator_kernel(1.0, 0.5, dim, g), make_zero_kernel(g)):
+            config = Configuration([point], g.side, dim, kernel)
+            config.add_particle(np.array(point))
+            config.add_particle(np.array(point) - g.side)
+            pts = config.positions()
+            assert pts.min() >= 0.0 and pts.max() < g.side
+            assert np.array_equal(pts[:, 0], [0.0, 0.0, 0.0])
+            assert config.audit() < 1e-12
 
     def test_negative_intensity_rejected(self, grid, params):
         with pytest.raises(InvalidParameterError):
@@ -190,6 +205,17 @@ class TestRun:
             run(config, params, 50.0, [50.0], rng, population_cap=500)
         assert exc.value.population > 500
 
+    def test_blow_up_error_with_competition(self, grid):
+        # a- of mass 0.01: the carrying capacity (5 - 0)/0.01 per unit length is far above the cap
+        aminus = make_indicator_kernel(0.01, 0.5, 1, grid)
+        params = ModelParams(0.0, make_indicator_kernel(5.0, 0.5, 1, grid), aminus)
+        rng = run_rng(6, 0)
+        config = init_poisson(5.0, grid.side, 1, aminus, rng)
+        with pytest.raises(BlowUpError) as exc:
+            run(config, params, 50.0, [50.0], rng, population_cap=500)
+        assert exc.value.population == config.n == 501
+        assert config.audit() < 1e-12
+
     def test_zero_horizon_snapshot_is_initial_state(self, grid, params):
         rng = run_rng(8, 0)
         config = init_poisson(2.0, grid.side, 1, params.competition, rng)
@@ -204,7 +230,10 @@ class TestRun:
         n0 = config.n
         traj = run(config, params, 4.0, [4.0], rng, keep_events=True)
         assert traj.events == traj.births + traj.deaths == len(traj.event_log)
+        assert traj.proposals >= traj.events
         assert config.n == n0 + traj.births - traj.deaths
+        sizes = np.cumsum([n0] + [1 if e.kind == "birth" else -1 for e in traj.event_log])
+        assert traj.peak_n == sizes.max() >= max(traj.n0, traj.n_end)
         kinds = {e.kind for e in traj.event_log}
         assert kinds <= {"birth", "death-natural", "death-competition"}
 
@@ -246,14 +275,16 @@ class TestRun:
 
 # -- same-seed guard --------------------------------------------------------
 
-# Event logs recorded with the dict-of-sets cell list that the array cell
-# list replaced: counts, a SHA-256 of the kinds and positions, and (in
-# data/same_seed_event_times.json) every event time.
+# Event logs recorded with the thinned event loop: counts, a SHA-256 of
+# the kinds and positions, and (in data/same_seed_event_times.json) every
+# event time.  They replaced the logs of the direct method (one rate sum
+# and one cumulative sum per event), whose law the thinned loop keeps:
+# test_thinned_step_has_the_direct_law below is the statistical check.
 SAME_SEED = {
-    "1d": dict(events=96, births=47, natural=8, competition=41, n_end=12,
-               digest="432dcaddbaccd3b5504aae82372b80749c638a33363786e3b2acd977f1592d61"),
-    "2d": dict(events=63, births=27, natural=13, competition=23, n_end=85,
-               digest="5880430691ad736a0b6df70cfa379b15511241d22ac4fb70f159d47104fc225e"),
+    "1d": dict(events=90, births=42, natural=12, competition=36, n_end=8,
+               digest="66391a4acfbf3c837cd592faeab6247e6037c6da0706dd7e0b3b352a09488002"),
+    "2d": dict(events=84, births=42, natural=14, competition=28, n_end=94,
+               digest="31c82ed74e8f1a4999429d96b14174c6cfa923330177c83e1be65f0ef93a3285"),
 }
 
 
@@ -385,3 +416,168 @@ def test_start_and_sampler_draw_as_the_loops_did(dim):
     for size in (1, 7):
         got = kernel.sample_displacement(run_rng(dim, size), size)
         assert np.array_equal(got, oracles.sample_displacement(kernel, run_rng(dim, size), size))
+    one = kernel.sample_displacement(run_rng(dim, 1), None)
+    assert one.shape == (dim,)
+    assert np.array_equal(one, oracles.sample_displacement(kernel, run_rng(dim, 1), 1)[0])
+
+
+# -- the thinned event loop -------------------------------------------------
+
+KINDS = ("birth", "death-natural", "death-competition")
+
+
+def equivalence_case(dim):
+    """A Configuration whose c_i are unequal (a tight cluster, a loose one
+    and isolated points), and its model."""
+    g = Grid(dim, 10.0, 40)
+    params = ModelParams(
+        0.3, make_indicator_kernel(0.05, 0.8, dim, g), make_gaussian_kernel(0.4, dim, g), 0.7
+    )
+    rng = np.random.default_rng(dim)
+    pts = np.concatenate([
+        2.0 + 0.3 * rng.random((6, dim)),
+        6.0 + 1.2 * rng.random((5, dim)),
+        rng.uniform(0.0, 10.0, size=(6, dim)),
+    ])
+    return Configuration(pts, g.side, dim, params.competition), params
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_thinned_step_has_the_direct_law(dim):
+    # one step_event on a fresh copy, 10 000 times, against the exact rates
+    config, params = equivalence_case(dim)
+    n = config.n
+    crate = config.crate[:n]
+    assert len(np.unique(crate)) > 4 and config.crate_bound == crate.max()
+    birth, death = oracles.total_rates(config, params)
+    natural = params.mortality * n
+    index = {tuple(p): i for i, p in enumerate(config.positions().tolist())}
+    draws = 10_000
+    rng = run_rng(99, dim)
+    kinds, dying, waits = [], [], np.empty(draws)
+    for k in range(draws):
+        ev = step_event(copy.deepcopy(config), params, rng)
+        kinds.append(ev.kind)
+        waits[k] = ev.time
+        if ev.kind != "birth":
+            dying.append(index[tuple(ev.position.tolist())])
+    counts = [kinds.count(kind) for kind in KINDS]
+    expected = np.array([birth, natural, death - natural]) / (birth + death) * draws
+    assert sps.chisquare(counts, expected).pvalue > 0.001
+    weights = params.mortality + params.epsilon * crate
+    got = np.bincount(dying, minlength=n)
+    assert sps.chisquare(got, weights / weights.sum() * len(dying)).pvalue > 0.001
+    se = waits.std(ddof=1) / np.sqrt(draws)
+    assert abs(waits.mean() - 1.0 / (birth + death)) < 3.0 * se
+
+
+def bound_holds(config, params):
+    top = config.crate[: config.n].max(initial=0.0)
+    return config.crate_bound >= top and (
+        params.dispersal.mass + params.mortality + params.epsilon * config.crate_bound
+        >= params.dispersal.mass + params.mortality + params.epsilon * top
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(RADII),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_bound_covers_every_rate_after_every_event(dim, radius, mortality, epsilon, seed):
+    grid = Grid(dim, 4.0, CELLS[dim])
+    aminus = make_indicator_kernel(1.0, radius, dim, grid)
+    params = ModelParams(mortality, make_indicator_kernel(0.5, 0.6, dim, grid), aminus, epsilon)
+    rng = run_rng(seed, 0)
+    config = init_poisson(1.5, grid.side, dim, aminus, rng)
+    assert bound_holds(config, params)
+    t = 0.0
+    for _ in range(60):
+        if config.n == 0:
+            break
+        t = step_event(config, params, rng, t).time
+        assert bound_holds(config, params)
+    assert config.audit() < 1e-12
+
+
+def test_zero_epsilon_proposes_only_real_events(grid):
+    aminus = make_indicator_kernel(5.0, 0.5, 1, grid)  # large rates that eps = 0 switches off
+    params = ModelParams(0.3, unit_mass_indicator(grid, 0.5), aminus, 0.0)
+    rng = run_rng(12, 0)
+    config = init_poisson(2.0, grid.side, 1, aminus, rng)
+    traj = run(config, params, 3.0, [3.0], rng)
+    assert traj.events > 0 and traj.proposals == traj.events
+    assert traj.competition_deaths == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_zero_competition_kernel_needs_no_cell_list(dim):
+    g = Grid(dim, 4.0, CELLS[dim])
+    params = ModelParams(0.4, make_indicator_kernel(0.5, 0.6, dim, g), make_zero_kernel(g), 1.0)
+    rng = run_rng(13, dim)
+    config = init_poisson(2.0, g.side, dim, params.competition, rng)
+    assert not hasattr(config, "cells")
+    traj = run(config, params, 1.0, [1.0], rng)
+    assert traj.events > 0 and traj.proposals == traj.events
+    assert traj.competition_deaths == 0 and config.crate_bound == 0.0
+    assert len(traj.snapshots[0]) == config.n == traj.n0 + traj.births - traj.deaths
+
+
+def test_no_births_and_no_mortality_is_absorbed_once_isolated(grid):
+    # a+ = 0 and m = 0: the cluster thins out by competition until its
+    # survivors are isolated, then the stale bound gives only null proposals
+    # until it is tightened to zero
+    aminus = make_indicator_kernel(1.0, 0.5, 1, grid)
+    params = ModelParams(0.0, make_zero_kernel(grid), aminus)
+    pts = [[5.0], [5.1], [5.2], [8.0]]
+    traj = run(Configuration(pts, grid.side, 1, aminus), params, 50.0, [1.0, 50.0], run_rng(14, 0))
+    assert traj.absorbed and traj.births == 0
+    assert traj.events == traj.competition_deaths == 2 and traj.n_end == 2
+    assert all(len(s) == 2 for s in traj.snapshots)
+    config = Configuration(pts, grid.side, 1, aminus)
+    rng = run_rng(14, 1)
+    step_event(config, params, rng)
+    step_event(config, params, rng)
+    assert config.crate_bound > 0.0 == config.crate[: config.n].max()
+    with pytest.raises(AbsorbedStateError):
+        step_event(config, params, rng)
+    # and with no rate at all from the start
+    config = Configuration([[1.0], [6.0]], grid.side, 1, aminus)
+    assert config.crate_bound == 0.0
+    with pytest.raises(AbsorbedStateError):
+        step_event(config, params, rng)
+
+
+def test_step_event_returns_a_real_event_after_null_proposals(grid):
+    config, params = equivalence_case(1)
+    n = config.n
+    loose = config.crate_bound = 1e3 * config.crate_bound  # still a bound, so still exact
+    rng = run_rng(15, 0)
+    ev = step_event(config, params, rng, t=2.0)
+    assert ev.kind in KINDS and ev.time > 2.0
+    assert config.n == n + (1 if ev.kind == "birth" else -1)
+    # only n null proposals tighten the bound, so at least n happened
+    assert config.crate_bound < loose
+    assert config.audit() < 1e-12
+
+
+def test_audit_tightens_the_bound(grid, params):
+    # at eps = 0 no proposal is null, so only the audits tighten
+    rng = run_rng(16, 0)
+    config = init_poisson(3.0, grid.side, 1, params.competition, rng)
+    config.crate_bound += 1.0
+    traj = run(config, params.with_epsilon(0.0), 2.0, [2.0], rng, audit_interval=1)
+    assert traj.events >= 1 and config.crate_bound == config.crate[: config.n].max()
+
+
+def test_audit_interval_counts_real_events(grid, params, monkeypatch):
+    calls = []
+    rng = run_rng(17, 0)
+    config = init_poisson(3.0, grid.side, 1, params.competition, rng)
+    monkeypatch.setattr(config, "audit", lambda: calls.append(1) or 0.0)
+    traj = run(config, params, 6.0, [6.0], rng, audit_interval=7)
+    assert traj.proposals > traj.events
+    assert len(calls) == traj.events // 7

@@ -479,13 +479,32 @@ def test_readme_example_config(tmp_path, capsys):
     assert "error-category: instability" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    # no command needs scipy, and importing scipy.optimize dominated start-up
-    code = "import sys, slm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_cli_import_loads_no_scipy(cfg_path, tmp_path):
+    # scipy is a test dependency only: every command runs in one fresh
+    # process, which must end with no scipy module loaded
+    commands = [
+        ["simulate"],
+        ["stats", "--snapshots", str(tmp_path / "simulate")],
+        ["kinetic"],
+        ["hierarchy"],
+        ["scaling", "--mode", "hierarchy"],
+        ["analyze"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from slm.cli import main\n"
+        "cfg, out, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
+        "codes = [main([cmd, '--config', cfg, '--out', f'{out}/{cmd}', *flags])\n"
+        "         for cmd, *flags in commands]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["slm"].__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    argv = [sys.executable, "-c", code, cfg_path, str(tmp_path), json.dumps(commands)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert loaded == []
 
 
 class TestFailures:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import oracles
 from slm.errors import InvalidParameterError
 from slm.grid import Grid
 from slm.kernels import ball_volume
 from slm.stats import (
+    _pair_counts,
     default_pair_edges,
     density_estimate,
     estimate_correlations,
@@ -121,7 +125,7 @@ def ordered_counts(pts, side, edges):
 
 
 class TestPairCounting:
-    """Tree pair counts against np.histogram of the dense distance matrix."""
+    """Pair counts against np.histogram of the dense distance matrix."""
 
     @pytest.mark.parametrize("dim, n", [(1, 300), (2, 400), (3, 300)])
     def test_matches_dense_histogram(self, dim, n):
@@ -178,6 +182,57 @@ class TestPairCounting:
         pts = np.array([[-1e-20, 5.0], [0.5, 5.0], [9.75, 5.0]])
         edges = np.array([0.0, 0.3, 0.6, 0.9])
         assert ordered_counts(pts, 10.0, edges).tolist() == [2, 2, 2]
+
+
+@st.composite
+def counting_cases(draw):
+    """(points, side, edges) with r_max = L/2, r_max in (L/3, L/2) (one
+    cell per axis) or r_max < L/3 (three or more); points on a dyadic
+    lattice with dyadic edges, so that distances fall on edges, or
+    uniform; some coordinates pinned to 0 or to -1e-20, which np.mod
+    rounds to L."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 60))
+    side = draw(st.sampled_from([4.0, 8.0, 20.0]))
+    eighths = int(8 * side)  # r_max counts eighths, so it is never L/3
+    half, third = eighths // 2, eighths // 3
+    low, high = draw(st.sampled_from([(half, half), (third + 1, half), (1, third)]))
+    rmax = draw(st.integers(low, high)) / 8
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.integers(0, eighths - 1), min_size=n * dim, max_size=n * dim))
+        pts = np.reshape(pts, (n, dim)) / 8
+        inner = draw(st.lists(st.integers(0, int(16 * rmax) - 1), max_size=8)) / np.float64(16)
+    else:
+        pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, side, (n, dim))
+        inner = rmax * np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8)))
+    edges = np.unique(np.append(inner, [0.0, rmax] if draw(st.booleans()) else [rmax]))
+    if n:
+        pin = st.tuples(
+            st.integers(0, n - 1), st.integers(0, dim - 1), st.sampled_from([0.0, -1e-20])
+        )
+        for i, ax, x in draw(st.lists(pin, max_size=4)):
+            pts[i, ax] = x
+    return pts, side, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(counting_cases())
+# 4 cells of width r_max = 5 would put this pair at distance 5 into cells 1 and 3
+@example((np.array([[9.999999999999998], [14.999999999999998]]), 20.0, np.array([0.0, 5.0])))
+# -1e-20 wraps to 0, not to L: L - (L - 0.1) is not 0.1, and 0.1 is an edge
+@example((np.array([[-1e-20], [0.1]]), 10.0, np.array([0.0, 0.1, 0.2])))
+def test_pair_counts_match_the_tree_and_the_dense_histogram(case):
+    pts, side, edges = case
+    radii = np.append(np.nextafter(edges[:-1], 0.0), edges[-1])  # as pair_correlation counts
+    got = _pair_counts(pts, side, radii)
+    wrapped = np.mod(pts, side)
+    wrapped[wrapped == side] = 0.0
+    tree = cKDTree(wrapped, boxsize=side)
+    assert np.array_equal(got, tree.count_neighbors(tree, radii) - len(pts))
+    # radii below each edge give [lo, hi) bins; a first edge at 0 opens the first bin
+    if edges[0] == 0.0:
+        got[0] = 0
+    assert np.array_equal(np.diff(got), oracles.pair_distance_counts(wrapped, side, edges))
 
 
 class TestSubPoisson:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import parse_config
+from .config import parse_config, read_table
 from .errors import InvalidParameterError, SLMError
 from .hierarchy import TruncatedState, solve_hierarchy
 from .kernels import domination_theta
@@ -160,11 +160,12 @@ def cmd_hierarchy(args, cfg):
         state0, cfg.closure, cfg.params, cfg.horizon, cfg.dt, cfg.snapshot_times
     )
     h, m = cfg.grid.spacing, cfg.grid.cells
-    offsets = cfg.slice_offsets or [k * h for k in range(0, min(9, m // 2), 2)]
+    # each row is labelled with the minimum-image grid offset it reads
+    shifts = [round(r / h) % m for r in cfg.slice_offsets] or range(0, min(9, m // 2), 2)
     slices = [
-        (t, r, float(np.diagonal(np.roll(st.k2.values, -(round(r / h) % m), axis=1)).mean()))
+        (t, min(k, m - k) * h, float(np.diagonal(np.roll(st.k2.values, -k, axis=1)).mean()))
         for t, st in zip(cfg.snapshot_times, snaps)
-        for r in offsets
+        for k in shifts
     ]
     print(f"max symmetry drift per step: {diag['max_symmetry_drift']:.3e}")
     return {
@@ -179,13 +180,13 @@ def cmd_hierarchy(args, cfg):
 def cmd_stats(args, cfg):
     # (run, t, N) comes from summary.csv: a run empty at t enters as a (0, d) array
     sum_path = os.path.join(args.snapshots, "summary.csv")
-    index = np.loadtxt(sum_path, delimiter=",", skiprows=1, ndmin=2)
+    index = read_table(sum_path, SLMError, skiprows=1, ndmin=2)
     if index.size == 0:
         raise SLMError(f"no summary rows in {sum_path}")
     data = np.empty((0, 2 + cfg.grid.dim))
     if index[:, 2].any():
         snap_path = os.path.join(args.snapshots, "snapshots.csv")
-        data = np.loadtxt(snap_path, delimiter=",", skiprows=1, ndmin=2)
+        data = read_table(snap_path, SLMError, skiprows=1, ndmin=2)
     edges = default_pair_edges(
         cfg.grid.side,
         max(cfg.params.dispersal.support_radius, cfg.params.competition.support_radius),

@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SLMError
+from .errors import ConfigError, InvalidParameterError, SLMError
 from .grid import Grid
 from .kernels import (
     Kernel,
-    load_tabulated_kernel,
     make_gaussian_kernel,
     make_indicator_kernel,
+    make_tabulated_kernel,
     make_zero_kernel,
 )
 from .kinetic import Field
@@ -77,6 +77,14 @@ class RunConfig:
         return "\n".join(lines)
 
 
+def read_table(path, error=ConfigError, **kwargs) -> np.ndarray:
+    """Comma-separated numbers; an unreadable file or cell raises ``error``."""
+    try:
+        return np.loadtxt(path, delimiter=",", **kwargs)
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+
+
 def _build_kernel(get, section, grid, base_dir) -> Kernel:
     shape = get(section, "shape")
     if shape == "indicator":
@@ -90,7 +98,11 @@ def _build_kernel(get, section, grid, base_dir) -> Kernel:
             cutoff=get(section, "cutoff", optional=True),
         )
     if shape == "tabulated":
-        return load_tabulated_kernel(os.path.join(base_dir, get(section, "file")), grid.dim, grid)
+        path = os.path.join(base_dir, get(section, "file"))
+        data = read_table(path, ndmin=2)
+        if data.shape[1] != 2:
+            raise InvalidParameterError(f"{path}: expected two columns (offset, value)")
+        return make_tabulated_kernel(data[:, 0], data[:, 1], grid.dim, grid)
     if shape == "zero":
         return make_zero_kernel(grid)
     raise ConfigError(f"[{section}] unknown kernel shape {shape!r}")
@@ -156,7 +168,7 @@ def parse_config(path, overrides=None) -> RunConfig:
     if kind == "constant":
         rho0 = Field.constant(grid, get("initial", "density"))
     elif kind == "table":
-        vals = np.loadtxt(os.path.join(base_dir, get("initial", "file")), delimiter=",")
+        vals = read_table(os.path.join(base_dir, get("initial", "file")))
         if vals.size != grid.size:
             raise ConfigError(f"initial table has {vals.size} values, grid needs {grid.size}")
         if not np.all(np.isfinite(vals)):

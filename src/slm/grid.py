@@ -1,16 +1,21 @@
-"""Uniform periodic grid on a d-dimensional torus.
+"""Uniform periodic grid on a d-dimensional torus, and the one search for
+nearby pairs of points on it (simulator rates and cell list, pair counts).
 
 The same grid underlies tabulated kernels, density fields and pair
 functions, so that discrete conservation identities close exactly.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import IncompatibleGridsError, InvalidParameterError
+
+MAX_CELLS = 1 << 16  # cells of a pair search; wider cells only add candidates, more cost memory
+PAIR_BLOCK = 1 << 15  # candidate pairs per block of pair_blocks; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -82,3 +87,57 @@ def require_same_grid(*grids: Grid) -> Grid:
         if g != first:
             raise IncompatibleGridsError(f"grids differ: {first} vs {g}")
     return first
+
+
+def wrap(x: np.ndarray, side: float) -> np.ndarray:
+    """x mod side in [0, side): np.mod rounds a tiny negative x up to side."""
+    x = np.mod(x, side)
+    x[x == side] = 0.0
+    return x
+
+
+def sort_by_cell(pts: np.ndarray, side: float, radius: float):
+    """(order, keys, k): points of [0, side)^d sorted stably by cell in C
+    order, their per-axis cells in that order, and k cells per axis, each
+    at least radius (1 + 1e-9) wide so that rounding cannot put a pair at
+    most ``radius`` apart on each axis two cells apart.  At most MAX_CELLS
+    cells; one holds every point when fewer than 3 per axis fit."""
+    n, dim = pts.shape
+    k = min(int(side / (radius * (1 + 1e-9))), round(MAX_CELLS ** (1 / dim))) if radius > 0 else 1
+    k = k if k >= 3 else 1
+    keys = np.minimum((pts / (side / k)).astype(np.intp), k - 1)
+    order = np.argsort(np.ravel_multi_index(keys.T, (k,) * dim), kind="stable")
+    return order, keys[order], k
+
+
+def pair_blocks(keys: np.ndarray, k: int):
+    """Every unordered pair of points in the same or adjacent cells once,
+    for points sorted by :func:`sort_by_cell` with cells ``keys``: each
+    cell meets the rest of itself (j > i) and the (3^d - 1)/2 cells at
+    lexicographically positive offsets.  Yields blocks of about PAIR_BLOCK
+    pairs as (rows, w, j): sorted point ``rows.start + r`` meets the next
+    ``w[r]`` sorted points listed in ``j``."""
+    n, dim = keys.shape
+    shape = (k,) * dim
+    flat = np.ravel_multi_index(keys.T, shape)
+    start = np.searchsorted(flat, np.arange(k**dim + 1))
+    # each row's candidate columns [lo, hi): the rest of its cell, then each shell cell
+    spans = [(np.arange(1, n + 1), start[flat + 1])]
+    for off in itertools.product((-1, 0, 1), repeat=dim):
+        if k > 1 and off > (0,) * dim:
+            nbr = np.ravel_multi_index((keys + off).T, shape, mode="wrap")
+            spans.append((start[nbr], start[nbr + 1]))
+    count = np.arange(max(PAIR_BLOCK, n))  # a block is at most PAIR_BLOCK pairs or one row
+    for lo, hi in spans:
+        width = hi - lo
+        ends = np.cumsum(width)
+        a = 0
+        while a < n:
+            done = ends[a - 1] if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, side="right")))
+            w = width[a:b]
+            # pair p of the block is row i, column lo[i] + (p - first p of row i)
+            j = np.repeat(lo[a:b] - (ends[a:b] - w - done), w)
+            j += count[: len(j)]
+            yield slice(a, b), w, j
+            a = b

@@ -55,13 +55,11 @@ class Kernel:
     def dim(self) -> int:
         return self.grid.dim
 
-    @property
+    @cached_property
     def support_radius(self) -> float:
-        """Radius of the smallest ball of offset-cell centers covering supp(a)."""
-        nz = self.values > 0
-        if not nz.any():
-            return 0.0
-        return float(self.grid.offset_radii()[nz].max() + 0.5 * self.grid.spacing)
+        """Largest offset-cell centre radius in supp(a), plus half a cell."""
+        radii = self.grid.offset_radii()[self.values > 0]
+        return float(radii.max() + 0.5 * self.grid.spacing) if radii.size else 0.0
 
     def evaluate(self, dx: np.ndarray) -> np.ndarray:
         """Kernel value at continuous offset(s) ``dx``.
@@ -222,13 +220,6 @@ def make_tabulated_kernel(offsets: np.ndarray, profile: np.ndarray, dim: int, gr
     r = grid.offset_radii()
     vals = np.interp(r, offsets, profile, right=0.0)
     return Kernel("tabulated-grid", grid, vals)
-
-
-def load_tabulated_kernel(path, dim: int, grid: Grid) -> Kernel:
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise InvalidParameterError(f"{path}: expected two columns (offset, value)")
-    return make_tabulated_kernel(data[:, 0], data[:, 1], dim, grid)
 
 
 def make_zero_kernel(grid: Grid) -> Kernel:

@@ -11,7 +11,8 @@ death or, above <a+> + m + eps * c_i, a null proposal that changes
 nothing.  This has the law of the direct method and costs O(1) per
 proposal instead of a sum over all particles.  Competitive rates are
 maintained incrementally through a cell list and audited against a
-from-scratch recomputation.
+recomputation over the pair search of :mod:`slm.grid`, whose cells the
+cell list shares.
 """
 from __future__ import annotations
 
@@ -27,14 +28,13 @@ from .errors import (
     BlowUpError,
     InvalidParameterError,
 )
+from .grid import pair_blocks, sort_by_cell, wrap
 from .kernels import Kernel
 from .model import ModelParams
 
 DEFAULT_POPULATION_CAP = 1_000_000
 AUDIT_INTERVAL = 10_000
 AUDIT_TOLERANCE = 1e-9
-EXACT_BLOCK = 1 << 16  # pairs per block when rates are recomputed from scratch
-MAX_CELLS = 1 << 16  # cell-list cells; wider cells only add candidates, more cost memory
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -44,54 +44,45 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
 
 
 class CellList:
-    """Array-backed spatial hash with cell width >= the competition support
-    radius, so interacting pairs always sit in neighbouring cells.
+    """Array-backed spatial hash in the cells that :func:`grid.sort_by_cell`
+    gives a search within the competition support radius, so interacting
+    pairs always sit in neighbouring cells.
 
     Particle i fills slot ``slot_of[i]`` of cell ``cell_of[i]``, i.e.
     ``members[cell_of[i], slot_of[i]] == i``, and cell c fills its first
-    ``count[c]`` slots.  ``nbr[c]`` lists the 3^d cells around c, or every
-    cell when there are fewer than 4 per axis and the shell would wrap onto
-    itself.  At most MAX_CELLS cells are used.  ``columns`` numbers the
-    slots of a row of ``members``, for the candidates' mask.
+    ``count[c]`` slots.  ``nbr[c]`` lists the 3^d cells around c, or c
+    alone when one cell holds every point.  ``columns`` numbers the slots
+    of a row of ``members``, for the candidates' mask.
     """
 
     def __init__(self, side: float, dim: int, interaction_radius: float, positions: np.ndarray):
-        per_axis = 1 if interaction_radius <= 0 else max(1, int(side / interaction_radius))
-        self.ncells = min(per_axis, round(MAX_CELLS ** (1 / dim)))
+        # the stable sort puts a cell's members in index order, as n successive adds would
+        order, keys, self.ncells = sort_by_cell(positions, side, interaction_radius)
         self.width = side / self.ncells
         self.strides = self.ncells ** np.arange(dim - 1, -1, -1)
         self._strides = self.strides.tolist()
         total = self.ncells**dim
-        if self.ncells < 4:
-            self.nbr = np.tile(np.arange(total), (total, 1))
-        else:
-            keys = np.indices((self.ncells,) * dim).reshape(dim, -1).T
-            shell = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
-            self.nbr = ((keys[:, None, :] + shell) % self.ncells) @ self.strides
-        n = len(positions)
-        cells = self.cell(positions)
+        steps = (-1, 0, 1) if self.ncells > 1 else (0,)
+        shell = np.array(list(itertools.product(steps, repeat=dim)))
+        grid_keys = np.indices((self.ncells,) * dim).reshape(dim, -1).T
+        self.nbr = ((grid_keys[:, None, :] + shell) % self.ncells) @ self.strides
+        cells = keys @ self.strides
         self.count = np.bincount(cells, minlength=total)
-        # slots in index order within each cell, as n successive adds would fill them
-        order = np.argsort(cells, kind="stable")
-        slots = np.empty(n, dtype=np.intp)
-        slots[order] = np.arange(n) - np.repeat(np.cumsum(self.count) - self.count, self.count)
+        slots = np.arange(len(cells)) - np.repeat(np.cumsum(self.count) - self.count, self.count)
         self.members = np.empty((total, max(8, 2 * int(self.count.max()))), dtype=np.intp)
-        self.members[cells, slots] = np.arange(n)
+        self.members[cells, slots] = order
         self.columns = np.arange(self.members.shape[1])
-        cap = max(16, 2 * n)
+        cap = max(16, 2 * len(cells))
         self.cell_of = np.zeros(cap, dtype=np.intp)
         self.slot_of = np.zeros(cap, dtype=np.intp)
-        self.cell_of[:n], self.slot_of[:n] = cells, slots
+        self.cell_of[order], self.slot_of[order] = cells, slots
 
-    def cell(self, pos: np.ndarray):
-        """Flat cell index of one position (dim,), in plain Python, or of
-        each row of (n, dim)."""
-        if pos.ndim == 1:
-            top = self.ncells - 1
-            keys = (min(int(x / self.width), top) for x in pos.tolist())
-            return sum(k * s for k, s in zip(keys, self._strides))
-        key = np.minimum((pos / self.width).astype(np.intp), self.ncells - 1)
-        return key @ self.strides
+    def cell(self, pos: np.ndarray) -> int:
+        """Flat cell index of one position (dim,) in plain Python, by the
+        arithmetic of :func:`grid.sort_by_cell`."""
+        top = self.ncells - 1
+        keys = (min(int(x / self.width), top) for x in pos.tolist())
+        return sum(k * s for k, s in zip(keys, self._strides))
 
     def candidates(self, c: int) -> np.ndarray:
         """Indices in the cells around cell c: a superset of the particles
@@ -134,13 +125,6 @@ class Event:
     time: float
 
 
-def _wrap(x: np.ndarray, side: float) -> np.ndarray:
-    """x mod side in [0, side): np.mod rounds a tiny negative x up to side."""
-    x = np.mod(x, side)
-    x[x == side] = 0.0
-    return x
-
-
 class Configuration:
     """Finite point configuration with incrementally maintained
     competitive death rates c_i (unscaled by epsilon) and a bound
@@ -150,9 +134,7 @@ class Configuration:
     """
 
     def __init__(self, positions: np.ndarray, side: float, dim: int, competition: Kernel):
-        positions = np.asarray(positions, dtype=float).reshape(-1, dim)
-        if positions.size and (positions.min() < 0 or positions.max() >= side):
-            positions = _wrap(positions, side)
+        positions = wrap(np.asarray(positions, dtype=float).reshape(-1, dim), side)
         self.side = side
         self.dim = dim
         self.competition = competition
@@ -170,12 +152,6 @@ class Configuration:
 
     # -- geometry --------------------------------------------------------
 
-    def _neighbor_kernel(self, pos, cell: int):
-        """(indices, a-(x_j - pos)) over the cell-list neighbours of pos,
-        which lies in ``cell``."""
-        idx = self.cells.candidates(cell)
-        return idx, self._kernel_from(pos, idx)
-
     def _kernel_from(self, pos, idx):
         """a-(x_j - pos) at minimum image for the particles ``idx``; ``pos``
         broadcasts against ``self.pos[idx]``."""
@@ -187,20 +163,18 @@ class Configuration:
         return self.competition.evaluate(dx if self.dim > 1 else dx[..., 0])
 
     def _exact_rates(self) -> np.ndarray:
-        """c_i recomputed from scratch, a block of members of one cell at a
-        time against the candidates around that cell."""
+        """c_i recomputed from scratch over the blocks of the pair search:
+        one a- value per unordered pair, added to both ends."""
         rates = np.zeros(self.n)
-        if not self.interacting:
-            return rates
-        cl = self.cells
-        for c in np.flatnonzero(cl.count):
-            idx = cl.candidates(c)
-            step = max(1, EXACT_BLOCK // len(idx))  # bounds the block when one cell holds all
-            for start in range(0, cl.count[c], step):
-                own = cl.members[c, start : min(start + step, cl.count[c])]
-                vals = self._kernel_from(self.pos[own, None], idx)
-                vals[own[:, None] == idx] = 0.0
-                rates[own] = vals.sum(axis=1)
+        if self.interacting:
+            pos = self.pos[: self.n]
+            order, keys, k = sort_by_cell(pos, self.side, self.competition.support_radius)
+            for rows, w, j in pair_blocks(keys, k):
+                i = np.repeat(order[rows], w)
+                j = order.take(j)
+                vals = self._kernel_from(pos.take(i, axis=0), j)
+                rates += np.bincount(i, vals, self.n)
+                rates += np.bincount(j, vals, self.n)
         return rates
 
     # -- mutation --------------------------------------------------------
@@ -217,11 +191,12 @@ class Configuration:
         if self.n == len(self.pos):
             self._grow()
         i = self.n
-        pos = self.pos[i] = _wrap(np.asarray(position, dtype=float), self.side)
+        pos = self.pos[i] = wrap(np.asarray(position, dtype=float), self.side)
         self.n += 1
         if self.interacting:
             c = self.cells.cell(pos)
-            idx, vals = self._neighbor_kernel(pos, c)
+            idx = self.cells.candidates(c)
+            vals = self._kernel_from(pos, idx)
             self.crate[idx] += vals
             self.crate[i] = float(vals.sum())
             touched = self.crate.take(idx).max(initial=0.0)
@@ -232,8 +207,8 @@ class Configuration:
     def remove_particle(self, i: int):
         if self.interacting:
             # the candidates include i itself; c_i is overwritten or dropped below
-            idx, vals = self._neighbor_kernel(self.pos[i], self.cells.cell_of[i])
-            self.crate[idx] -= vals
+            idx = self.cells.candidates(self.cells.cell_of[i])
+            self.crate[idx] -= self._kernel_from(self.pos[i], idx)
             self.cells.remove(i)
         last = self.n - 1
         if i != last:

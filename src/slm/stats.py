@@ -3,21 +3,17 @@ sub-Poissonian diagnostic.
 
 All standard errors are computed across runs; the pair function is
 estimated radially under spatial homogeneity with minimum-image
-distances.
+distances, counted exactly over the pair search of :mod:`slm.grid`.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import Grid
+from .grid import Grid, pair_blocks, sort_by_cell, wrap
 from .kernels import ball_volume
-from .microsim import MAX_CELLS
-
-PAIR_BLOCK = 1 << 15  # candidate pairs per block of the pair counter; bounds its temporaries
 
 
 @dataclass
@@ -76,61 +72,26 @@ def _pair_counts(pts: np.ndarray, side: float, radii: np.ndarray) -> np.ndarray:
     points wrapped into [0, L)^d, ``cKDTree(pts, boxsize=L).count_neighbors``
     less the self-pairs, bit for bit.
 
-    Per axis the distance is d = |x_i - x_j| folded to min(d, L - d);
-    L - d is exact for d >= L/2, so this is the tree's periodic wrap.  The
-    squares add in axis order, as the tree adds them, and each block's
-    sorted squares are searched for radii**2.  Points are sorted into
-    cells at least r_max (1 + 1e-9) wide, so rounding in a cell index
-    cannot put a pair within r_max two cells apart.  Each cell meets the
-    rest of itself (j > i) and the (3^d - 1)/2 cells at lexicographically
-    positive offsets, which gives every unordered pair once; with fewer
-    than 3 cells per axis that shell would wrap onto itself, so one cell
-    holds every point and the shell is empty.  Rows go in blocks of about
-    PAIR_BLOCK candidate pairs.
+    Per axis d = |x_i - x_j| folds to min(d, L - d), exact for d >= L/2
+    as in the tree, and the squares add in axis order, as the tree adds
+    them, over the pair search's blocks; each block's sorted squares are
+    searched for radii**2.
     """
-    pts = np.mod(pts, side)
-    pts[pts == side] = 0.0  # np.mod(-tiny, L) rounds to L itself
-    n, dim = pts.shape
-    r2 = radii * radii
-    per_axis = int(side / (radii[-1] * (1 + 1e-9))) if radii[-1] > 0 else 1
-    k = min(per_axis, round(MAX_CELLS ** (1 / dim)))
-    k = k if k >= 3 else 1
-    cell = np.minimum((pts * (k / side)).astype(np.intp), k - 1)
-    strides = k ** np.arange(dim - 1, -1, -1)
-    flat = cell @ strides
-    order = np.argsort(flat)
-    cell, flat = cell[order], flat[order]
+    pts = wrap(pts, side)
+    order, keys, k = sort_by_cell(pts, side, radii[-1])
     cols = np.ascontiguousarray(pts[order].T)
-    start = np.searchsorted(flat, np.arange(k**dim + 1))
-    # each row's candidate columns [lo, hi): the rest of its cell, then each shell cell
-    spans = [(np.arange(1, n + 1), start[flat + 1])]
-    for off in itertools.product((-1, 0, 1), repeat=dim):
-        if k > 1 and off > (0,) * dim:
-            nbr = (cell + off) % k @ strides
-            spans.append((start[nbr], start[nbr + 1]))
     below = np.zeros(len(radii), dtype=np.int64)
-    for lo, hi in spans:
-        width = hi - lo
-        ends = np.cumsum(width)
-        a = 0
-        while a < n:
-            done = ends[a - 1] if a else 0
-            b = max(a + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, side="right")))
-            w = width[a:b]
-            # pair p of the block is row i, column lo[i] + (p - first p of row i)
-            j = np.repeat(lo[a:b] - (ends[a:b] - w - done), w)
-            j += np.arange(len(j))
-            s = 0.0  # becomes the squared distances, summed in axis order
-            for x in cols:
-                d = np.repeat(x[a:b], w)
-                d -= x.take(j)
-                np.abs(d, out=d)
-                np.minimum(d, side - d, out=d)
-                d *= d
-                s += d
-            s.sort()
-            below += np.searchsorted(s, r2, side="right")
-            a = b
+    for rows, w, j in pair_blocks(keys, k):
+        s = 0.0  # becomes the squared distances, summed in axis order
+        for x in cols:
+            d = np.repeat(x[rows], w)
+            d -= x.take(j)
+            np.abs(d, out=d)
+            np.minimum(d, side - d, out=d)
+            d *= d
+            s += d
+        s.sort()
+        below += np.searchsorted(s, radii * radii, side="right")
     return 2 * below
 
 

@@ -479,6 +479,18 @@ def test_readme_example_config(tmp_path, capsys):
     assert "error-category: instability" in capsys.readouterr().err
 
 
+def test_k2_slice_rows_name_the_offsets_read(tmp_path):
+    # k2 is read at round(r / h) mod M cells; each row names that grid offset at minimum image
+    (block,) = re.findall(r"```ini\n(.*?)```", read(README), re.S)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_key(block, "hierarchy", "slice_offsets", "0.25 -0.3 7.5 100"))
+    out = str(tmp_path / "hier")
+    assert main(["hierarchy", "--config", str(cfg), "--out", out]) == 0
+    table = np.loadtxt(os.path.join(out, "k2_slice.csv"), delimiter=",", skiprows=1)
+    assert table[:, 0].tolist() == np.repeat([1.0, 2.5, 5.0], 4).tolist()
+    assert table[:, 1].tolist() == [k * 0.1 for k in (2, 3, 25, 0)] * 3
+
+
 def test_cli_import_loads_no_scipy(cfg_path, tmp_path):
     # scipy is a test dependency only: every command runs in one fresh
     # process, which must end with no scipy module loaded
@@ -551,6 +563,40 @@ class TestFailures:
         err = capsys.readouterr().err
         assert "error-category: invalid-parameter" in err and "1-d tori only" in err
         assert peak < 10e6
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["initial-missing", "initial-text", "kernel-missing", "stats-no-dir",
+         "stats-no-snapshots", "stats-text"],
+    )
+    def test_unreadable_data_file_is_an_error_category(self, tmp_path, capsys, case):
+        cfg = TABLE_CFG if case.startswith("initial") else BASE_CFG
+        if case == "initial-text":
+            (tmp_path / "rho0.csv").write_text("0.5\n" * 20 + "half\n" + "0.5\n" * 29)
+        if case == "kernel-missing":
+            cfg = with_key(cfg, "kernel.dispersal", "shape", "tabulated")
+            cfg = with_key(cfg, "kernel.dispersal", "file", "a.csv")
+        p = tmp_path / "run.cfg"
+        p.write_text(cfg)
+        argv = ["kinetic"]
+        if case.startswith("stats"):
+            sim = tmp_path / "sim"
+            if case != "stats-no-dir":
+                assert main(["simulate", "--config", str(p), "--out", str(sim)]) == 0
+            if case == "stats-no-snapshots":
+                os.remove(sim / "snapshots.csv")
+            if case == "stats-text":
+                text = read(sim / "snapshots.csv").splitlines()
+                text[3] = text[3].replace(",", ",x", 1)
+                (sim / "snapshots.csv").write_text("\n".join(text) + "\n")
+            argv = ["stats", "--snapshots", str(sim)]
+        out = str(tmp_path / "o")
+        capsys.readouterr()
+        assert main([argv[0], "--config", str(p), "--out", out, *argv[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        category = "error" if case.startswith("stats") else "config"
+        assert len(err) == 1 and err[0].startswith(f"error-category: {category}: cannot read ")
         assert not os.path.exists(out)
 
     def test_kinetic_dt_guard_category(self, tmp_path, capsys):

@@ -327,7 +327,7 @@ def test_same_seed_same_events(case):
 # -- the array structures against O(N^2) and loop oracles -----------------
 
 # grid cells per axis, and kernel radii that give both a cell list with
-# four or more cells per axis and one that falls back to all cells (brute)
+# three or more cells per axis and one that puts every particle in one cell
 CELLS = {1: 40, 2: 16, 3: 8}
 RADII = (0.3, 0.7, 1.5)
 
@@ -384,7 +384,8 @@ def test_audit_matches_dense_oracle(case, noise):
 
 def test_cell_list_size_is_bounded():
     # cells as narrow as the kernel would number 1e9 in 3-d; wider ones stay correct
-    from slm.microsim import MAX_CELLS, CellList
+    from slm.grid import MAX_CELLS
+    from slm.microsim import CellList
 
     cl = CellList(10.0, 3, 0.01, np.random.default_rng(0).uniform(0.0, 10.0, size=(50, 3)))
     assert cl.ncells == 40 and cl.ncells**3 <= MAX_CELLS
@@ -394,15 +395,15 @@ def test_cell_list_size_is_bounded():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_exact_rates_blockwise_when_one_cell_holds_all(dim, monkeypatch):
-    # a tiny block size splits every cell's members into several blocks
-    import slm.microsim
+    # a tiny block size of the shared pair search puts one row in each block
+    import slm.grid
 
-    monkeypatch.setattr(slm.microsim, "EXACT_BLOCK", 7)
+    monkeypatch.setattr(slm.grid, "PAIR_BLOCK", 7)
     grid = Grid(dim, 4.0, CELLS[dim])
     kernel = make_indicator_kernel(1.0, 1.5, dim, grid)
     pts = np.random.default_rng(dim).uniform(0.0, 4.0, size=(40, dim))
     config = Configuration(pts, grid.side, dim, kernel)
-    assert config.cells.ncells < 4
+    assert config.cells.ncells == 1
     assert np.allclose(config.crate[:40], oracles.pair_rates(pts, grid.side, kernel), rtol=1e-13)
 
 

@@ -217,8 +217,10 @@ def counting_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(counting_cases())
-# 4 cells of width r_max = 5 would put this pair at distance 5 into cells 1 and 3
+# indexed by x * (k / L), 4 cells of width r_max = 5 would put this pair 5 apart in cells 1 and 3
 @example((np.array([[9.999999999999998], [14.999999999999998]]), 20.0, np.array([0.0, 5.0])))
+# indexed by x / (L / k), 8 cells of width 0.5 would put this pair 0.5 apart in cells 0 and 2
+@example((np.array([[0.49999999999999994], [1.0]]), 4.0, np.array([0.0, 0.5])))
 # -1e-20 wraps to 0, not to L: L - (L - 0.1) is not 0.1, and 0.1 is an edge
 @example((np.array([[-1e-20], [0.1]]), 10.0, np.array([0.0, 0.1, 0.2])))
 def test_pair_counts_match_the_tree_and_the_dense_histogram(case):

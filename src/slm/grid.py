@@ -1,5 +1,4 @@
-"""Uniform periodic grid on a d-dimensional torus, and the one search for
-nearby pairs of points on it (simulator rates and cell list, pair counts).
+"""Uniform periodic grid on a d-dimensional torus, and its pair search.
 
 The same grid underlies tabulated kernels, density fields and pair
 functions, so that discrete conservation identities close exactly.
@@ -15,7 +14,7 @@ import numpy as np
 from .errors import IncompatibleGridsError, InvalidParameterError
 
 MAX_CELLS = 1 << 16  # cells of a pair search; wider cells only add candidates, more cost memory
-PAIR_BLOCK = 1 << 15  # candidate pairs per block of pair_blocks; bounds its temporaries
+PAIR_BLOCK = 1 << 15  # floats per temporary of a pair_blocks caller; 256 KB each
 
 
 @dataclass(frozen=True)
@@ -110,31 +109,33 @@ def sort_by_cell(pts: np.ndarray, side: float, radius: float):
     return order, keys[order], k
 
 
-def pair_blocks(keys: np.ndarray, k: int):
+def pair_blocks(keys: np.ndarray, k: int, cost: int = 1):
     """Every unordered pair of points in the same or adjacent cells once,
     for points sorted by :func:`sort_by_cell` with cells ``keys``: each
     cell meets the rest of itself (j > i) and the (3^d - 1)/2 cells at
-    lexicographically positive offsets.  Yields blocks of about PAIR_BLOCK
-    pairs as (rows, w, j): sorted point ``rows.start + r`` meets the next
-    ``w[r]`` sorted points listed in ``j``."""
+    lexicographically positive offsets.  Yields blocks of about
+    PAIR_BLOCK / ``cost`` pairs, for a caller whose temporaries take
+    ``cost`` floats a pair (2 dim for rows of dim coordinates), as (rows,
+    w, j): sorted point ``rows.start + r`` meets the next ``w[r]`` sorted
+    points listed in ``j``."""
     n, dim = keys.shape
-    shape = (k,) * dim
-    flat = np.ravel_multi_index(keys.T, shape)
+    flat = np.ravel_multi_index(keys.T, (k,) * dim)
     start = np.searchsorted(flat, np.arange(k**dim + 1))
     # each row's candidate columns [lo, hi): the rest of its cell, then each shell cell
     spans = [(np.arange(1, n + 1), start[flat + 1])]
     for off in itertools.product((-1, 0, 1), repeat=dim):
         if k > 1 and off > (0,) * dim:
-            nbr = np.ravel_multi_index((keys + off).T, shape, mode="wrap")
+            nbr = np.ravel_multi_index((keys + off).T, (k,) * dim, mode="wrap")
             spans.append((start[nbr], start[nbr + 1]))
-    count = np.arange(max(PAIR_BLOCK, n))  # a block is at most PAIR_BLOCK pairs or one row
+    block = PAIR_BLOCK // cost
+    count = np.arange(max(block, n))  # a block is at most that many pairs or one row
     for lo, hi in spans:
         width = hi - lo
         ends = np.cumsum(width)
         a = 0
         while a < n:
             done = ends[a - 1] if a else 0
-            b = max(a + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, side="right")))
+            b = max(a + 1, int(np.searchsorted(ends, done + block, side="right")))
             w = width[a:b]
             # pair p of the block is row i, column lo[i] + (p - first p of row i)
             j = np.repeat(lo[a:b] - (ends[a:b] - w - done), w)

@@ -169,7 +169,7 @@ class Configuration:
         if self.interacting:
             pos = self.pos[: self.n]
             order, keys, k = sort_by_cell(pos, self.side, self.competition.support_radius)
-            for rows, w, j in pair_blocks(keys, k):
+            for rows, w, j in pair_blocks(keys, k, cost=2 * self.dim):
                 i = np.repeat(order[rows], w)
                 j = order.take(j)
                 vals = self._kernel_from(pos.take(i, axis=0), j)

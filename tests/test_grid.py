@@ -15,7 +15,8 @@ def search_cases(draw):
     a radius of L/8 (side/r is an integer, and 7 cells fit), L/4 (3
     cells), L/3 (one cell) or any in (0, L/2); points uniform or on a
     lattice of radius/2 steps, so that pairs sit radius apart; blocks of
-    1, 7 or PAIR_BLOCK pairs, the first two smaller than most rows."""
+    1, 7 or PAIR_BLOCK pairs, the first two smaller than most rows, split
+    for a caller whose pairs cost 1 or 4 floats."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(0, 50))
     side = draw(st.sampled_from([4.0, 10.0]))
@@ -27,21 +28,22 @@ def search_cases(draw):
         pts = 0.5 * radius * np.reshape(draw(steps), (n, dim))
     else:
         pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, side, (n, dim))
-    return wrap(pts, side), side, radius, draw(st.sampled_from([1, 7, PAIR_BLOCK]))
+    block, cost = draw(st.sampled_from([1, 7, PAIR_BLOCK])), draw(st.sampled_from([1, 4]))
+    return wrap(pts, side), side, radius, block, cost
 
 
 @settings(max_examples=200, deadline=None)
 @given(search_cases())
 # 0.5 apart as computed, but 8 cells of width 0.5 would put them in cells 0 and 2
-@example((np.array([[0.49999999999999994], [1.0]]), 4.0, 0.5, PAIR_BLOCK))
+@example((np.array([[0.49999999999999994], [1.0]]), 4.0, 0.5, PAIR_BLOCK, 1))
 def test_pair_blocks_give_every_near_pair_once(case):
-    pts, side, radius, block = case
+    pts, side, radius, block, cost = case
     n, dim = pts.shape
     with mock.patch.object(slm.grid, "PAIR_BLOCK", block):
         order, keys, k = sort_by_cell(pts, side, radius)
         pairs = Counter()
-        for rows, w, j in pair_blocks(keys, k):
-            assert len(j) == w.sum() and (len(j) <= block or rows.stop - rows.start == 1)
+        for rows, w, j in pair_blocks(keys, k, cost):
+            assert len(j) == w.sum() and (len(j) <= block // cost or rows.stop - rows.start == 1)
             i = order[np.repeat(np.arange(rows.start, rows.stop), w)]
             pairs.update(zip(np.minimum(i, order[j]).tolist(), np.maximum(i, order[j]).tolist()))
     assert k == 1 or 3 <= k and side / k >= radius and k**dim <= MAX_CELLS

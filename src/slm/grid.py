@@ -101,7 +101,7 @@ def sort_by_cell(pts: np.ndarray, side: float, radius: float):
     at least radius (1 + 1e-9) wide so that rounding cannot put a pair at
     most ``radius`` apart on each axis two cells apart.  At most MAX_CELLS
     cells; one holds every point when fewer than 3 per axis fit."""
-    n, dim = pts.shape
+    dim = pts.shape[1]
     k = min(int(side / (radius * (1 + 1e-9))), round(MAX_CELLS ** (1 / dim))) if radius > 0 else 1
     k = k if k >= 3 else 1
     keys = np.minimum((pts / (side / k)).astype(np.intp), k - 1)

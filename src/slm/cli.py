@@ -159,11 +159,12 @@ def cmd_hierarchy(args, cfg):
     snaps, diag = solve_hierarchy(
         state0, cfg.closure, cfg.params, cfg.horizon, cfg.dt, cfg.snapshot_times
     )
-    h, m = cfg.grid.spacing, cfg.grid.cells
-    # each row is labelled with the minimum-image grid offset it reads
-    shifts = [round(r / h) % m for r in cfg.slice_offsets] or range(0, min(9, m // 2), 2)
+    grid = cfg.grid
+    # each row is labelled with the distance of the grid offset it reads
+    shifts = grid.offset_index(cfg.slice_offsets).tolist() or range(0, min(9, grid.cells // 2), 2)
+    radii = np.abs(grid.axis_offsets()).tolist()
     slices = [
-        (t, min(k, m - k) * h, float(np.diagonal(np.roll(st.k2.values, -k, axis=1)).mean()))
+        (t, radii[k], float(np.diagonal(np.roll(st.k2.values, -k, axis=1)).mean()))
         for t, st in zip(cfg.snapshot_times, snaps)
         for k in shifts
     ]
@@ -203,7 +204,7 @@ def cmd_stats(args, cfg):
         ensemble = [sel[sel[:, 0] == r][:, 2:] for r in runs]
         if [len(p) for p in ensemble] != list(counts):
             raise SLMError(f"snapshots.csv and summary.csv disagree at t={t}")
-        est = estimate_correlations(ensemble, cfg.grid, edges, t)
+        est = estimate_correlations(ensemble, cfg.grid, edges)
         k1 = est.k1_hat
         density.append((np.full(n, t), np.arange(n), k1.mean.ravel(), k1.se.ravel()))
         pairs += [(t, b.r_mid, b.g, b.se) for b in est.pair_g]

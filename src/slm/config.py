@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import configparser
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +79,12 @@ class RunConfig:
 
 
 def read_table(path, error=ConfigError, **kwargs) -> np.ndarray:
-    """Comma-separated numbers; an unreadable file or cell raises ``error``."""
+    """Comma-separated numbers, none for a file without rows; an unreadable
+    file or cell raises ``error``."""
     try:
-        return np.loadtxt(path, delimiter=",", **kwargs)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, delimiter=",", **kwargs)
     except (OSError, ValueError) as exc:
         raise error(f"cannot read {path}: {exc}") from None
 

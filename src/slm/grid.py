@@ -72,12 +72,9 @@ class Grid:
         return np.sqrt(sum(a * a for a in axes))
 
     def offset_index(self, dx: np.ndarray) -> np.ndarray:
-        """Index of the offset cell containing dx (nearest lattice offset)."""
-        k = np.asarray(dx) / self.spacing
-        k += 0.5
-        idx = np.floor(k).astype(np.intp)
-        idx %= self.cells
-        return idx
+        """Offset cell of each coordinate of dx, rint(dx / h) mod cells: even
+        in the sign of dx, and the same for every periodic image of dx."""
+        return np.rint(np.asarray(dx) / self.spacing).astype(np.intp) % self.cells
 
 
 def require_same_grid(*grids: Grid) -> Grid:
@@ -95,6 +92,12 @@ def wrap(x: np.ndarray, side: float) -> np.ndarray:
     return x
 
 
+def cell_keys(pts: np.ndarray, side: float, k: int) -> np.ndarray:
+    """Per-axis cell of each point of [0, side)^d, k cells per axis: x / (side / k)
+    truncated, and k - 1 for a point that rounds up to k (one ulp below side)."""
+    return np.minimum((pts / (side / k)).astype(np.intp), k - 1)
+
+
 def sort_by_cell(pts: np.ndarray, side: float, radius: float):
     """(order, keys, k): points of [0, side)^d sorted stably by cell in C
     order, their per-axis cells in that order, and k cells per axis, each
@@ -104,7 +107,7 @@ def sort_by_cell(pts: np.ndarray, side: float, radius: float):
     dim = pts.shape[1]
     k = min(int(side / (radius * (1 + 1e-9))), round(MAX_CELLS ** (1 / dim))) if radius > 0 else 1
     k = k if k >= 3 else 1
-    keys = np.minimum((pts / (side / k)).astype(np.intp), k - 1)
+    keys = cell_keys(pts, side, k)
     order = np.argsort(np.ravel_multi_index(keys.T, (k,) * dim), kind="stable")
     return order, keys[order], k
 

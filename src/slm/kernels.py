@@ -62,14 +62,9 @@ class Kernel:
         return float(radii.max() + 0.5 * self.grid.spacing) if radii.size else 0.0
 
     def evaluate(self, dx: np.ndarray) -> np.ndarray:
-        """Kernel value at continuous offset(s) ``dx``.
-
-        ``dx`` has shape (..., dim) for dim > 1, or any shape for dim = 1.
-        """
-        idx = self.grid.offset_index(dx)
-        if self.dim > 1:
-            idx = idx @ self.grid.strides
-        return self.values.ravel().take(idx)
+        """Kernel value at offsets ``dx`` of shape (..., dim), the same for every
+        periodic image: ``values`` on the cell :meth:`Grid.offset_index` picks."""
+        return self.values.ravel().take(self.grid.offset_index(dx) @ self.grid.strides)
 
     def is_even(self, tol: float = 0.0) -> bool:
         v = self.values

@@ -78,8 +78,8 @@ class CellList:
         self.cell_of[order], self.slot_of[order] = cells, slots
 
     def cell(self, pos: np.ndarray) -> int:
-        """Flat cell index of one position (dim,) in plain Python, by the
-        arithmetic of :func:`grid.sort_by_cell`."""
+        """Flat cell index of one position (dim,): ``grid.cell_keys`` in
+        plain Python, which on one point is faster than its array form."""
         top = self.ncells - 1
         keys = (min(int(x / self.width), top) for x in pos.tolist())
         return sum(k * s for k, s in zip(keys, self._strides))
@@ -153,14 +153,9 @@ class Configuration:
     # -- geometry --------------------------------------------------------
 
     def _kernel_from(self, pos, idx):
-        """a-(x_j - pos) at minimum image for the particles ``idx``; ``pos``
-        broadcasts against ``self.pos[idx]``."""
-        dx = self.pos.take(idx, axis=0) - pos
-        image = dx / self.side
-        np.rint(image, out=image)
-        image *= self.side
-        dx -= image
-        return self.competition.evaluate(dx if self.dim > 1 else dx[..., 0])
+        """a-(x_j - pos) for the particles ``idx``; ``pos`` broadcasts
+        against ``self.pos[idx]``."""
+        return self.competition.evaluate(self.pos.take(idx, axis=0) - pos)
 
     def _exact_rates(self) -> np.ndarray:
         """c_i recomputed from scratch over the blocks of the pair search:

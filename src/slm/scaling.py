@@ -48,7 +48,6 @@ def vlasov_error(
     seed: int,
     mode: str = "hierarchy",
     snapshot_times=None,
-    dt: float | None = None,
     T_star: float | None = None,
     closure_rule: str = "mean-field",
     population_cap: int = 1_000_000,
@@ -67,8 +66,7 @@ def vlasov_error(
         raise HorizonViolationError(f"T={T} must stay below the horizon T*={T_star}")
     if snapshot_times is None:
         snapshot_times = list(np.linspace(T / 4.0, T, 4))
-    if dt is None:
-        dt = min(0.5 * stability_dt(params, max(rho0.max, 1.0)), T / 20.0)
+    dt = min(0.5 * stability_dt(params, max(rho0.max, 1.0)), T / 20.0)
 
     reference = solve_kinetic(rho0, params, T, dt, snapshot_times)
     errors, ses = [], []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import Grid, pair_blocks, sort_by_cell, wrap
+from .grid import Grid, cell_keys, pair_blocks, sort_by_cell, wrap
 from .kernels import ball_volume
 
 
@@ -52,16 +52,16 @@ def default_pair_edges(side: float, kernel_radius: float, nbins: int = 24) -> np
 
 
 def density_estimate(positions_per_run: list, grid: Grid) -> FieldEstimate:
-    """Per-cell count / (cell volume * runs) with across-run standard error."""
+    """Per-cell count / (cell volume * runs) with across-run standard
+    error; points are wrapped onto the torus and binned by ``cell_keys``."""
     runs = len(positions_per_run)
     if runs < 2:
         raise InvalidParameterError("density estimation needs at least 2 runs")
     per_run = np.empty((runs,) + grid.shape)
-    edges = [np.linspace(0.0, grid.side, grid.cells + 1)] * grid.dim
     for r, pts in enumerate(positions_per_run):
-        pts = np.asarray(pts, dtype=float).reshape(-1, grid.dim)
-        counts, _ = np.histogramdd(pts, bins=edges)
-        per_run[r] = counts / grid.cell_volume
+        pts = wrap(np.asarray(pts, dtype=float).reshape(-1, grid.dim), grid.side)
+        cells = cell_keys(pts, grid.side, grid.cells) @ grid.strides
+        per_run[r] = np.bincount(cells, minlength=grid.size).reshape(grid.shape) / grid.cell_volume
     mean = per_run.mean(axis=0)
     se = per_run.std(axis=0, ddof=1) / np.sqrt(runs)
     return FieldEstimate(grid, mean, se)
@@ -135,8 +135,8 @@ def pair_correlation(positions_per_run: list, side: float, dim: int, edges: np.n
     ]
 
 
-def estimate_correlations(positions_per_run: list, grid: Grid, edges: np.ndarray, t: float) -> CorrelationEstimate:
-    """Density and pair correlation of the ensemble at snapshot time ``t``."""
+def estimate_correlations(positions_per_run: list, grid: Grid, edges: np.ndarray) -> CorrelationEstimate:
+    """Density and pair correlation of one snapshot of the ensemble."""
     return CorrelationEstimate(
         k1_hat=density_estimate(positions_per_run, grid),
         pair_g=pair_correlation(positions_per_run, grid.side, grid.dim, edges),

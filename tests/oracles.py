@@ -104,9 +104,8 @@ def rhs_k2(state, rule, params):
 
 
 def kernel_at(kernel, dx):
-    """a(dx) by one index tuple per axis; dx is (..., dim), or any shape in 1-d."""
-    idx = kernel.grid.offset_index(dx)
-    return kernel.values[idx if kernel.dim == 1 else tuple(np.moveaxis(idx, -1, 0))]
+    """a(dx) by one index tuple per axis; dx is (..., dim)."""
+    return kernel.values[tuple(np.moveaxis(kernel.grid.offset_index(dx), -1, 0))]
 
 
 def min_image_offsets(positions, side):
@@ -118,7 +117,7 @@ def min_image_offsets(positions, side):
 def pair_rates(positions, side, kernel):
     """c_i = sum over j != i of a(x_j - x_i), all pairs."""
     dx = min_image_offsets(np.asarray(positions, dtype=float).reshape(-1, kernel.dim), side)
-    vals = kernel_at(kernel, dx if kernel.dim > 1 else dx[..., 0])
+    vals = kernel_at(kernel, dx)
     np.fill_diagonal(vals, 0.0)
     return vals.sum(axis=1)
 

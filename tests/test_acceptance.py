@@ -199,7 +199,7 @@ def test_criterion_07_clustering_dichotomy(announce):
             ens[s].append(pts)
     g_near = []
     for t, snap_pts in zip(times_a, ens):
-        b = estimate_correlations(snap_pts, grid, edges, t).pair_g[0]
+        b = estimate_correlations(snap_pts, grid, edges).pair_g[0]
         g_near.append((b.g, b.se))
     clustered = all(g > 1.0 + 3.0 * se for g, se in g_near)
     increasing = all(b[0] > a[0] for a, b in zip(g_near, g_near[1:]))
@@ -222,7 +222,7 @@ def test_criterion_07_clustering_dichotomy(announce):
     witnesses = []
     witnessed = True
     for t, snap_pts in zip(times_b, ens_b):
-        est = estimate_correlations(snap_pts, grid, edges, t)
+        est = estimate_correlations(snap_pts, grid, edges)
         report = subpoisson_diagnostic(est, C=10.0)
         witnesses.append(report.minimal_C)
         witnessed &= subpoisson_diagnostic(est, C=report.minimal_C + 1e-9).passed

@@ -546,6 +546,15 @@ class TestFailures:
         assert main(["simulate", "--config", str(p), "--out", out]) == 2
         assert "error-category: blow-up" in capsys.readouterr().err
 
+    def test_header_only_summary_is_one_error_line(self, cfg_path, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        (sim / "summary.csv").write_text("run,t,N\n")
+        out = str(tmp_path / "o")
+        assert main(["stats", "--config", cfg_path, "--out", out, "--snapshots", str(sim)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error-category: error: no summary rows in {sim / 'summary.csv'}\n"
+
     @pytest.mark.parametrize("argv", [["hierarchy"], ["scaling", "--mode", "hierarchy"]])
     def test_pair_functions_on_2d_fail_before_allocating(self, tmp_path, capsys, argv):
         # a 64 x 64 grid: the pair function k2 alone would take 4096^2 doubles (134 MB)

@@ -214,9 +214,22 @@ class TestLookup:
         rng = np.random.default_rng(dim)
         k = Kernel("tabulated-grid", g, rng.random(g.shape))
         dx = rng.uniform(-2.5, 2.5, size=(50, 3, dim))
-        got = k.evaluate(dx if dim > 1 else dx[..., 0])
+        got = k.evaluate(dx)
         assert got.shape == (50, 3)
-        assert np.array_equal(got, oracles.kernel_at(k, dx if dim > 1 else dx[..., 0]))
+        assert np.array_equal(got, oracles.kernel_at(k, dx))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_even_and_periodic_at_half_cell_offsets(self, dim):
+        # every multiple of h/2 in [-L, L] per axis, exact in binary; an
+        # indicator of radius h reads 1 at +-h and 0 at +-2h, so +-1.5h
+        # must round to the same |offset|
+        g = Grid(dim, 1.0, 8)
+        k = make_indicator_kernel(1.0, g.spacing, dim, g)
+        axis = np.arange(-16, 17) * (g.spacing / 2)
+        dx = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+        assert np.array_equal(k.evaluate(dx), k.evaluate(-dx))
+        assert np.array_equal(k.evaluate(dx), k.evaluate(dx + g.side))
+        assert k.evaluate(np.full((1, dim), 1.5 * g.spacing))[0] == 0.0
 
     def test_pair_values_match_pointwise_lookup(self):
         g = Grid(1, 5.0, 41)

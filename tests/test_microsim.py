@@ -11,7 +11,7 @@ from scipy import stats as sps
 
 import oracles
 from slm.errors import AbsorbedStateError, AuditDriftError, BlowUpError, InvalidParameterError
-from slm.grid import Grid
+from slm.grid import Grid, cell_keys
 from slm.kernels import make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
 from slm.kinetic import Field
 from slm.microsim import (
@@ -370,6 +370,32 @@ def test_cell_list_finds_every_interacting_particle(case):
         found = cl.candidates(cl.cell(pos))
         assert len(set(found.tolist())) == len(found)
         assert within(config, pos, radius) <= set(found.tolist())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cell_is_the_scalar_form_of_cell_keys(dim):
+    side = 10.0
+    comp = make_indicator_kernel(1.0, 0.5, dim, Grid(dim, side, 20))
+    rng = np.random.default_rng(dim)
+    config = Configuration(rng.uniform(0.0, side, (20, dim)), side, dim, comp)
+    cl = config.cells
+    # coordinates on every cell edge, one ulp below each, and one ulp below L
+    edges = np.arange(cl.ncells) * cl.width
+    axis = np.concatenate([edges, np.nextafter(edges[1:], 0.0), [np.nextafter(side, 0.0)]])
+    pts = np.concatenate([rng.choice(axis, (500, dim)), rng.uniform(0.0, side, (100, dim))])
+    expected = cell_keys(pts, side, cl.ncells) @ cl.strides
+    assert [cl.cell(p) for p in pts] == expected.tolist()
+
+
+def test_half_cell_offsets_keep_incremental_rates_exact():
+    # h = 0.125 and an indicator of radius h: the particles sit 1.5 h apart
+    # both ways, so neither reads the other
+    grid = Grid(1, 10.0, 80)
+    comp = make_indicator_kernel(1.0, grid.spacing, 1, grid)
+    config = Configuration([[1.0]], grid.side, 1, comp)
+    config.add_particle([1.1875])
+    assert config.crate[: config.n].tolist() == config._exact_rates().tolist() == [0.0, 0.0]
+    assert config.audit() == 0.0
 
 
 @settings(max_examples=150, deadline=None)

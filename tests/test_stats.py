@@ -46,6 +46,17 @@ class TestDensity:
         assert est.mean.sum() * grid.cell_volume == pytest.approx(4.0)
         assert np.all(est.se == 0.0)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_wraps_points_as_the_pair_counts_do(self, dim):
+        # a point a quarter cell outside the torus counts in the cell it wraps into
+        grid = Grid(dim, 10.0, 20)
+        h = grid.spacing
+        pts = np.array([[-h / 4] * dim, [grid.side + h / 4] * dim])
+        counts = density_estimate([pts, pts], grid).mean * grid.cell_volume
+        expected = np.zeros(grid.shape)
+        expected[(-1,) * dim] = expected[(0,) * dim] = 1.0
+        assert np.array_equal(counts, expected)
+
     def test_requires_two_runs(self, grid):
         with pytest.raises(InvalidParameterError):
             density_estimate([np.zeros((3, 1))], grid)
@@ -243,7 +254,7 @@ class TestSubPoisson:
         rng = np.random.default_rng(seed)
         data = poisson_runs(rng, intensity, grid.side, 1, runs)
         edges = np.linspace(0.0, 4.0, 9)
-        return estimate_correlations(data, grid, edges, t=0.0)
+        return estimate_correlations(data, grid, edges)
 
     def test_generous_bound_passes(self):
         report = subpoisson_diagnostic(self.estimate(), C=5.0)

@@ -62,9 +62,27 @@ class Kernel:
         return float(radii.max() + 0.5 * self.grid.spacing) if radii.size else 0.0
 
     def evaluate(self, dx: np.ndarray) -> np.ndarray:
-        """Kernel value at offsets ``dx`` of shape (..., dim), the same for every
-        periodic image: ``values`` on the cell :meth:`Grid.offset_index` picks."""
-        return self.values.ravel().take(self.grid.offset_index(dx) @ self.grid.strides)
+        """Kernel value at offsets ``dx`` of shape (..., dim) between two
+        points of [0, L)^d: ``values`` on the cell :meth:`Grid.offset_index`
+        picks.  The wrapped flat index into ``_lookup`` is the modulo on
+        the first axis; a wider offset reads a wrong cell."""
+        table, strides = self._lookup
+        index = np.rint(dx / self.grid.spacing) @ strides
+        return table.take(index.astype(np.intp), mode="wrap")
+
+    @cached_property
+    def _lookup(self) -> tuple:
+        """(table, strides): ``values`` padded to the offsets -M..M that
+        rint(dx / h) takes on every axis but the first, M (2M + 1)^(d - 1)
+        floats, flat and rolled so that offset 0 is index 0; its strides
+        are floats, as a float matmul is much cheaper than an integer one.
+        Built on the first lookup, so only the simulator pays for it."""
+        m = self.grid.cells
+        table = self.values
+        for ax in range(1, self.dim):
+            table = table.take(np.arange(-m, m + 1), axis=ax, mode="wrap")
+        strides = (2.0 * m + 1.0) ** np.arange(self.dim - 1, -1, -1)
+        return np.roll(table.ravel(), -m * int(strides[1:].sum())), strides
 
     def is_even(self, tol: float = 0.0) -> bool:
         v = self.values

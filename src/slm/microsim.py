@@ -77,11 +77,12 @@ class CellList:
         self.slot_of = np.zeros(cap, dtype=np.intp)
         self.cell_of[order], self.slot_of[order] = cells, slots
 
-    def cell(self, pos: np.ndarray) -> int:
-        """Flat cell index of one position (dim,): ``grid.cell_keys`` in
-        plain Python, which on one point is faster than its array form."""
+    def cell(self, pos) -> int:
+        """Flat cell index of one position, a sequence of dim floats:
+        ``grid.cell_keys`` in plain Python, which on one point is faster
+        than its array form."""
         top = self.ncells - 1
-        keys = (min(int(x / self.width), top) for x in pos.tolist())
+        keys = (min(int(x / self.width), top) for x in pos)
         return sum(k * s for k, s in zip(keys, self._strides))
 
     def candidates(self, c: int) -> np.ndarray:
@@ -183,10 +184,15 @@ class Configuration:
         self.pos, self.crate = pos, crate
 
     def add_particle(self, position) -> int:
+        """Add a particle at ``position`` wrapped as :func:`grid.wrap` does,
+        in Python floats: ``x % L`` is the IEEE arithmetic of ``np.mod``."""
         if self.n == len(self.pos):
             self._grow()
         i = self.n
-        pos = self.pos[i] = wrap(np.asarray(position, dtype=float), self.side)
+        side = self.side
+        pos = [x % side for x in map(float, position)]
+        pos = [0.0 if x == side else x for x in pos]
+        self.pos[i] = pos
         self.n += 1
         if self.interacting:
             c = self.cells.cell(pos)
@@ -260,14 +266,14 @@ def step_event(
     place and returns the realized event (its time is t plus the waiting
     times of the proposals up to and including the first real one).
     """
-    while True:
+    log = []
+    while not log:
         bound = _bound(config, params)
         if config.n * bound <= 0:
             raise AbsorbedStateError("total event rate is zero")
         t = t + rng.exponential(1.0 / (config.n * bound))
-        ev = _propose(config, params, rng, t, bound)
-        if ev is not None:
-            return ev
+        _propose(config, params, rng, t, bound, log)
+    return log[0]
 
 
 @dataclass
@@ -308,6 +314,7 @@ def run(
     if times and times[-1] > horizon + 1e-12:
         raise InvalidParameterError("snapshot times must not exceed the horizon")
     traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
+    log = traj.event_log if keep_events else None
     t = 0.0
     next_snap = 0
     while next_snap < len(times):
@@ -323,18 +330,16 @@ def run(
         if next_snap == len(times):
             break
         traj.proposals += 1
-        ev = _propose(config, params, rng, t, bound)
-        if ev is None:
+        kind = _propose(config, params, rng, t, bound, log)
+        if kind is None:
             continue
         traj.events += 1
-        if ev.kind == "birth":
+        if kind == "birth":
             traj.births += 1
             traj.peak_n = max(traj.peak_n, config.n)
         else:
             traj.deaths += 1
-            traj.competition_deaths += ev.kind == "death-competition"
-        if keep_events:
-            traj.event_log.append(ev)
+            traj.competition_deaths += kind == "death-competition"
         if config.n > population_cap:
             raise BlowUpError(t, config.n, population_cap)
         if traj.events % audit_interval == 0:
@@ -356,20 +361,25 @@ def _bound(config, params) -> float:
     return params.dispersal.mass + params.mortality + params.epsilon * config.crate_bound
 
 
-def _propose(config, params, rng, t, bound) -> Event | None:
+def _propose(config, params, rng, t, bound, log) -> str | None:
     """One thinned proposal at time t against the bound from _bound: a
     uniform particle i and a uniform level u on [0, bound) pick a birth
-    from i, its natural or competitive death, or nothing (None).  After as
-    many null proposals as particles the bound is tightened, which is O(1)
-    per proposal and ends the nulls once every c_i has dropped to zero.
+    from i, its natural or competitive death, or nothing.  Returns the
+    event's kind, or None, and appends its :class:`Event` to ``log`` unless
+    that is None.  After as many null proposals as particles the bound is
+    tightened, which is O(1) per proposal and ends the nulls once every
+    c_i has dropped to zero.
     """
     i = int(rng.integers(config.n))
     birth = params.dispersal.mass
     natural = birth + params.mortality
     u = rng.random() * bound
     if u < birth:
-        j = config.add_particle(config.pos[i] + params.dispersal.sample_displacement(rng, None))
-        return Event("birth", config.pos[j].copy(), t)
+        step = params.dispersal.sample_displacement(rng, None).tolist()
+        j = config.add_particle([x + d for x, d in zip(config.pos[i].tolist(), step)])
+        if log is not None:
+            log.append(Event("birth", config.pos[j].copy(), t))
+        return "birth"
     if u < natural:
         kind = "death-natural"
     elif u < natural + params.epsilon * config.crate[i]:
@@ -379,9 +389,10 @@ def _propose(config, params, rng, t, bound) -> Event | None:
         if config.nulls >= config.n:
             config.tighten()
         return None
-    pos = config.pos[i].copy()
+    if log is not None:
+        log.append(Event(kind, config.pos[i].copy(), t))
     config.remove_particle(i)
-    return Event(kind, pos, t)
+    return kind
 
 
 def _ensemble_member(rho0, params, horizon, snapshot_times, seed, cap, keep_events, run_index):
@@ -396,18 +407,22 @@ def run_ensemble(
     rho0, params: ModelParams, horizon: float, snapshot_times, seed: int, runs: int, jobs: int = 1,
     population_cap: int = DEFAULT_POPULATION_CAP, keep_events: bool = False,
 ) -> list:
-    """Trajectories of runs 0..runs-1 in run order, spread over ``jobs``
-    worker processes when jobs > 1.  Run i draws its inhomogeneous Poisson
-    start from the Field ``rho0`` and its events from ``run_rng(seed, i)``,
-    so the result does not depend on ``jobs``.
+    """Trajectories of runs 0..runs-1 in run order, spread over
+    min(jobs, runs) worker processes when that is above 1, since a process
+    pool starts all its workers at once.  Run i draws its inhomogeneous
+    Poisson start from the Field ``rho0`` and its events from
+    ``run_rng(seed, i)``, so the result does not depend on ``jobs``.
     """
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
     member = partial(
         _ensemble_member, rho0, params, horizon, snapshot_times, seed, population_cap, keep_events
     )
-    if jobs > 1:
+    workers = min(jobs, runs)
+    if workers > 1:
         # imported here: multiprocessing costs every command ~12 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(member, range(runs)))
     return [member(r) for r in range(runs)]

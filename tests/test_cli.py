@@ -286,6 +286,12 @@ class TestCommands:
         for f in ("snapshots.csv", "runs.csv"):
             assert read(os.path.join(out1, f)) == read(os.path.join(out2, f))
 
+    def test_simulate_rejects_fewer_than_one_job(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out), "--jobs", "0"]) == 2
+        assert "error-category: invalid-parameter" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kinetic_outputs(self, cfg_path, tmp_path):
         out = str(tmp_path / "kin")
         assert main(["kinetic", "--config", cfg_path, "--out", out]) == 0

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from slm.errors import IncompatibleGridsError, InvalidParameterError, PreconditionError
-from slm.grid import Grid
+from slm.grid import Grid, wrap
 from slm.kernels import (
     Kernel,
     ball_volume,
@@ -207,28 +207,36 @@ class TestSampling:
 
 
 class TestLookup:
-    @pytest.mark.parametrize("dim, cells", [(1, 41), (2, 16), (3, 9)])
+    @pytest.mark.parametrize("dim, cells", [(1, 41), (2, 16), (3, 9), (1, 40), (2, 17), (3, 8)])
     def test_flat_lookup_matches_axis_tuples(self, dim, cells):
-        # an uneven random table, so a transposed or mis-strided index shows
+        # an uneven random table, so a transposed or mis-strided index shows,
+        # read at every difference of random wrapped points and of points at
+        # 0 and L - 1 ulp on each axis, so dx takes 0 and +-(L - 1 ulp)
         g = Grid(dim, 5.0, cells)
-        rng = np.random.default_rng(dim)
+        rng = np.random.default_rng(cells)
         k = Kernel("tabulated-grid", g, rng.random(g.shape))
-        dx = rng.uniform(-2.5, 2.5, size=(50, 3, dim))
+        edges = [0.0, np.nextafter(g.side, 0.0)]
+        pts = np.concatenate(
+            [wrap(rng.uniform(-g.side, 2 * g.side, (150, dim)), g.side), rng.choice(edges, (20, dim))]
+        )
+        dx = pts[:, None, :] - pts
+        assert np.isin([0.0, edges[1], -edges[1]], dx).all()
         got = k.evaluate(dx)
-        assert got.shape == (50, 3)
+        assert got.shape == (170, 170)
         assert np.array_equal(got, oracles.kernel_at(k, dx))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_even_and_periodic_at_half_cell_offsets(self, dim):
         # every multiple of h/2 in [-L, L] per axis, exact in binary; an
         # indicator of radius h reads 1 at +-h and 0 at +-2h, so +-1.5h
-        # must round to the same |offset|
+        # must round to the same |offset|.  dx and its image dx - L sign(dx)
+        # lie in [-L, L], where evaluate's table covers every rint(dx / h).
         g = Grid(dim, 1.0, 8)
         k = make_indicator_kernel(1.0, g.spacing, dim, g)
         axis = np.arange(-16, 17) * (g.spacing / 2)
         dx = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
         assert np.array_equal(k.evaluate(dx), k.evaluate(-dx))
-        assert np.array_equal(k.evaluate(dx), k.evaluate(dx + g.side))
+        assert np.array_equal(k.evaluate(dx), k.evaluate(dx - g.side * np.sign(dx)))
         assert k.evaluate(np.full((1, dim), 1.5 * g.spacing))[0] == 0.0
 
     def test_pair_values_match_pointwise_lookup(self):

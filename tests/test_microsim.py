@@ -125,6 +125,37 @@ class TestInit:
 
 
 class TestEnsemble:
+    @pytest.mark.parametrize("jobs, runs, pools", [(500, 3, [3]), (2, 3, [2]), (4, 1, []), (1, 3, [])])
+    def test_workers_are_capped_at_runs(self, grid, params, monkeypatch, jobs, runs, pools):
+        # a pool starts all its workers at once, so record them and run in-process
+        import concurrent.futures
+
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        rho0 = Field.constant(grid, 0.8)
+        trajs = run_ensemble(rho0, params, 1.0, [1.0], 4, runs, jobs=jobs)
+        assert started == pools
+        serial = run_ensemble(rho0, params, 1.0, [1.0], 4, runs)
+        assert [t.events for t in trajs] == [t.events for t in serial]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_fewer_than_one_job_is_rejected(self, grid, params, jobs):
+        with pytest.raises(InvalidParameterError):
+            run_ensemble(Field.constant(grid, 0.8), params, 1.0, [1.0], 4, 3, jobs=jobs)
+
     def test_run_i_uses_stream_i(self, grid, params):
         # run i is init_poisson_field then run, both on run_rng(seed, i)
         rho0 = Field.constant(grid, 0.8)
@@ -280,21 +311,26 @@ class TestRun:
 # event time.  They replaced the logs of the direct method (one rate sum
 # and one cumulative sum per event), whose law the thinned loop keeps:
 # test_thinned_step_has_the_direct_law below is the statistical check.
+# ``times`` is a SHA-256 of the event times as little-endian doubles,
+# recorded later, which holds the times bit for bit; the JSON's first 2-d
+# time is one ulp off them, and only its rtol=1e-12 comparison passes.
 SAME_SEED = {
     "1d": dict(events=90, births=42, natural=12, competition=36, n_end=8,
-               digest="66391a4acfbf3c837cd592faeab6247e6037c6da0706dd7e0b3b352a09488002"),
+               digest="66391a4acfbf3c837cd592faeab6247e6037c6da0706dd7e0b3b352a09488002",
+               times="2ce704741191418d2bda97d28d75cb17ede7cfe75560e3d8f8c427b1a8aa9d23"),
     "2d": dict(events=84, births=42, natural=14, competition=28, n_end=94,
-               digest="31c82ed74e8f1a4999429d96b14174c6cfa923330177c83e1be65f0ef93a3285"),
+               digest="31c82ed74e8f1a4999429d96b14174c6cfa923330177c83e1be65f0ef93a3285",
+               times="e917d2db053beece919bf880be7ad57ae46cc82606dd4e962bbc6f7b147fa591"),
 }
 
 
-def same_seed_run(case):
+def same_seed_run(case, keep_events=True):
     if case == "1d":
         g = Grid(1, 10.0, 100)
         params = ModelParams(0.3, unit_mass_indicator(g, 0.5), make_indicator_kernel(0.6, 0.5, 1, g))
         rng = run_rng(2024, 1)
         config = init_poisson(2.0, g.side, 1, params.competition, rng)
-        return config, run(config, params, 3.0, [1.5, 3.0], rng, keep_events=True)
+        return config, run(config, params, 3.0, [1.5, 3.0], rng, keep_events=keep_events)
     g = Grid(2, 10.0, 40)
     params = ModelParams(
         0.4, make_indicator_kernel(0.5, 0.9, 2, g), make_gaussian_kernel(0.3, 2, g), 0.8
@@ -302,7 +338,7 @@ def same_seed_run(case):
     profile = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers() / g.side)[:, None] * np.ones(g.cells)
     rng = run_rng(2024, 2)
     config = init_poisson_field(Field(g, profile), params.competition, rng)
-    return config, run(config, params, 0.4, [0.2, 0.4], rng, keep_events=True)
+    return config, run(config, params, 0.4, [0.2, 0.4], rng, keep_events=keep_events)
 
 
 @pytest.mark.parametrize("case", ["1d", "2d"])
@@ -322,6 +358,20 @@ def test_same_seed_same_events(case):
     with open(os.path.join(os.path.dirname(__file__), "data", "same_seed_event_times.json")) as fh:
         times = json.load(fh)[case]
     assert np.allclose([e.time for e in log], times, rtol=1e-12, atol=0.0)
+    stamps = np.asarray([e.time for e in log], dtype="<f8").tobytes()
+    assert hashlib.sha256(stamps).hexdigest() == want["times"]
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_event_records_change_no_draw(case):
+    _, logged = same_seed_run(case)
+    _, bare = same_seed_run(case, keep_events=False)
+    assert len(logged.event_log) == logged.events and bare.event_log == []
+    assert len(logged.snapshots) == len(bare.snapshots) == 2
+    for a, b in zip(logged.snapshots, bare.snapshots):
+        assert np.array_equal(a, b)
+    counters = [k for k in vars(logged) if k not in ("snapshots", "event_log")]
+    assert [getattr(logged, k) for k in counters] == [getattr(bare, k) for k in counters]
 
 
 # -- the array structures against O(N^2) and loop oracles -----------------

@@ -9,7 +9,6 @@ from .kernels import (
     Kernel,
     check_homogenization,
     domination_theta,
-    kernel_moments,
     make_gaussian_kernel,
     make_indicator_kernel,
     make_tabulated_kernel,
@@ -51,7 +50,6 @@ __all__ = [
     "horizon_T",
     "init_poisson",
     "init_poisson_field",
-    "kernel_moments",
     "kinetic_rhs",
     "knorm_alpha",
     "make_gaussian_kernel",

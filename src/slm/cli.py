@@ -19,14 +19,14 @@ import numpy as np
 
 from . import __version__
 from .config import parse_config, read_table
-from .errors import InvalidParameterError, SLMError
+from .errors import InvalidParameterError, PreconditionError, SLMError
 from .hierarchy import TruncatedState, solve_hierarchy
 from .kernels import domination_theta
-from .kinetic import BernoulliParams, bernoulli_q, solve_kinetic
+from .kinetic import solve_kinetic
 from .microsim import run_ensemble
 from .scaling import vlasov_error
 from .stats import default_pair_edges, estimate_correlations, subpoisson_diagnostic
-from .theory import optimize_alpha
+from .theory import check_initial_space, optimize_alpha
 
 
 CSV_BLOCK_ROWS = 4096  # rows formatted at a time, which bounds the writer's memory
@@ -140,8 +140,9 @@ def cmd_simulate(args, cfg):
 def cmd_kinetic(args, cfg):
     times = cfg.snapshot_times
     snaps = solve_kinetic(cfg.rho0, cfg.params, cfg.horizon, cfg.dt, times)
-    bp = BernoulliParams.from_model(cfg.params)
-    q = bernoulli_q(bp) if bp.aminus_mass > 0 else math.nan
+    # the kinetic equation has no epsilon, so neither has its carrying capacity
+    p = cfg.params
+    q = (p.dispersal.mass - p.mortality) / p.competition.mass if p.competition.mass > 0 else math.nan
     summary = [
         (t, f.min, f.max, f.mean, float(np.max(np.abs(f.values - q)))) for t, f in zip(times, snaps)
     ]
@@ -261,6 +262,11 @@ def cmd_analyze(args, cfg):
     if theta > 0:
         alpha_max = -math.log(theta)
         alpha_up = cfg.alpha_up if cfg.alpha_up is not None else alpha_max - 0.5
+        if not check_initial_space(theta, alpha_up):
+            raise PreconditionError(
+                f"alpha_up = {alpha_up:.6g} gives an inadmissible initial space: "
+                f"theta = {theta:.6g} needs alpha_up < {alpha_max:.6g}"
+            )
         admissible = f"alpha* < {alpha_max:.6g}"
     else:
         alpha_up = cfg.alpha_up if cfg.alpha_up is not None else 0.0
@@ -289,10 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"slm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", required=True, help="run-config file")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="exact stochastic ensemble")
     common(p)

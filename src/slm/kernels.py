@@ -31,7 +31,6 @@ class Kernel:
     pair values) per instance.
     """
 
-    shape: str
     grid: Grid
     values: np.ndarray
     mass: float = field(init=False)
@@ -187,7 +186,7 @@ def make_indicator_kernel(height: float, radius: float, dim: int, grid: Grid) ->
         raise InvalidParameterError(f"dim {dim} does not match grid dim {grid.dim}")
     _check_support(radius, grid)
     r = grid.offset_radii()
-    return Kernel("indicator-ball", grid, np.where(r <= radius, height, 0.0))
+    return Kernel(grid, np.where(r <= radius, height, 0.0))
 
 
 def make_gaussian_kernel(
@@ -210,7 +209,7 @@ def make_gaussian_kernel(
     r = grid.offset_radii()
     vals = height * np.exp(-0.5 * (r / sigma) ** 2)
     vals[r > cutoff] = 0.0
-    return Kernel("gaussian-truncated", grid, vals)
+    return Kernel(grid, vals)
 
 
 def make_tabulated_kernel(offsets: np.ndarray, profile: np.ndarray, dim: int, grid: Grid) -> Kernel:
@@ -232,12 +231,12 @@ def make_tabulated_kernel(offsets: np.ndarray, profile: np.ndarray, dim: int, gr
     _check_support(float(offsets[-1]), grid)
     r = grid.offset_radii()
     vals = np.interp(r, offsets, profile, right=0.0)
-    return Kernel("tabulated-grid", grid, vals)
+    return Kernel(grid, vals)
 
 
 def make_zero_kernel(grid: Grid) -> Kernel:
     """Absent interaction (e.g. the contact model's competition kernel)."""
-    return Kernel("zero", grid, np.zeros(grid.shape))
+    return Kernel(grid, np.zeros(grid.shape))
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -245,13 +244,6 @@ def ball_volume(dim: int, radius: float) -> float:
 
 
 # -- conditions on kernel pairs -----------------------------------------
-
-
-def kernel_moments(kernel: Kernel) -> tuple:
-    """(mass, sup) recomputed from the tabulation; matches the cached values."""
-    mass = float(kernel.grid.cell_volume * kernel.values.sum())
-    sup = float(kernel.values.max()) if kernel.values.size else 0.0
-    return mass, sup
 
 
 def domination_theta(aplus: Kernel, aminus: Kernel) -> float | None:

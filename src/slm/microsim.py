@@ -28,7 +28,7 @@ from .errors import (
     BlowUpError,
     InvalidParameterError,
 )
-from .grid import pair_blocks, sort_by_cell, wrap
+from .grid import pair_blocks, require_same_grid, sort_by_cell, wrap
 from .kernels import Kernel
 from .model import ModelParams
 
@@ -55,9 +55,10 @@ class CellList:
     of a row of ``members``, for the candidates' mask.
     """
 
-    def __init__(self, side: float, dim: int, interaction_radius: float, positions: np.ndarray):
+    def __init__(self, side: float, interaction_radius: float, positions: np.ndarray):
         # the stable sort puts a cell's members in index order, as n successive adds would
         order, keys, self.ncells = sort_by_cell(positions, side, interaction_radius)
+        dim = positions.shape[1]
         self.width = side / self.ncells
         self.strides = self.ncells ** np.arange(dim - 1, -1, -1)
         self._strides = self.strides.tolist()
@@ -131,13 +132,19 @@ class Configuration:
     competitive death rates c_i (unscaled by epsilon) and a bound
     ``crate_bound`` >= max_i c_i for the thinned event loop.  A birth
     raises the bound to the rates it touches; deaths only lower rates, so
-    it stays valid until :meth:`tighten` resets it to the maximum.
+    it stays valid until :meth:`tighten` resets it to the maximum.  The
+    torus is the competition kernel's grid: its side and dimension.
     """
 
-    def __init__(self, positions: np.ndarray, side: float, dim: int, competition: Kernel):
-        positions = wrap(np.asarray(positions, dtype=float).reshape(-1, dim), side)
-        self.side = side
-        self.dim = dim
+    def __init__(self, positions: np.ndarray, competition: Kernel):
+        self.side = side = competition.grid.side
+        self.dim = dim = competition.grid.dim
+        positions = np.asarray(positions, dtype=float)
+        if positions.size and (positions.ndim != 2 or positions.shape[1] != dim):
+            raise InvalidParameterError(
+                f"positions of shape {positions.shape} are not points of the {dim}-d kernel grid"
+            )
+        positions = wrap(positions.reshape(-1, dim), side)
         self.competition = competition
         self.interacting = competition.sup > 0
         n = len(positions)
@@ -147,7 +154,7 @@ class Configuration:
         self.crate = np.zeros(cap)
         self.n = n
         if self.interacting:
-            self.cells = CellList(side, dim, competition.support_radius, positions)
+            self.cells = CellList(side, competition.support_radius, positions)
             self.crate[:n] = self._exact_rates()
         self.tighten()
 
@@ -235,28 +242,27 @@ class Configuration:
         return float(np.max(np.abs(self.crate[: self.n] - exact) / (1.0 + exact), initial=0.0))
 
 
-def init_poisson(
-    intensity: float, side: float, dim: int, competition: Kernel, rng: np.random.Generator
-) -> Configuration:
-    """Homogeneous Poisson configuration: N ~ Poisson(intensity * L^d),
-    positions i.i.d. uniform."""
+def init_poisson(intensity: float, competition: Kernel, rng: np.random.Generator) -> Configuration:
+    """Homogeneous Poisson configuration on the competition kernel's torus:
+    N ~ Poisson(intensity * L^d), positions i.i.d. uniform."""
     if intensity < 0:
         raise InvalidParameterError("intensity must be nonnegative")
+    side, dim = competition.grid.side, competition.grid.dim
     n = rng.poisson(intensity * side**dim)
-    positions = rng.uniform(0.0, side, size=(n, dim))
-    return Configuration(positions, side, dim, competition)
+    return Configuration(rng.uniform(0.0, side, size=(n, dim)), competition)
 
 
 def init_poisson_field(rho0, competition: Kernel, rng: np.random.Generator) -> Configuration:
-    """Inhomogeneous Poisson start with cellwise intensity from a Field."""
-    grid = rho0.grid
+    """Inhomogeneous Poisson start with cellwise intensity from a Field
+    on the competition kernel's grid."""
+    grid = require_same_grid(rho0.grid, competition.grid)
     counts = rng.poisson(rho0.values * grid.cell_volume)
     # the cells in C order, each repeated by its count, take one uniform
     # draw per coordinate from a single call
     cells = np.repeat(np.arange(grid.size), counts.ravel())
     base = np.array(np.unravel_index(cells, grid.shape), dtype=float).T * grid.spacing
     pts = base + rng.uniform(0.0, grid.spacing, size=(len(cells), grid.dim))
-    return Configuration(pts, grid.side, grid.dim, competition)
+    return Configuration(pts, competition)
 
 
 def step_event(
@@ -266,6 +272,7 @@ def step_event(
     place and returns the realized event (its time is t plus the waiting
     times of the proposals up to and including the first real one).
     """
+    _require_kernel(config, params)
     log = []
     while not log:
         bound = _bound(config, params)
@@ -310,6 +317,7 @@ def run(
     competitive rates more than AUDIT_TOLERANCE off; an absorbed (empty,
     rateless) state simply freezes the remaining snapshots.
     """
+    _require_kernel(config, params)
     times = sorted(float(s) for s in snapshot_times)
     if times and times[-1] > horizon + 1e-12:
         raise InvalidParameterError("snapshot times must not exceed the horizon")
@@ -354,6 +362,16 @@ def run(
         traj.snapshots.append(config.positions())
     traj.n_end = config.n
     return traj
+
+
+def _require_kernel(config, params):
+    """The rates of ``config`` are those of ``params.competition``: the same
+    kernel, or one on the same grid with equal values (a deep copy)."""
+    ours, theirs = config.competition, params.competition
+    if ours is not theirs and (
+        ours.grid != theirs.grid or not np.array_equal(ours.values, theirs.values)
+    ):
+        raise InvalidParameterError("the configuration's competition kernel is not the model's")
 
 
 def _bound(config, params) -> float:

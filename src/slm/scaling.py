@@ -30,12 +30,16 @@ class ScalingReport:
     mc_se: list  # per-eps Monte Carlo SE of the rescaled density (microsim mode)
 
 
+def _require_eps(eps: float):
+    if not 0.0 < eps <= 1.0:
+        raise InvalidParameterError(f"eps must lie in (0, 1], got {eps}")
+
+
 def scaled_params(params: ModelParams, rho0: Field, eps: float) -> tuple:
     """Scale competition by eps and the initial density by 1/eps; the
     dispersal kernel and mortality are untouched.  Composes
     multiplicatively in eps."""
-    if not 0.0 < eps <= 1.0:
-        raise InvalidParameterError(f"eps must lie in (0, 1], got {eps}")
+    _require_eps(eps)
     return params.with_epsilon(params.epsilon * eps), Field(rho0.grid, rho0.values / eps)
 
 
@@ -60,6 +64,8 @@ def vlasov_error(
         raise InvalidParameterError("eps_list must be strictly decreasing")
     if mode not in ("microsim", "hierarchy"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
+    for eps in eps_list:  # in both modes, before the kinetic reference is solved
+        _require_eps(eps)
     if mode == "hierarchy":
         require_pair_grid(rho0.grid)  # before the kinetic reference is solved
     if T_star is not None and T >= T_star:

@@ -193,7 +193,7 @@ def test_criterion_07_clustering_dichotomy(announce):
     ens = [[] for _ in times_a]
     for ridx in range(600):
         rng = run_rng(77, ridx)
-        config = init_poisson(0.5, grid.side, 1, contact.competition, rng)
+        config = init_poisson(0.5, contact.competition, rng)
         traj = run(config, contact, times_a[-1], times_a, rng)
         for s, pts in enumerate(traj.snapshots):
             ens[s].append(pts)
@@ -215,7 +215,7 @@ def test_criterion_07_clustering_dichotomy(announce):
     ens_b = [[] for _ in times_b]
     for ridx in range(600):
         rng = run_rng(78, ridx)
-        config = init_poisson(kappa, grid.side, 1, competition.competition, rng)
+        config = init_poisson(kappa, competition.competition, rng)
         traj = run(config, competition, T, times_b, rng)
         for s, pts in enumerate(traj.snapshots):
             ens_b[s].append(pts)
@@ -245,7 +245,7 @@ def test_criterion_08_simulator_micro_checks(announce):
     waits = np.empty(10_000)
     for s in range(waits.size):
         rng = run_rng(41, s)
-        config = Configuration([[5.0]], grid.side, 1, dead.competition)
+        config = Configuration([[5.0]], dead.competition)
         waits[s] = step_event(config, dead, rng).time
     se = waits.std(ddof=1) / np.sqrt(waits.size)
     clock_ok = abs(waits.mean() - 1.0 / m) <= 3.0 * se
@@ -266,7 +266,7 @@ def test_criterion_08_simulator_micro_checks(announce):
     drift = 0.0
     for ridx in range(5):
         rng = run_rng(42, ridx)
-        config = init_poisson(2.0, grid.side, 1, params.competition, rng)
+        config = init_poisson(2.0, params.competition, rng)
         traj = run(config, params, 20.0, [20.0], rng, audit_interval=100)
         drift = max(drift, traj.max_audit_drift, config.audit())
     audit_ok = drift <= 1e-9

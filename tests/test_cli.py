@@ -299,6 +299,18 @@ class TestCommands:
         assert fields[0] == "t,cell_index,x0,rho"
         assert len(fields) == 1 + 2 * 50
 
+    def test_kinetic_q_has_no_epsilon(self, tmp_path):
+        # q = (<a+> - m)/<a-> = (1 - 0.3)/1 is a steady state of the kinetic
+        # equation at every [model] epsilon, which that equation does not read
+        cfg = BASE_CFG.replace("mortality = 0.3", "mortality = 0.3\nepsilon = 0.5")
+        p = tmp_path / "eps.cfg"
+        p.write_text(cfg.replace("density = 0.5", "density = 0.7"))
+        out = str(tmp_path / "kin")
+        assert main(["kinetic", "--config", str(p), "--out", out]) == 0
+        summary = np.loadtxt(os.path.join(out, "summary.csv"), delimiter=",", skiprows=1)
+        assert np.all(np.abs(summary[:, 1:4] - 0.7) < 1e-12)
+        assert np.all(summary[:, 4] < 1e-12)
+
     def test_hierarchy_outputs(self, cfg_path, tmp_path):
         out = str(tmp_path / "hier")
         assert main(["hierarchy", "--config", cfg_path, "--out", out]) == 0
@@ -355,6 +367,32 @@ class TestCommands:
         assert report[0] == "eps,sup_error,mc_se,runs"
         assert len(report) == 3
         assert os.path.exists(os.path.join(out, "plot_manifest.json"))
+
+    @pytest.mark.parametrize("mode", ["hierarchy", "microsim"])
+    def test_scaling_rejects_eps_outside_unit_interval(self, tmp_path, capsys, mode):
+        cfg = BASE_CFG + "\n[scaling]\neps_list = 2 1 -0.5\nscaling_runs = 5\n"
+        p = tmp_path / "s.cfg"
+        p.write_text(cfg)
+        out = str(tmp_path / "sc")
+        assert main(["scaling", "--config", str(p), "--out", out, "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert "error-category: invalid-parameter: eps must lie in (0, 1], got 2.0" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("alpha_up, code", [(5.0, 2), (-1.0, 0)])
+    def test_analyze_requires_an_admissible_initial_space(self, tmp_path, capsys, alpha_up, code):
+        # a+ = 2 a-, so theta = 2 and theta e^alpha_up < 1 needs alpha_up < -ln 2
+        cfg = BASE_CFG.replace("height = 1.0", "height = 2.0", 1)
+        p = tmp_path / "a.cfg"
+        p.write_text(cfg + f"\n[theory]\nalpha_up = {alpha_up}\n")
+        out = str(tmp_path / "an")
+        assert main(["analyze", "--config", str(p), "--out", out]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "error-category: precondition-violation" in captured.err
+            assert "T*" not in captured.out and not os.path.exists(out)
+        else:
+            assert "theta            : 2" in captured.out and "T*" in captured.out
 
     def test_analyze_prints_horizon(self, cfg_path, capsys):
         assert main(["analyze", "--config", cfg_path]) == 0
@@ -483,6 +521,18 @@ def test_readme_example_config(tmp_path, capsys):
     mean_field = ["--out", str(tmp_path / "mf"), "--closure", "mean-field"]
     assert main(["hierarchy", "--config", str(cfg), *mean_field]) == 2
     assert "error-category: instability" in capsys.readouterr().err
+
+
+def test_readme_library_example_runs():
+    # the documented API, run as a reader would paste it
+    section = read(README).split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["slm"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    rho_mean, density = map(float, out.stdout.split())
+    assert rho_mean > 0 and density >= 0
 
 
 def test_k2_slice_rows_name_the_offsets_read(tmp_path):

@@ -211,8 +211,8 @@ class TestRhsK2:
         #   -2 m c^2 - 2 beta L c^3 + 2 alpha L c^2
         #   + eps (-2 beta c^2 + 2 alpha c).
         m, alpha, beta, c, eps, L = 0.3, 0.2, 0.4, 0.7, 0.6, grid.side
-        flat_plus = Kernel("tabulated-grid", grid, np.full(grid.shape, alpha))
-        flat_minus = Kernel("tabulated-grid", grid, np.full(grid.shape, beta))
+        flat_plus = Kernel(grid, np.full(grid.shape, alpha))
+        flat_minus = Kernel(grid, np.full(grid.shape, beta))
         params = ModelParams(m, flat_plus, flat_minus)
         st = TruncatedState(
             Field.constant(grid, c), Field2(grid, np.full((64, 64), c * c)), eps

@@ -9,7 +9,6 @@ from slm.kernels import (
     ball_volume,
     check_homogenization,
     domination_theta,
-    kernel_moments,
     make_gaussian_kernel,
     make_indicator_kernel,
     make_tabulated_kernel,
@@ -68,14 +67,14 @@ class TestConstruction:
 
     def test_negative_values_rejected(self, grid):
         with pytest.raises(InvalidParameterError):
-            Kernel("tabulated-grid", grid, -np.ones(grid.shape))
+            Kernel(grid, -np.ones(grid.shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, grid, bad):
         vals = np.ones(grid.shape)
         vals[3] = bad
         with pytest.raises(InvalidParameterError):
-            Kernel("tabulated-grid", grid, vals)
+            Kernel(grid, vals)
 
     def test_tabulated_rejects_nan_offsets(self, grid):
         with pytest.raises(InvalidParameterError):
@@ -95,13 +94,14 @@ class TestConstruction:
 
 class TestMoments:
     def test_indicator_moments(self, grid):
+        # the cached moments are those of the tabulation
         k = indicator_unit_mass(grid, 0.5)
-        mass, sup = kernel_moments(k)
-        assert mass == pytest.approx(1.0, rel=1e-12)
-        assert (mass, sup) == (k.mass, k.sup)
+        assert k.mass == pytest.approx(1.0, rel=1e-12)
+        assert (k.mass, k.sup) == (float(grid.cell_volume * k.values.sum()), float(k.values.max()))
 
     def test_zero_kernel_moments(self, grid):
-        assert kernel_moments(make_zero_kernel(grid)) == (0.0, 0.0)
+        k = make_zero_kernel(grid)
+        assert (k.mass, k.sup) == (0.0, 0.0)
 
     def test_gaussian_mass_against_fine_quadrature(self):
         # independent oracle: midpoint quadrature at 10x grid density
@@ -214,7 +214,7 @@ class TestLookup:
         # 0 and L - 1 ulp on each axis, so dx takes 0 and +-(L - 1 ulp)
         g = Grid(dim, 5.0, cells)
         rng = np.random.default_rng(cells)
-        k = Kernel("tabulated-grid", g, rng.random(g.shape))
+        k = Kernel(g, rng.random(g.shape))
         edges = [0.0, np.nextafter(g.side, 0.0)]
         pts = np.concatenate(
             [wrap(rng.uniform(-g.side, 2 * g.side, (150, dim)), g.side), rng.choice(edges, (20, dim))]
@@ -241,7 +241,7 @@ class TestLookup:
 
     def test_pair_values_match_pointwise_lookup(self):
         g = Grid(1, 5.0, 41)
-        k = Kernel("tabulated-grid", g, np.random.default_rng(1).random(g.shape))
+        k = Kernel(g, np.random.default_rng(1).random(g.shape))
         i = np.arange(g.cells)
         assert np.array_equal(k.pair_values, k.values[np.subtract.outer(i, i) % g.cells])
         assert k.pair_values is k.pair_values  # built once per kernel

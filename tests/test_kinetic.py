@@ -86,7 +86,7 @@ class TestConvolution:
     def test_single_cell_delta_is_identity(self, grid):
         vals = np.zeros(grid.shape)
         vals[0] = 1.0 / grid.cell_volume  # discrete delta of unit mass
-        delta = Kernel("tabulated-grid", grid, vals)
+        delta = Kernel(grid, vals)
         f = Field(grid, np.random.default_rng(0).random(grid.shape))
         out = convolve_periodic(delta, f)
         assert np.allclose(out.values, f.values, rtol=1e-12)
@@ -117,7 +117,7 @@ class TestConvolution:
         rng = np.random.default_rng(cells)
         f = Field(g, rng.random(g.shape))  # no symmetry
         # an uneven sparse tabulation tells convolution from correlation
-        uneven = Kernel("tabulated-grid", g, rng.random(g.shape) * (rng.random(g.shape) < 0.2))
+        uneven = Kernel(g, rng.random(g.shape) * (rng.random(g.shape) < 0.2))
         for k in (make_indicator_kernel(0.7, 1.3, dim, g), make_gaussian_kernel(0.6, dim, g), uneven):
             out = convolve_periodic(k, f).values
             assert rel_err(out, roll_convolution(k, f.values)) <= 1e-13
@@ -161,7 +161,7 @@ class TestSharedTransform:
     def test_kinetic_rhs_matches_separate_convolutions(self, dim, cells):
         g = Grid(dim, 8.0, cells)
         rng = np.random.default_rng(cells)
-        uneven = Kernel("tabulated-grid", g, rng.random(g.shape) * (rng.random(g.shape) < 0.2))
+        uneven = Kernel(g, rng.random(g.shape) * (rng.random(g.shape) < 0.2))
         params = ModelParams(0.3, uneven, make_gaussian_kernel(0.6, dim, g))
         f = Field(g, rng.random(g.shape))
         assert rel_err(kinetic_rhs(f, params).values, oracles.kinetic_rhs(f, params)) <= 1e-13

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import oracles
-from slm.errors import AbsorbedStateError, AuditDriftError, BlowUpError, InvalidParameterError
+from slm.errors import (
+    AbsorbedStateError,
+    AuditDriftError,
+    BlowUpError,
+    IncompatibleGridsError,
+    InvalidParameterError,
+)
 from slm.grid import Grid, cell_keys
 from slm.kernels import make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
 from slm.kinetic import Field
@@ -43,13 +49,13 @@ def params(grid):
 
 class TestRates:
     def test_empty_configuration(self, grid, params):
-        config = Configuration(np.zeros((0, 1)), grid.side, 1, params.competition)
+        config = Configuration(np.zeros((0, 1)), params.competition)
         assert oracles.total_rates(config, params) == (0.0, 0.0)
         with pytest.raises(AbsorbedStateError):
             step_event(config, params, run_rng(0, 0))
 
     def test_single_particle(self, grid, params):
-        config = Configuration([[5.0]], grid.side, 1, params.competition)
+        config = Configuration([[5.0]], params.competition)
         birth, death = oracles.total_rates(config, params)
         assert birth == pytest.approx(params.dispersal.mass)
         assert death == pytest.approx(params.mortality)
@@ -60,23 +66,23 @@ class TestRates:
         aminus = make_indicator_kernel(0.8, 0.5, 1, Grid(1, 10.0, 100))
         g = aminus.grid
         params = ModelParams(0.3, unit_mass_indicator(g, 0.5), aminus, epsilon=0.7)
-        config = Configuration([[5.0], [5.2]], g.side, 1, aminus)
+        config = Configuration([[5.0], [5.2]], aminus)
         _, death = oracles.total_rates(config, params)
         assert death == pytest.approx(2 * 0.3 + 2 * 0.7 * 0.8)
 
     def test_two_far_particles(self, grid, params):
-        config = Configuration([[1.0], [6.0]], grid.side, 1, params.competition)
+        config = Configuration([[1.0], [6.0]], params.competition)
         _, death = oracles.total_rates(config, params)
         assert death == pytest.approx(2 * params.mortality)
 
     def test_periodic_wraparound_pair(self, grid, params):
         # particles at 0.1 and 9.9 are 0.2 apart through the boundary
-        config = Configuration([[0.1], [9.9]], grid.side, 1, params.competition)
+        config = Configuration([[0.1], [9.9]], params.competition)
         assert config.crate[0] == pytest.approx(params.competition.sup)
 
     def test_incremental_matches_recomputed(self, grid, params):
         rng = run_rng(42, 0)
-        config = init_poisson(2.0, grid.side, 1, params.competition, rng)
+        config = init_poisson(2.0, params.competition, rng)
         for _ in range(300):
             if config.n == 0:
                 break
@@ -87,7 +93,7 @@ class TestRates:
 class TestInit:
     def test_poisson_count_distribution(self, grid, params):
         rng = run_rng(1, 0)
-        counts = [init_poisson(3.0, grid.side, 1, params.competition, rng).n for _ in range(400)]
+        counts = [init_poisson(3.0, params.competition, rng).n for _ in range(400)]
         mean = np.mean(counts)
         # Poisson(30): SE of the mean over 400 draws is ~0.27
         assert abs(mean - 30.0) < 3 * np.sqrt(30.0 / 400)
@@ -111,7 +117,7 @@ class TestInit:
         g = Grid(dim, 10.0, 20)
         point = [-1e-20] + [3.0] * (dim - 1)
         for kernel in (make_indicator_kernel(1.0, 0.5, dim, g), make_zero_kernel(g)):
-            config = Configuration([point], g.side, dim, kernel)
+            config = Configuration([point], kernel)
             config.add_particle(np.array(point))
             config.add_particle(np.array(point) - g.side)
             pts = config.positions()
@@ -121,7 +127,18 @@ class TestInit:
 
     def test_negative_intensity_rejected(self, grid, params):
         with pytest.raises(InvalidParameterError):
-            init_poisson(-1.0, grid.side, 1, params.competition, run_rng(0, 0))
+            init_poisson(-1.0, params.competition, run_rng(0, 0))
+
+    def test_poisson_field_on_another_grid_is_rejected(self, params):
+        # the torus is the kernel's grid; a start drawn on another one is not on it
+        for other in (Grid(1, 8.0, 100), Grid(1, 10.0, 50), Grid(2, 10.0, 100)):
+            with pytest.raises(IncompatibleGridsError):
+                init_poisson_field(Field.constant(other, 1.0), params.competition, run_rng(0, 0))
+
+    def test_points_of_another_dimension_are_rejected(self, params):
+        for pts in ([[1.0, 2.0]], np.zeros((3, 2)), [1.0, 2.0]):
+            with pytest.raises(InvalidParameterError):
+                Configuration(pts, params.competition)
 
 
 class TestEnsemble:
@@ -175,7 +192,7 @@ class TestRun:
         outs = []
         for _ in range(2):
             rng = run_rng(7, 3)
-            config = init_poisson(1.0, grid.side, 1, params.competition, rng)
+            config = init_poisson(1.0, params.competition, rng)
             traj = run(config, params, 5.0, [1.0, 3.0, 5.0], rng)
             outs.append([s.copy() for s in traj.snapshots])
         for a, b in zip(*outs):
@@ -186,7 +203,7 @@ class TestRun:
         sizes = set()
         for i in range(4):
             rng = run_rng(7, i)
-            config = init_poisson(1.0, grid.side, 1, params.competition, rng)
+            config = init_poisson(1.0, params.competition, rng)
             traj = run(config, params, 3.0, [3.0], rng)
             sizes.add(len(traj.snapshots[0]))
         assert len(sizes) > 1
@@ -199,7 +216,7 @@ class TestRun:
         totals = []
         for i in range(n_runs):
             rng = run_rng(11, i)
-            config = init_poisson(2.0, grid.side, 1, params.competition, rng)
+            config = init_poisson(2.0, params.competition, rng)
             n0 = config.n
             traj = run(config, params, t_end, [t_end], rng)
             totals.append(len(traj.snapshots[0]) - n0 * np.exp(growth * t_end))
@@ -212,7 +229,7 @@ class TestRun:
         survived = total0 = 0
         for i in range(200):
             rng = run_rng(13, i)
-            config = init_poisson(3.0, grid.side, 1, params.competition, rng)
+            config = init_poisson(3.0, params.competition, rng)
             total0 += config.n
             traj = run(config, params, 1.0, [1.0], rng)
             survived += len(traj.snapshots[0])
@@ -223,7 +240,7 @@ class TestRun:
     def test_absorption_freezes_snapshots(self, grid):
         params = ModelParams(50.0, unit_mass_indicator(grid, 0.5), make_zero_kernel(grid))
         rng = run_rng(5, 0)
-        config = init_poisson(0.5, grid.side, 1, params.competition, rng)
+        config = init_poisson(0.5, params.competition, rng)
         traj = run(config, params, 10.0, [5.0, 10.0], rng)
         assert traj.absorbed
         assert all(len(s) == 0 for s in traj.snapshots)
@@ -231,7 +248,7 @@ class TestRun:
     def test_blow_up_error(self, grid):
         params = ModelParams(0.0, make_indicator_kernel(5.0, 0.5, 1, grid), make_zero_kernel(grid))
         rng = run_rng(6, 0)
-        config = init_poisson(5.0, grid.side, 1, params.competition, rng)
+        config = init_poisson(5.0, params.competition, rng)
         with pytest.raises(BlowUpError) as exc:
             run(config, params, 50.0, [50.0], rng, population_cap=500)
         assert exc.value.population > 500
@@ -241,7 +258,7 @@ class TestRun:
         aminus = make_indicator_kernel(0.01, 0.5, 1, grid)
         params = ModelParams(0.0, make_indicator_kernel(5.0, 0.5, 1, grid), aminus)
         rng = run_rng(6, 0)
-        config = init_poisson(5.0, grid.side, 1, aminus, rng)
+        config = init_poisson(5.0, aminus, rng)
         with pytest.raises(BlowUpError) as exc:
             run(config, params, 50.0, [50.0], rng, population_cap=500)
         assert exc.value.population == config.n == 501
@@ -249,7 +266,7 @@ class TestRun:
 
     def test_zero_horizon_snapshot_is_initial_state(self, grid, params):
         rng = run_rng(8, 0)
-        config = init_poisson(2.0, grid.side, 1, params.competition, rng)
+        config = init_poisson(2.0, params.competition, rng)
         pts0 = config.positions()
         traj = run(config, params, 0.0, [0.0], rng)
         assert np.array_equal(np.sort(traj.snapshots[0], axis=0), np.sort(pts0, axis=0))
@@ -257,7 +274,7 @@ class TestRun:
 
     def test_event_accounting(self, grid, params):
         rng = run_rng(9, 0)
-        config = init_poisson(2.0, grid.side, 1, params.competition, rng)
+        config = init_poisson(2.0, params.competition, rng)
         n0 = config.n
         traj = run(config, params, 4.0, [4.0], rng, keep_events=True)
         assert traj.events == traj.births + traj.deaths == len(traj.event_log)
@@ -273,7 +290,7 @@ class TestRun:
         left = right = 0
         for i in range(60):
             rng = run_rng(21, i)
-            config = init_poisson(0.7, grid.side, 1, params.competition, rng)
+            config = init_poisson(0.7, params.competition, rng)
             traj = run(config, params, 10.0, [10.0], rng)
             pts = traj.snapshots[0]
             left += int((pts[:, 0] < 5.0).sum())
@@ -286,7 +303,7 @@ class TestRun:
 
     def test_audit_drift_raises(self, grid, params):
         rng = run_rng(10, 0)
-        config = init_poisson(2.0, grid.side, 1, params.competition, rng)
+        config = init_poisson(2.0, params.competition, rng)
         config.crate[: config.n] += 1.0  # every cached rate is now off by one
         with pytest.raises(AuditDriftError) as exc:
             run(config, params, 4.0, [4.0], rng, audit_interval=1)
@@ -298,7 +315,7 @@ class TestRun:
         aminus = make_indicator_kernel(0.3, 0.8, 2, g)
         params = ModelParams(0.2, aplus, aminus)
         rng = run_rng(30, 0)
-        config = init_poisson(0.5, g.side, 2, aminus, rng)
+        config = init_poisson(0.5, aminus, rng)
         traj = run(config, params, 2.0, [1.0, 2.0], rng)
         assert len(traj.snapshots) == 2
         assert config.audit() < 1e-12
@@ -329,7 +346,7 @@ def same_seed_run(case, keep_events=True):
         g = Grid(1, 10.0, 100)
         params = ModelParams(0.3, unit_mass_indicator(g, 0.5), make_indicator_kernel(0.6, 0.5, 1, g))
         rng = run_rng(2024, 1)
-        config = init_poisson(2.0, g.side, 1, params.competition, rng)
+        config = init_poisson(2.0, params.competition, rng)
         return config, run(config, params, 3.0, [1.5, 3.0], rng, keep_events=keep_events)
     g = Grid(2, 10.0, 40)
     params = ModelParams(
@@ -390,7 +407,7 @@ def mutated_configurations(draw):
     kernel = make_indicator_kernel(1.0, draw(st.sampled_from(RADII)), dim, grid)
     coord = st.floats(0.0, grid.side, exclude_max=True)
     point = st.lists(coord, min_size=dim, max_size=dim)
-    config = Configuration(draw(st.lists(point, max_size=30)), grid.side, dim, kernel)
+    config = Configuration(draw(st.lists(point, max_size=30)), kernel)
     for op in draw(st.lists(st.one_of(point, st.floats(0.0, 1.0, exclude_max=True)), max_size=40)):
         if isinstance(op, list):
             config.add_particle(np.array(op) - 0.5 * grid.side)  # wraps through the boundary
@@ -427,7 +444,7 @@ def test_cell_is_the_scalar_form_of_cell_keys(dim):
     side = 10.0
     comp = make_indicator_kernel(1.0, 0.5, dim, Grid(dim, side, 20))
     rng = np.random.default_rng(dim)
-    config = Configuration(rng.uniform(0.0, side, (20, dim)), side, dim, comp)
+    config = Configuration(rng.uniform(0.0, side, (20, dim)), comp)
     cl = config.cells
     # coordinates on every cell edge, one ulp below each, and one ulp below L
     edges = np.arange(cl.ncells) * cl.width
@@ -442,7 +459,7 @@ def test_half_cell_offsets_keep_incremental_rates_exact():
     # both ways, so neither reads the other
     grid = Grid(1, 10.0, 80)
     comp = make_indicator_kernel(1.0, grid.spacing, 1, grid)
-    config = Configuration([[1.0]], grid.side, 1, comp)
+    config = Configuration([[1.0]], comp)
     config.add_particle([1.1875])
     assert config.crate[: config.n].tolist() == config._exact_rates().tolist() == [0.0, 0.0]
     assert config.audit() == 0.0
@@ -463,7 +480,7 @@ def test_cell_list_size_is_bounded():
     from slm.grid import MAX_CELLS
     from slm.microsim import CellList
 
-    cl = CellList(10.0, 3, 0.01, np.random.default_rng(0).uniform(0.0, 10.0, size=(50, 3)))
+    cl = CellList(10.0, 0.01, np.random.default_rng(0).uniform(0.0, 10.0, size=(50, 3)))
     assert cl.ncells == 40 and cl.ncells**3 <= MAX_CELLS
     assert cl.nbr.nbytes + cl.members.nbytes < 20e6
     assert cl.width >= 0.01
@@ -478,7 +495,7 @@ def test_exact_rates_blockwise_when_one_cell_holds_all(dim, monkeypatch):
     grid = Grid(dim, 4.0, CELLS[dim])
     kernel = make_indicator_kernel(1.0, 1.5, dim, grid)
     pts = np.random.default_rng(dim).uniform(0.0, 4.0, size=(40, dim))
-    config = Configuration(pts, grid.side, dim, kernel)
+    config = Configuration(pts, kernel)
     assert config.cells.ncells == 1
     assert np.allclose(config.crate[:40], oracles.pair_rates(pts, grid.side, kernel), rtol=1e-13)
 
@@ -516,7 +533,7 @@ def equivalence_case(dim):
         6.0 + 1.2 * rng.random((5, dim)),
         rng.uniform(0.0, 10.0, size=(6, dim)),
     ])
-    return Configuration(pts, g.side, dim, params.competition), params
+    return Configuration(pts, params.competition), params
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -569,7 +586,7 @@ def test_bound_covers_every_rate_after_every_event(dim, radius, mortality, epsil
     aminus = make_indicator_kernel(1.0, radius, dim, grid)
     params = ModelParams(mortality, make_indicator_kernel(0.5, 0.6, dim, grid), aminus, epsilon)
     rng = run_rng(seed, 0)
-    config = init_poisson(1.5, grid.side, dim, aminus, rng)
+    config = init_poisson(1.5, aminus, rng)
     assert bound_holds(config, params)
     t = 0.0
     for _ in range(60):
@@ -584,7 +601,7 @@ def test_zero_epsilon_proposes_only_real_events(grid):
     aminus = make_indicator_kernel(5.0, 0.5, 1, grid)  # large rates that eps = 0 switches off
     params = ModelParams(0.3, unit_mass_indicator(grid, 0.5), aminus, 0.0)
     rng = run_rng(12, 0)
-    config = init_poisson(2.0, grid.side, 1, aminus, rng)
+    config = init_poisson(2.0, aminus, rng)
     traj = run(config, params, 3.0, [3.0], rng)
     assert traj.events > 0 and traj.proposals == traj.events
     assert traj.competition_deaths == 0
@@ -595,7 +612,7 @@ def test_zero_competition_kernel_needs_no_cell_list(dim):
     g = Grid(dim, 4.0, CELLS[dim])
     params = ModelParams(0.4, make_indicator_kernel(0.5, 0.6, dim, g), make_zero_kernel(g), 1.0)
     rng = run_rng(13, dim)
-    config = init_poisson(2.0, g.side, dim, params.competition, rng)
+    config = init_poisson(2.0, params.competition, rng)
     assert not hasattr(config, "cells")
     traj = run(config, params, 1.0, [1.0], rng)
     assert traj.events > 0 and traj.proposals == traj.events
@@ -610,11 +627,11 @@ def test_no_births_and_no_mortality_is_absorbed_once_isolated(grid):
     aminus = make_indicator_kernel(1.0, 0.5, 1, grid)
     params = ModelParams(0.0, make_zero_kernel(grid), aminus)
     pts = [[5.0], [5.1], [5.2], [8.0]]
-    traj = run(Configuration(pts, grid.side, 1, aminus), params, 50.0, [1.0, 50.0], run_rng(14, 0))
+    traj = run(Configuration(pts, aminus), params, 50.0, [1.0, 50.0], run_rng(14, 0))
     assert traj.absorbed and traj.births == 0
     assert traj.events == traj.competition_deaths == 2 and traj.n_end == 2
     assert all(len(s) == 2 for s in traj.snapshots)
-    config = Configuration(pts, grid.side, 1, aminus)
+    config = Configuration(pts, aminus)
     rng = run_rng(14, 1)
     step_event(config, params, rng)
     step_event(config, params, rng)
@@ -622,10 +639,30 @@ def test_no_births_and_no_mortality_is_absorbed_once_isolated(grid):
     with pytest.raises(AbsorbedStateError):
         step_event(config, params, rng)
     # and with no rate at all from the start
-    config = Configuration([[1.0], [6.0]], grid.side, 1, aminus)
+    config = Configuration([[1.0], [6.0]], aminus)
     assert config.crate_bound == 0.0
     with pytest.raises(AbsorbedStateError):
         step_event(config, params, rng)
+
+
+def test_rates_of_another_kernel_are_rejected(grid, params):
+    # the configuration keeps rates of its own kernel; the model's must be the same
+    config = Configuration([[5.0], [5.2]], params.competition)
+    others = [
+        make_indicator_kernel(2.0, 0.5, 1, grid),
+        unit_mass_indicator(Grid(1, 8.0, 80), 0.5),
+        make_zero_kernel(grid),
+    ]
+    for other in others:
+        model = ModelParams(0.3, make_zero_kernel(other.grid), other)
+        with pytest.raises(InvalidParameterError):
+            step_event(config, model, run_rng(0, 0))
+        with pytest.raises(InvalidParameterError):
+            run(config, model, 1.0, [1.0], run_rng(0, 0))
+    assert config.n == 2 and config.audit() == 0.0
+    # an equal tabulation on an equal grid is the same kernel
+    twin = unit_mass_indicator(Grid(1, 10.0, 100), 0.5)
+    step_event(copy.deepcopy(config), ModelParams(0.3, params.dispersal, twin), run_rng(0, 0))
 
 
 def test_step_event_returns_a_real_event_after_null_proposals(grid):
@@ -644,7 +681,7 @@ def test_step_event_returns_a_real_event_after_null_proposals(grid):
 def test_audit_tightens_the_bound(grid, params):
     # at eps = 0 no proposal is null, so only the audits tighten
     rng = run_rng(16, 0)
-    config = init_poisson(3.0, grid.side, 1, params.competition, rng)
+    config = init_poisson(3.0, params.competition, rng)
     config.crate_bound += 1.0
     traj = run(config, params.with_epsilon(0.0), 2.0, [2.0], rng, audit_interval=1)
     assert traj.events >= 1 and config.crate_bound == config.crate[: config.n].max()
@@ -653,7 +690,7 @@ def test_audit_tightens_the_bound(grid, params):
 def test_audit_interval_counts_real_events(grid, params, monkeypatch):
     calls = []
     rng = run_rng(17, 0)
-    config = init_poisson(3.0, grid.side, 1, params.competition, rng)
+    config = init_poisson(3.0, params.competition, rng)
     monkeypatch.setattr(config, "audit", lambda: calls.append(1) or 0.0)
     traj = run(config, params, 6.0, [6.0], rng, audit_interval=7)
     assert traj.proposals > traj.events

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import slm.scaling
 from slm.errors import HorizonViolationError, InvalidParameterError
 from slm.grid import Grid
 from slm.kernels import make_indicator_kernel
@@ -78,6 +79,16 @@ class TestVlasovError:
     def test_eps_list_must_decrease(self, params, rho0):
         with pytest.raises(InvalidParameterError):
             vlasov_error([0.5, 1.0], rho0, params, T=1.0, runs=0, seed=0)
+
+    @pytest.mark.parametrize("mode", ["hierarchy", "microsim"])
+    def test_every_eps_checked_before_the_reference(self, params, rho0, monkeypatch, mode):
+        def solve(*args):
+            raise AssertionError("kinetic reference solved before eps_list was checked")
+
+        monkeypatch.setattr(slm.scaling, "solve_kinetic", solve)
+        for eps_list in ([2.0, 1.0, -0.5], [1.0, 0.5, 0.0], [1.5]):
+            with pytest.raises(InvalidParameterError, match="eps must lie in"):
+                vlasov_error(eps_list, rho0, params, T=1.0, runs=2, seed=0, mode=mode)
 
     def test_unknown_mode(self, params, rho0):
         with pytest.raises(InvalidParameterError):

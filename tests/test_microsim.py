@@ -379,6 +379,61 @@ def test_same_seed_same_events(case):
     assert hashlib.sha256(stamps).hexdigest() == want["times"]
 
 
+# Longer logs, recorded with the same loop before the per-event cost was
+# cut: a 3-d run, and a 2-d run of over 3000 events that audits every 500
+# and grows from 5 particles past the starting sizes of the position
+# arrays and of the cell list's rows, so that ``_grow``, the doubling of
+# ``members``, the audits and ``tighten`` all take part.
+LONG_SEED = {
+    "3d": dict(events=545, proposals=1172, births=261, natural=96, competition=188, n_end=37,
+               peak_n=70,
+               digest="3dd21feb9d70531e448774ed0d02831294e370ae9211fa7791e9f22358326f0d",
+               times="c62108124e679fc364a78f981c38ca7f6dd508447aa94bed0a2ee19f4d67ce89"),
+    "2d-audited": dict(events=4029, proposals=6128, births=2204, natural=363, competition=1462,
+                       n_end=384, peak_n=385,
+                       digest="f320f0e835c1a40b300e9d74cffb79092b77742a3e1b6debb28c9dcc111beaa9",
+                       times="ab35239e2eceb1da8999c87f2caa3d0eb30ffb5986a139c5ca567f6bf74c3304"),
+}
+
+
+def long_seed_run(case):
+    if case == "3d":
+        g = Grid(3, 5.0, 20)
+        params = ModelParams(
+            0.3, make_indicator_kernel(1.0, 0.6, 3, g), make_gaussian_kernel(0.3, 3, g), 0.7
+        )
+        rng = run_rng(2025, 3)
+        config = init_poisson(0.5, params.competition, rng)
+        return config, run(config, params, 6.0, [3.0, 6.0], rng, keep_events=True)
+    g = Grid(2, 8.0, 32)
+    params = ModelParams(
+        0.2, make_indicator_kernel(0.9, 0.6, 2, g), make_gaussian_kernel(0.3, 2, g, height=0.2)
+    )
+    rng = run_rng(2025, 2)
+    config = init_poisson(0.1, params.competition, rng)
+    sizes = len(config.pos), config.cells.members.shape[1]
+    traj = run(config, params, 12.0, [6.0, 12.0], rng, audit_interval=500, keep_events=True)
+    assert traj.n0 == 5 and sizes == (16, 8)
+    assert len(config.pos) > sizes[0] and config.cells.members.shape[1] > sizes[1]
+    return config, traj
+
+
+@pytest.mark.parametrize("case", ["3d", "2d-audited"])
+def test_long_same_seed_runs_keep_their_events(case):
+    config, traj = long_seed_run(case)
+    log = traj.event_log
+    kinds = [e.kind for e in log]
+    digest = hashlib.sha256("\n".join(kinds).encode())
+    digest.update(np.asarray([e.position for e in log], dtype="<f8").tobytes())
+    got = dict(
+        events=traj.events, proposals=traj.proposals, births=kinds.count("birth"),
+        natural=kinds.count("death-natural"), competition=kinds.count("death-competition"),
+        n_end=config.n, peak_n=traj.peak_n, digest=digest.hexdigest(),
+        times=hashlib.sha256(np.asarray([e.time for e in log], dtype="<f8").tobytes()).hexdigest(),
+    )
+    assert got == LONG_SEED[case]
+
+
 @pytest.mark.parametrize("case", ["1d", "2d"])
 def test_event_records_change_no_draw(case):
     _, logged = same_seed_run(case)

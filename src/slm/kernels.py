@@ -8,6 +8,7 @@ simulated, and micro- and mesoscopic levels share one object.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,13 +66,15 @@ class Kernel:
         points of [0, L)^d: ``values`` on the cell :meth:`Grid.offset_index`
         picks.  The wrapped flat index into ``_lookup`` is the modulo on
         the first axis; a wider offset reads a wrong cell."""
-        table, strides = self._lookup
-        index = np.rint(dx / self.grid.spacing) @ strides
+        table, strides, h = self._lookup
+        index = np.divide(dx, h)
+        # dot, not @: the same exact sums of integers without the gufunc's dispatch
+        index = np.rint(index, out=index).dot(strides)
         return table.take(index.astype(np.intp), mode="wrap")
 
     @cached_property
     def _lookup(self) -> tuple:
-        """(table, strides): ``values`` padded to the offsets -M..M that
+        """(table, strides, h): ``values`` padded to the offsets -M..M that
         rint(dx / h) takes on every axis but the first, M (2M + 1)^(d - 1)
         floats, flat and rolled so that offset 0 is index 0; its strides
         are floats, as a float matmul is much cheaper than an integer one.
@@ -81,7 +84,7 @@ class Kernel:
         for ax in range(1, self.dim):
             table = table.take(np.arange(-m, m + 1), axis=ax, mode="wrap")
         strides = (2.0 * m + 1.0) ** np.arange(self.dim - 1, -1, -1)
-        return np.roll(table.ravel(), -m * int(strides[1:].sum())), strides
+        return np.roll(table.ravel(), -m * int(strides[1:].sum())), strides, self.grid.spacing
 
     def is_even(self, tol: float = 0.0) -> bool:
         v = self.values
@@ -92,19 +95,21 @@ class Kernel:
 
     # -- sampling --------------------------------------------------------
 
-    def sample_displacement(self, rng: np.random.Generator, size: int | None = 1) -> np.ndarray:
+    def sample_displacement(self, rng: np.random.Generator, size: int | None = 1):
         """Draw displacements from the density a/<a> (inverse CDF over cells
         plus a uniform jitter inside the chosen cell).  Returns (size, dim),
-        or one draw of shape (dim,) for ``size=None``, from the same stream
-        and arithmetic as ``size=1``.
+        or for ``size=None`` one draw as a list of dim Python floats, from
+        the same stream and arithmetic as ``size=1``.
         """
         if self.mass <= 0:
             raise InvalidParameterError("cannot sample from a kernel with zero mass")
+        if size is None:
+            # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() in C doubles
+            cdf, centres, lo, width = self._scalar_draw
+            centre = centres[min(bisect_right(cdf, rng.random()), len(cdf) - 1)].tolist()
+            return [c + (lo + width * rng.random()) for c in centre]
         cdf = self._cdf
         h = self.grid.spacing
-        if size is None:
-            flat = min(int(cdf.searchsorted(rng.random(), side="right")), cdf.size - 1)
-            return self._centres[flat] + rng.uniform(-0.5 * h, 0.5 * h, size=self.dim)
         flat = np.searchsorted(cdf, rng.random(size), side="right")
         # one row of jitter per axis, drawn axis after axis
         jitter = rng.uniform(-0.5 * h, 0.5 * h, size=(self.dim, size))
@@ -115,6 +120,21 @@ class Kernel:
         cdf = np.cumsum(self.values.ravel())
         cdf /= cdf[-1]
         return cdf
+
+    @cached_property
+    def _scalar_draw(self) -> tuple:
+        """(cdf, centres, lo, width) for one draw in Python floats: over the
+        cells where a > 0, the CDF as a list to bisect and the offset-cell
+        centres as rows, and the jitter's lower end -h/2 and width h/2 - lo.
+        The first CDF value above u is always at such a cell, so bisecting
+        the short list picks the cell a search of the full CDF picks.  The
+        centres stay an array, one row read per draw: as lists of floats
+        they take several times the memory of the array on a wide 3-d kernel."""
+        nonzero = np.nonzero(self.values)
+        cdf = self._cdf.reshape(self.grid.shape)[nonzero]
+        h = self.grid.spacing
+        lo = -0.5 * h
+        return cdf.tolist(), self.grid.axis_offsets()[np.transpose(nonzero)], lo, 0.5 * h - lo
 
     @cached_property
     def _centres(self) -> np.ndarray:

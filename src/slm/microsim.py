@@ -50,9 +50,9 @@ class CellList:
 
     Particle i fills slot ``slot_of[i]`` of cell ``cell_of[i]``, i.e.
     ``members[cell_of[i], slot_of[i]] == i``, and cell c fills its first
-    ``count[c]`` slots.  ``nbr[c]`` lists the 3^d cells around c, or c
-    alone when one cell holds every point.  ``columns`` numbers the slots
-    of a row of ``members``, for the candidates' mask.
+    ``count[c]`` slots, which ``occupied[c]`` marks: the candidates' mask,
+    kept so that a search needs no compare.  ``nbr[c]`` lists the 3^d
+    cells around c, or c alone when one cell holds every point.
     """
 
     def __init__(self, side: float, interaction_radius: float, positions: np.ndarray):
@@ -72,7 +72,8 @@ class CellList:
         slots = np.arange(len(cells)) - np.repeat(np.cumsum(self.count) - self.count, self.count)
         self.members = np.empty((total, max(8, 2 * int(self.count.max()))), dtype=np.intp)
         self.members[cells, slots] = order
-        self.columns = np.arange(self.members.shape[1])
+        self.occupied = np.zeros(self.members.shape, dtype=bool)
+        self.occupied[cells, slots] = True
         cap = max(16, 2 * len(cells))
         self.cell_of = np.zeros(cap, dtype=np.intp)
         self.slot_of = np.zeros(cap, dtype=np.intp)
@@ -82,25 +83,28 @@ class CellList:
         """Flat cell index of one position, a sequence of dim floats:
         ``grid.cell_keys`` in plain Python, which on one point is faster
         than its array form."""
-        top = self.ncells - 1
-        keys = (min(int(x / self.width), top) for x in pos)
-        return sum(k * s for k, s in zip(keys, self._strides))
+        top, width, c = self.ncells - 1, self.width, 0
+        for x, s in zip(pos, self._strides):
+            k = int(x / width)
+            c += (k if k < top else top) * s
+        return c
 
     def candidates(self, c: int) -> np.ndarray:
         """Indices in the cells around cell c: a superset of the particles
         within one cell width of any point of c."""
         cells = self.nbr[c]
-        return self.members.take(cells, axis=0)[self.columns < self.count.take(cells)[:, None]]
+        return self.members.take(cells, axis=0)[self.occupied.take(cells, axis=0)]
 
     def add(self, i: int, c: int):
         k = self.count[c]
         if k == self.members.shape[1]:
             self.members = np.concatenate([self.members, np.empty_like(self.members)], axis=1)
-            self.columns = np.arange(self.members.shape[1])
+            self.occupied = np.concatenate([self.occupied, np.zeros_like(self.occupied)], axis=1)
         if i == len(self.cell_of):
             self.cell_of = np.concatenate([self.cell_of, np.zeros_like(self.cell_of)])
             self.slot_of = np.concatenate([self.slot_of, np.zeros_like(self.slot_of)])
         self.members[c, k] = i
+        self.occupied[c, k] = True
         self.count[c] = k + 1
         self.cell_of[i], self.slot_of[i] = c, k
 
@@ -111,6 +115,7 @@ class CellList:
         moved = self.members[c, k]
         self.members[c, s] = moved
         self.slot_of[moved] = s
+        self.occupied[c, k] = False
         self.count[c] = k
 
     def relabel(self, old: int, new: int):
@@ -163,7 +168,9 @@ class Configuration:
     def _kernel_from(self, pos, idx):
         """a-(x_j - pos) for the particles ``idx``; ``pos`` broadcasts
         against ``self.pos[idx]``."""
-        return self.competition.evaluate(self.pos.take(idx, axis=0) - pos)
+        dx = self.pos.take(idx, axis=0)
+        dx -= pos
+        return self.competition.evaluate(dx)
 
     def _exact_rates(self) -> np.ndarray:
         """c_i recomputed from scratch over the blocks of the pair search:
@@ -204,10 +211,11 @@ class Configuration:
         if self.interacting:
             c = self.cells.cell(pos)
             idx = self.cells.candidates(c)
-            vals = self._kernel_from(pos, idx)
+            vals = self._kernel_from(self.pos[i], idx)
             self.crate[idx] += vals
-            self.crate[i] = float(vals.sum())
-            touched = self.crate.take(idx).max(initial=0.0)
+            # the ufunc reductions that .sum() and .max() wrap, without the wrappers
+            self.crate[i] = np.add.reduce(vals)
+            touched = np.maximum.reduce(self.crate.take(idx), initial=0.0)
             self.crate_bound = max(self.crate_bound, self.crate[i], touched)
             self.cells.add(i, c)
         return i
@@ -393,7 +401,7 @@ def _propose(config, params, rng, t, bound, log) -> str | None:
     natural = birth + params.mortality
     u = rng.random() * bound
     if u < birth:
-        step = params.dispersal.sample_displacement(rng, None).tolist()
+        step = params.dispersal.sample_displacement(rng, None)
         j = config.add_particle([x + d for x, d in zip(config.pos[i].tolist(), step)])
         if log is not None:
             log.append(Event("birth", config.pos[j].copy(), t))

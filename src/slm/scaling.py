@@ -66,6 +66,12 @@ def vlasov_error(
         raise InvalidParameterError(f"unknown mode {mode!r}")
     for eps in eps_list:  # in both modes, before the kinetic reference is solved
         _require_eps(eps)
+    if params.epsilon != 1:
+        # microsim would scale the model's epsilon by eps and the hierarchy would not
+        raise InvalidParameterError(
+            f"scaling compares against the eps -> 0 limit of the model at epsilon = 1, "
+            f"got epsilon = {params.epsilon}"
+        )
     if mode == "hierarchy":
         require_pair_grid(rho0.grid)  # before the kinetic reference is solved
     if T_star is not None and T >= T_star:

@@ -379,6 +379,17 @@ class TestCommands:
         assert "error-category: invalid-parameter: eps must lie in (0, 1], got 2.0" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("mode", ["hierarchy", "microsim"])
+    def test_scaling_rejects_a_model_epsilon_other_than_one(self, tmp_path, capsys, mode):
+        cfg = BASE_CFG.replace("mortality = 0.3", "mortality = 0.3\nepsilon = 0.5", 1)
+        p = tmp_path / "s.cfg"
+        p.write_text(cfg + "\n[scaling]\neps_list = 1 0.5\nscaling_runs = 5\n")
+        out = str(tmp_path / "sc")
+        assert main(["scaling", "--config", str(p), "--out", out, "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert "error-category: invalid-parameter" in err and "epsilon = 0.5" in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("alpha_up, code", [(5.0, 2), (-1.0, 0)])
     def test_analyze_requires_an_admissible_initial_space(self, tmp_path, capsys, alpha_up, code):
         # a+ = 2 a-, so theta = 2 and theta e^alpha_up < 1 needs alpha_up < -ln 2

@@ -485,6 +485,7 @@ def test_cell_list_finds_every_interacting_particle(case):
     assert cl.width >= radius or cl.ncells == 1
     # every particle sits in the slot its cell index says, and in the cell of its position
     assert cl.count.sum() == n
+    assert np.array_equal(cl.occupied, np.arange(cl.members.shape[1]) < cl.count[:, None])
     for i in range(n):
         assert cl.members[cl.cell_of[i], cl.slot_of[i]] == i
         assert cl.cell_of[i] == cl.cell(config.pos[i])
@@ -566,8 +567,14 @@ def test_start_and_sampler_draw_as_the_loops_did(dim):
         got = kernel.sample_displacement(run_rng(dim, size), size)
         assert np.array_equal(got, oracles.sample_displacement(kernel, run_rng(dim, size), size))
     one = kernel.sample_displacement(run_rng(dim, 1), None)
-    assert one.shape == (dim,)
+    assert len(one) == dim
     assert np.array_equal(one, oracles.sample_displacement(kernel, run_rng(dim, 1), 1)[0])
+    # one draw at a time reads the stream as size=1 does, on a kernel with zero cells too
+    for kernel in (kernel, make_indicator_kernel(1.0, 0.6, dim, grid)):
+        rng, ref = run_rng(dim, 2), run_rng(dim, 2)
+        got = [kernel.sample_displacement(rng, None) for _ in range(500)]
+        want = [oracles.sample_displacement(kernel, ref, 1)[0] for _ in range(500)]
+        assert np.array_equal(got, want)
 
 
 # -- the thinned event loop -------------------------------------------------

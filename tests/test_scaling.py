@@ -90,6 +90,17 @@ class TestVlasovError:
             with pytest.raises(InvalidParameterError, match="eps must lie in"):
                 vlasov_error(eps_list, rho0, params, T=1.0, runs=2, seed=0, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["hierarchy", "microsim"])
+    def test_model_epsilon_other_than_one_is_rejected(self, params, rho0, monkeypatch, mode):
+        def solve(*args):
+            raise AssertionError("kinetic reference solved before epsilon was checked")
+
+        monkeypatch.setattr(slm.scaling, "solve_kinetic", solve)
+        with pytest.raises(InvalidParameterError, match="epsilon = 0.5"):
+            vlasov_error(
+                [1.0, 0.5], rho0, params.with_epsilon(0.5), T=1.0, runs=2, seed=0, mode=mode
+            )
+
     def test_unknown_mode(self, params, rho0):
         with pytest.raises(InvalidParameterError):
             vlasov_error([1.0], rho0, params, T=1.0, runs=0, seed=0, mode="pde")

@@ -4,6 +4,8 @@ correlation-function dynamics, and the nonlocal kinetic limit."""
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .grid import Grid
 from .kernels import (
     Kernel,
@@ -23,15 +25,28 @@ from .kinetic import (
     kinetic_rhs,
     solve_kinetic,
 )
-from .microsim import Configuration, init_poisson, init_poisson_field, run, run_rng
 from .model import ModelParams
-from .theory import (
-    NormedHierarchyState,
-    check_initial_space,
-    horizon_T,
-    knorm_alpha,
-    optimize_alpha,
-)
+
+# names of the simulator and of the theory utilities, imported on first use
+# (PEP 562), so that a command that needs neither does not load them
+_LAZY = {
+    **dict.fromkeys(
+        ("Configuration", "init_poisson", "init_poisson_field", "run", "run_rng"), "microsim"
+    ),
+    **dict.fromkeys(
+        ("NormedHierarchyState", "check_initial_space", "horizon_T", "knorm_alpha", "optimize_alpha"),
+        "theory",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Configuration",

@@ -5,7 +5,9 @@ tables; ``main`` alone writes them.  It parses the run-config file once,
 with the command-line overrides applied, runs the command, and only then
 fills the output directory with the tables, a ``manifest.json`` and a
 copy of the fully resolved config, so a failed command writes nothing.
-Failures exit nonzero with a one-line machine-parsable category.
+Failures exit nonzero with a one-line machine-parsable category.  Each
+command imports its own solver, so a process loads only the modules its
+command runs.
 """
 from __future__ import annotations
 
@@ -20,13 +22,7 @@ import numpy as np
 from . import __version__
 from .config import parse_config, read_table
 from .errors import InvalidParameterError, PreconditionError, SLMError
-from .hierarchy import TruncatedState, solve_hierarchy
 from .kernels import domination_theta
-from .kinetic import solve_kinetic
-from .microsim import run_ensemble
-from .scaling import vlasov_error
-from .stats import default_pair_edges, estimate_correlations, subpoisson_diagnostic
-from .theory import check_initial_space, optimize_alpha
 
 
 CSV_BLOCK_ROWS = 4096  # rows formatted at a time, which bounds the writer's memory
@@ -92,6 +88,8 @@ def _field_table(grid, times, fields, name):
 
 
 def cmd_simulate(args, cfg):
+    from .microsim import run_ensemble
+
     trajectories = run_ensemble(
         cfg.rho0,
         cfg.params,
@@ -138,6 +136,8 @@ def cmd_simulate(args, cfg):
 
 
 def cmd_kinetic(args, cfg):
+    from .kinetic import solve_kinetic
+
     times = cfg.snapshot_times
     snaps = solve_kinetic(cfg.rho0, cfg.params, cfg.horizon, cfg.dt, times)
     # the kinetic equation has no epsilon, so neither has its carrying capacity
@@ -156,6 +156,8 @@ def cmd_kinetic(args, cfg):
 
 
 def cmd_hierarchy(args, cfg):
+    from .hierarchy import TruncatedState, solve_hierarchy
+
     state0 = TruncatedState.poisson_like(cfg.rho0, cfg.params.epsilon)
     snaps, diag = solve_hierarchy(
         state0, cfg.closure, cfg.params, cfg.horizon, cfg.dt, cfg.snapshot_times
@@ -180,6 +182,8 @@ def cmd_hierarchy(args, cfg):
 
 
 def cmd_stats(args, cfg):
+    from .stats import default_pair_edges, estimate_correlations, subpoisson_diagnostic
+
     # (run, t, N) comes from summary.csv: a run empty at t enters as a (0, d) array
     sum_path = os.path.join(args.snapshots, "summary.csv")
     index = read_table(sum_path, SLMError, skiprows=1, ndmin=2)
@@ -223,6 +227,8 @@ def cmd_stats(args, cfg):
 
 
 def cmd_scaling(args, cfg):
+    from .scaling import vlasov_error
+
     report = vlasov_error(
         cfg.eps_list,
         cfg.rho0,
@@ -255,6 +261,8 @@ def cmd_scaling(args, cfg):
 
 
 def cmd_analyze(args, cfg):
+    from .theory import check_initial_space, optimize_alpha
+
     theta = domination_theta(cfg.params.dispersal, cfg.params.competition)
     if theta is None:
         print("no finite theta")

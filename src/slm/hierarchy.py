@@ -20,7 +20,9 @@ k2) use the kernels' cached FFTs; a+ * k2 and a- * k2 share one transform
 of k2.  A closure never builds the M^3 tensor
 k3: it returns its contraction with a-, so one right-hand side needs
 O(M^2) memory and M >= 1024 is feasible.  The only M x M kernel table
-is the gather a(x_i - x_j) for the pointwise terms.
+is the gather a(x_i - x_j) for the pointwise terms.  A solve computes
+every right-hand side in the buffers of :func:`rhs_k2_work`, allocated
+once, so a step makes no fresh M x M array.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import ClosureSingularityError, InvalidParameterError
 from .grid import Grid, require_same_grid
-from .kernels import Kernel
+from .kernels import Kernel, convolve_spectra, spectral_work
 from .kinetic import Field, integrate_rk4, stability_dt
 from .model import ModelParams
 
@@ -63,8 +65,10 @@ class Field2:
     def product(cls, k1: Field) -> "Field2":
         return cls(k1.grid, np.outer(k1.values, k1.values))
 
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.T)))
+    def symmetry_defect(self, out: np.ndarray | None = None) -> float:
+        """max |k2 - k2.T|, computed in ``out`` (allocated when not given)."""
+        v = self.values
+        return float(np.abs(np.subtract(v, v.T, out=out), out=out).max())
 
 
 @dataclass
@@ -102,12 +106,17 @@ def witness(k1_max: float, k2_max: float) -> float:
 
 
 def closure_contraction(
-    rule: str, state: TruncatedState, competition: Kernel, competition_k2: np.ndarray | None = None
+    rule: str,
+    state: TruncatedState,
+    competition: Kernel,
+    competition_k2: np.ndarray | None = None,
+    work: tuple | None = None,
 ) -> np.ndarray:
     """t1[i, j] = h sum_z a-(x_i - x_z) k3(x_i, x_j, x_z) for the closure
     ``rule``, contracted without forming k3 (O(M^2) memory).  Mean-field
     needs a- * k2 (in the first argument); pass it as ``competition_k2``
-    if it is already known.
+    if it is already known.  ``work`` holds two M x M arrays (allocated
+    when not given); the result is the first.
 
     mean-field: k3 = (k2(x,y) k1(z) + k2(x,z) k1(y) + k2(y,z) k1(x)) / 3.
     kirkwood:   k3 = k2(x,y) k2(y,z) k2(x,z) / (k1(x) k1(y) k1(z)), guarded
@@ -117,62 +126,90 @@ def closure_contraction(
         raise InvalidParameterError(f"unknown closure {rule!r}; choose from {CLOSURES}")
     k1 = state.k1.values
     k2 = state.k2.values
-    cm = competition.grid.spacing * competition.pair_values
+    t1, w = work or (np.empty_like(k2), np.empty_like(k2))
+    # each product and sum of the direct expressions, in their order
+    cm = np.multiply(competition.grid.spacing, competition.pair_values, out=t1)
     if rule == "mean-field":
+        # (k2 a-*k1[:, None] + own[:, None] k1[None, :] + k1[:, None] a-*k2) / 3
         own = np.einsum("ij,ij->i", cm, k2)
         if competition_k2 is None:
             competition_k2 = competition.convolve(k2)
-        return (
-            k2 * competition.convolve(k1)[:, None]
-            + own[:, None] * k1[None, :]
-            + k1[:, None] * competition_k2
-        ) / 3.0
+        np.multiply(k2, competition.convolve(k1)[:, None], out=t1)
+        np.add(t1, np.multiply(own[:, None], k1[None, :], out=w), out=t1)
+        np.add(t1, np.multiply(k1[:, None], competition_k2, out=w), out=t1)
+        return np.divide(t1, 3.0, out=t1)
     floor = KIRKWOOD_FLOOR_FACTOR * max(float(k1.max()), 0.0)
     if float(k1.min()) < floor or floor == 0.0:
         raise ClosureSingularityError(f"kirkwood closure needs k1 >= {floor:.3g} everywhere")
-    return k2 * (((cm * k2) / k1[None, :]) @ k2) / np.outer(k1, k1)
+    # k2 (((cm k2) / k1[None, :]) @ k2) / outer(k1, k1)
+    np.divide(np.multiply(cm, k2, out=t1), k1[None, :], out=t1)
+    np.multiply(k2, np.matmul(t1, k2, out=w), out=w)
+    return np.divide(w, np.outer(k1, k1, out=t1), out=t1)
 
 
 # -- right-hand sides ----------------------------------------------------
 
 
-def rhs_k1(state: TruncatedState, params: ModelParams) -> Field:
-    """First truncated equation; with product k2 it reduces to the kinetic
-    right-hand side for any epsilon (the interaction part vanishes at
-    order one).
+def rhs_k1(state: TruncatedState, params: ModelParams, out: np.ndarray | None = None) -> Field:
+    """First truncated equation, written to ``out`` (allocated when not
+    given); with product k2 it reduces to the kinetic right-hand side for
+    any epsilon (the interaction part vanishes at order one).
     """
     require_same_grid(state.grid, params.grid)
     k1 = state.k1.values
     k2 = state.k2.values
     pair_term = state.grid.spacing * np.einsum("ij,ij->i", params.competition.pair_values, k2)
-    return Field(state.grid, -params.mortality * k1 - pair_term + params.dispersal.convolve(k1))
+    loss = -params.mortality * k1 - pair_term
+    return Field(state.grid, np.add(loss, params.dispersal.convolve(k1), out=out))
 
 
-def rhs_k2(state: TruncatedState, closure_rule: str, params: ModelParams) -> Field2:
-    """Second truncated equation with the chosen closure for k3.
+def rhs_k2_work(params: ModelParams) -> tuple:
+    """The buffers :func:`rhs_k2` computes in: the :func:`spectral_work`
+    of both kernels on a pair function and three M x M arrays."""
+    shape = (params.grid.cells, params.grid.cells)
+    return (spectral_work(params.spectra, params.grid, shape), *(np.empty(shape) for _ in range(3)))
+
+
+def rhs_k2(
+    state: TruncatedState,
+    closure_rule: str,
+    params: ModelParams,
+    out: np.ndarray | None = None,
+    work: tuple | None = None,
+) -> Field2:
+    """Second truncated equation with the chosen closure for k3, written
+    to ``out`` and computed in ``work`` (from :func:`rhs_k2_work`), each
+    allocated when not given.
 
     The output is exactly symmetric in floating point: every asymmetric
     intermediate enters as (T + T.T).
     """
     require_same_grid(state.grid, params.grid)
-    if state.k2.symmetry_defect() > 0:
+    spectral, w1, w2, w3 = work or rhs_k2_work(params)
+    if state.k2.symmetry_defect(w1) > 0:
         raise InvalidParameterError("k2 must be symmetric")
     k1 = state.k1.values
     k2 = state.k2.values
     # int a+(x_i - w) k2(w, x_j) dw; mean-field also takes a- * k2 from the same transform
     if closure_rule == "mean-field":
-        competition_k2, s1 = params.convolve_both(k2)
+        competition_k2, s1 = params.convolve_both(k2, spectral)
     else:
-        competition_k2, s1 = None, params.dispersal.convolve(k2)
+        # a+ alone, in the a+ rows of the buffers
+        fhat, prod, conv = spectral
+        competition_k2 = None
+        s1 = convolve_spectra(params.spectra[1:], params.grid, k2, (fhat, prod[1:], conv[1:]))[0]
     # int a-(z - x_i) k3(x_i, x_j, z) dz
-    t1 = closure_contraction(closure_rule, state, params.competition, competition_k2)
+    t1 = closure_contraction(closure_rule, state, params.competition, competition_k2, (w1, w2))
 
-    vpart = -2.0 * params.mortality * k2 - (t1 + t1.T) + (s1 + s1.T)
-    bpart = (
-        -2.0 * params.competition.pair_values * k2
-        + params.dispersal.pair_values * (k1[:, None] + k1[None, :])
-    )
-    return Field2(state.grid, vpart + state.epsilon * bpart)
+    # vpart = -2 m k2 - (t1 + t1.T) + (s1 + s1.T)
+    vpart = np.multiply(-2.0 * params.mortality, k2, out=w2)
+    np.subtract(vpart, np.add(t1, t1.T, out=w3), out=vpart)
+    np.add(vpart, np.add(s1, s1.T, out=w3), out=vpart)
+    # bpart = -2 a-(x_i - x_j) k2 + a+(x_i - x_j) (k1(x_i) + k1(x_j))
+    bpart = np.multiply(np.multiply(-2.0, params.competition.pair_values, out=w1), k2, out=w1)
+    pair_sum = np.add(k1[:, None], k1[None, :], out=w3)
+    np.add(bpart, np.multiply(params.dispersal.pair_values, pair_sum, out=w3), out=bpart)
+    return Field2(state.grid, np.add(vpart, np.multiply(state.epsilon, bpart, out=bpart), out=out))
 
 
 # -- time stepping -------------------------------------------------------
@@ -202,17 +239,20 @@ def solve_hierarchy(
     def state(y):
         return TruncatedState(Field(grid, y[0]), Field2(grid, y[1]), eps)
 
-    def rhs(y):
+    work = rhs_k2_work(params)
+
+    def rhs(y, out):
         st = state(y)
-        return rhs_k1(st, params).values, rhs_k2(st, closure_rule, params).values
+        rhs_k1(st, params, out[0])
+        rhs_k2(st, closure_rule, params, out[1], work)
 
     max_drift = 0.0
 
-    def symmetrize(y):
+    def symmetrize(y, free):
         nonlocal max_drift
-        v1, v2 = y
-        max_drift = max(max_drift, float(np.max(np.abs(v2 - v2.T))))
-        return v1, 0.5 * (v2 + v2.T)
+        v2, w = y[1], free[1]
+        max_drift = max(max_drift, Field2(grid, v2).symmetry_defect(w))
+        np.multiply(0.5, np.add(v2, v2.T, out=w), out=v2)
 
     snaps = integrate_rk4(
         (state0.k1.values, state0.k2.values),

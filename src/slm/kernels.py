@@ -164,28 +164,43 @@ class Kernel:
         return convolve_spectra(self.spectrum[None], self.grid, f)[0]
 
 
-def convolve_spectra(spectra: np.ndarray, grid: Grid, f: np.ndarray) -> np.ndarray:
+def spectral_work(spectra: np.ndarray, grid: Grid, shape: tuple) -> tuple:
+    """(fhat, prod, out): the buffers :func:`convolve_spectra` computes in
+    for the kernels stacked in ``spectra`` and arrays of ``shape``, which
+    is ``grid.shape`` plus any trailing axes.  A solver allocates them
+    once and passes them to every call."""
+    half = shape[: grid.dim - 1] + (grid.cells // 2 + 1,) + shape[grid.dim :]
+    count = spectra.shape[:1]
+    return np.empty(half, complex), np.empty(count + half, complex), np.empty(count + shape)
+
+
+def convolve_spectra(
+    spectra: np.ndarray, grid: Grid, f: np.ndarray, work: tuple | None = None
+) -> np.ndarray:
     """``out[k] = a_k * f`` for the kernels whose :attr:`Kernel.spectrum`
     are stacked along axis 0 of ``spectra``, as :meth:`Kernel.convolve`
     does for one kernel: one forward transform of ``f`` serves every
-    kernel, and one inverse transform is batched over the kernels.
+    kernel, and one inverse transform is batched over the kernels.  The
+    passes run in ``work`` from :func:`spectral_work`, allocated when not
+    given, and the result is its ``out``, overwritten by the next call.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[: grid.dim] != grid.shape:
         raise IncompatibleGridsError(
             f"array shape {f.shape} does not start with grid shape {grid.shape}"
         )
+    fhat, prod, out = work or spectral_work(spectra, grid, f.shape)
     # rfftn over the grid axes of f and irfftn over those of the product,
-    # pass by pass in numpy's order, with the complex passes in place: a
+    # pass by pass in numpy's order, every pass into a buffer of work: a
     # fresh large temporary costs page faults, and on small grids the n-d
     # wrappers' argument handling costs as much as the transforms
-    fhat = np.fft.rfft(f, axis=grid.dim - 1)
+    np.fft.rfft(f, axis=grid.dim - 1, out=fhat)
     for ax in reversed(range(grid.dim - 1)):
         np.fft.fft(fhat, axis=ax, out=fhat)
-    prod = spectra.reshape(spectra.shape + (1,) * (f.ndim - grid.dim)) * fhat
+    np.multiply(spectra.reshape(spectra.shape + (1,) * (f.ndim - grid.dim)), fhat, out=prod)
     for ax in range(1, grid.dim):
         np.fft.ifft(prod, axis=ax, out=prod)
-    return np.fft.irfft(prod, n=grid.cells, axis=grid.dim)
+    return np.fft.irfft(prod, n=grid.cells, axis=grid.dim, out=out)
 
 
 # -- constructors --------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InstabilityError, InvalidParameterError
 from .grid import Grid, require_same_grid
-from .kernels import Kernel
+from .kernels import Kernel, spectral_work
 from .model import ModelParams
 
 
@@ -109,15 +109,22 @@ def convolve_periodic(kernel: Kernel, f: Field) -> Field:
     return Field(f.grid, kernel.convolve(f.values))
 
 
-def kinetic_rhs(f: Field, params: ModelParams) -> Field:
+def kinetic_rhs(
+    f: Field, params: ModelParams, out: np.ndarray | None = None, work: tuple | None = None
+) -> Field:
     """-m rho - rho (a- * rho) + (a+ * rho), evaluated per cell; both
-    convolutions come from one transform of rho.
+    convolutions come from one transform of rho.  The result is written
+    to ``out`` and the convolutions to ``work`` (from
+    :func:`kernels.spectral_work`), each allocated when not given.
 
     This is the scaling-limit equation; epsilon does not appear here.
     """
     require_same_grid(params.grid, f.grid)
-    comp, disp = params.convolve_both(f.values)
-    return Field(f.grid, -params.mortality * f.values - f.values * comp + disp)
+    rho = f.values
+    comp, disp = params.convolve_both(rho, work)
+    out = np.multiply(-params.mortality, rho, out=out)
+    np.subtract(out, np.multiply(rho, comp, out=comp), out=out)
+    return Field(f.grid, np.add(out, disp, out=out))
 
 
 def stability_dt(params: ModelParams, rho_max: float) -> float:
@@ -126,26 +133,47 @@ def stability_dt(params: ModelParams, rho_max: float) -> float:
     return 0.1 / denom if denom > 0 else np.inf
 
 
-def _rk4_step(y: tuple, dt: float, rhs) -> tuple:
-    k1 = rhs(y)
-    k2 = rhs(tuple(v + 0.5 * dt * k for v, k in zip(y, k1)))
-    k3 = rhs(tuple(v + 0.5 * dt * k for v, k in zip(y, k2)))
-    k4 = rhs(tuple(v + dt * k for v, k in zip(y, k3)))
-    return tuple(
-        v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
+def _rk4_step(y: tuple, dt: float, rhs, k: tuple, stage: tuple):
+    """One classical RK4 step of y in place: y + dt/6 (k1 + 2 k2 + 2 k3 + k4),
+    every product and sum the one of fresh arrays, in the same order, so
+    the result is the same to the bit.  ``rhs(y, out)`` writes the
+    derivative at y into the arrays of ``out``.  Each partial sum is formed
+    as soon as its terms are known, so the two work tuples ``k`` and the
+    tuple ``stage``, each shaped like y, hold every stage."""
+    p, q = k
+    rhs(y, p)  # p = k1
+    _stage(y, 0.5 * dt, p, stage)
+    rhs(stage, q)  # q = k2
+    _stage(y, 0.5 * dt, q, stage)
+    for a, b in zip(p, q):
+        np.add(a, np.multiply(2.0, b, out=b), out=b)  # q = k1 + 2 k2
+    rhs(stage, p)  # p = k3
+    _stage(y, dt, p, stage)
+    for b, c in zip(q, p):
+        np.add(b, np.multiply(2.0, c, out=c), out=c)  # p = k1 + 2 k2 + 2 k3
+    rhs(stage, q)  # q = k4
+    for v, c, d in zip(y, p, q):
+        np.add(c, d, out=d)
+        np.add(v, np.multiply(dt / 6.0, d, out=d), out=v)
+
+
+def _stage(y: tuple, coef: float, k: tuple, out: tuple):
+    """out = y + coef * k, per component."""
+    for v, kv, s in zip(y, k, out):
+        np.add(v, np.multiply(coef, kv, out=s), out=s)
 
 
 def _clip_negatives(values, t, scale):
-    """Tolerance-clip tiny round-off negatives; hard-fail on real excursions."""
+    """Tolerance-clip tiny round-off negatives in place; hard-fail on real
+    excursions."""
     low = float(values.min())
     if low >= 0.0:
-        return values
+        return
     tol = 1e-12 * max(scale, 1e-300)
     if low < -tol:
         cell = tuple(int(c) for c in np.unravel_index(int(np.argmin(values)), values.shape))
         raise InstabilityError(t, cell, low)
-    return np.maximum(values, 0.0)
+    np.maximum(values, 0.0, out=values)
 
 
 def integrate_rk4(
@@ -154,19 +182,27 @@ def integrate_rk4(
     """Classical RK4 for dy/dt = rhs(y), with y a tuple of nonnegative
     arrays; returns a copy of y at each sorted snapshot time.
 
+    ``rhs(y, out)`` writes the derivative at y into the tuple of arrays
+    ``out``.  The state is stepped in a copy of y, and every stage in
+    buffers allocated once per call, so the stepper itself makes no array
+    of y's size.
+
     Segments between snapshots are covered by round(segment/dt) equal
     steps so snapshots land exactly on requested times.  Before each step
     dt is checked against ``guard(peaks)``, the explicit-stepping limit
     at the current per-component maxima of y.  After each step
-    ``after_step(y)`` (if given) returns the state to continue from; then
-    every component has round-off negatives clipped against its own
-    running maximum.
+    ``after_step(y, free)`` (if given) adjusts y in place, with ``free`` a
+    work tuple shaped like y that it may overwrite; then every component
+    has round-off negatives clipped against its own running maximum.
     """
     times = sorted(float(t) for t in snapshot_times)
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
     if times and (times[0] < 0 or times[-1] > horizon + 1e-12):
         raise InvalidParameterError("snapshot times must lie in [0, horizon]")
+    y = tuple(np.array(v, dtype=float) for v in y)
+    k = tuple(tuple(np.empty_like(v) for v in y) for _ in range(2))
+    stage = tuple(np.empty_like(v) for v in y)
     peaks = [float(v.max()) for v in y]
     scales = [max(p, 1e-300) for p in peaks]
     out = []
@@ -182,11 +218,12 @@ def integrate_rk4(
                     raise InvalidParameterError(
                         f"dt={dt:.3g} exceeds the stability guard {limit:.3g} at t={t:.6g}"
                     )
-                y = _rk4_step(y, step, rhs)
+                _rk4_step(y, step, rhs, k, stage)
                 t += step
                 if after_step is not None:
-                    y = after_step(y)
-                y = tuple(_clip_negatives(v, t, s) for v, s in zip(y, scales))
+                    after_step(y, stage)
+                for v, s in zip(y, scales):
+                    _clip_negatives(v, t, s)
                 peaks = [float(v.max()) for v in y]
                 scales = [max(s, p) for s, p in zip(scales, peaks)]
             t = target
@@ -201,8 +238,10 @@ def solve_kinetic(rho0: Field, params: ModelParams, horizon: float, dt: float, s
     if rho0.min < 0:
         raise InvalidParameterError("initial density must be nonnegative")
 
-    def rhs(y):
-        return (kinetic_rhs(Field(rho0.grid, y[0]), params).values,)
+    work = spectral_work(params.spectra, params.grid, params.grid.shape)
+
+    def rhs(y, out):
+        kinetic_rhs(Field(rho0.grid, y[0]), params, out[0], work)
 
     def guard(peaks):
         return stability_dt(params, peaks[0])

@@ -38,9 +38,10 @@ class ModelParams:
         """The (a-, a+) spectra stacked along axis 0."""
         return np.stack((self.competition.spectrum, self.dispersal.spectrum))
 
-    def convolve_both(self, f: np.ndarray) -> np.ndarray:
-        """(a- * f, a+ * f) stacked along axis 0, from one transform of f."""
-        return convolve_spectra(self.spectra, self.grid, f)
+    def convolve_both(self, f: np.ndarray, work: tuple | None = None) -> np.ndarray:
+        """(a- * f, a+ * f) stacked along axis 0, from one transform of f,
+        computed in ``work`` as :func:`convolve_spectra` does."""
+        return convolve_spectra(self.spectra, self.grid, f, work)
 
     def with_epsilon(self, eps: float) -> "ModelParams":
         return replace(self, epsilon=eps)

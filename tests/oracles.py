@@ -10,7 +10,12 @@ distance matrices, the per-event rate totals, the tuple-indexed kernel
 lookup, and the per-axis, per-cell sampling loops.
 The right-hand sides take each kernel's convolution from its own
 ``Kernel.convolve`` call, as the package did before one transform of a
-state served both kernels, and the CSV writer formats every cell.
+state served both kernels, and the CSV writer formats every cell.  The
+RK4 step, the shared transform and the fused kinetic right-hand side are
+also kept in the forms that make fresh arrays, as before the solvers
+stepped in reused buffers, and so are the hierarchy's right-hand side and
+contractions with their shared transform; the package must match them to
+the bit.
 """
 import numpy as np
 
@@ -64,6 +69,89 @@ def closure_tensor(rule, state):
 def closure_contraction(rule, state, competition):
     """t1[i, j] = sum_z C[i, z] k3[i, j, z] through the dense tensor."""
     return np.einsum("iz,ijz->ij", circulant(competition), closure_tensor(rule, state))
+
+
+def convolve_spectra(spectra, grid, f):
+    """kernels.convolve_spectra with a fresh array from every pass but
+    the in-place complex ones."""
+    fhat = np.fft.rfft(f, axis=grid.dim - 1)
+    for ax in reversed(range(grid.dim - 1)):
+        np.fft.fft(fhat, axis=ax, out=fhat)
+    prod = spectra.reshape(spectra.shape + (1,) * (f.ndim - grid.dim)) * fhat
+    for ax in range(1, grid.dim):
+        np.fft.ifft(prod, axis=ax, out=prod)
+    return np.fft.irfft(prod, n=grid.cells, axis=grid.dim)
+
+
+def fused_kinetic_rhs(rho, params):
+    """-m rho - rho (a- * rho) + (a+ * rho), both convolutions from one
+    transform, in fresh arrays."""
+    comp, disp = convolve_spectra(params.spectra, params.grid, rho)
+    return -params.mortality * rho - rho * comp + disp
+
+
+def fused_contraction(rule, state, competition, competition_k2):
+    """hierarchy.closure_contraction in fresh arrays."""
+    k1 = state.k1.values
+    k2 = state.k2.values
+    cm = competition.grid.spacing * competition.pair_values
+    if rule == "mean-field":
+        own = np.einsum("ij,ij->i", cm, k2)
+        return (
+            k2 * competition.convolve(k1)[:, None]
+            + own[:, None] * k1[None, :]
+            + k1[:, None] * competition_k2
+        ) / 3.0
+    return k2 * (((cm * k2) / k1[None, :]) @ k2) / np.outer(k1, k1)
+
+
+def fused_rhs_k2(state, rule, params):
+    """hierarchy.rhs_k2 in fresh arrays: mean-field takes a- * k2 and
+    a+ * k2 from one transform of k2."""
+    k1 = state.k1.values
+    k2 = state.k2.values
+    if rule == "mean-field":
+        competition_k2, s1 = convolve_spectra(params.spectra, params.grid, k2)
+    else:
+        competition_k2, s1 = None, convolve_spectra(params.dispersal.spectrum[None], params.grid, k2)[0]
+    t1 = fused_contraction(rule, state, params.competition, competition_k2)
+    vpart = -2.0 * params.mortality * k2 - (t1 + t1.T) + (s1 + s1.T)
+    bpart = (
+        -2.0 * params.competition.pair_values * k2
+        + params.dispersal.pair_values * (k1[:, None] + k1[None, :])
+    )
+    return vpart + state.epsilon * bpart
+
+
+def rk4_step(y, dt, rhs):
+    """One classical RK4 step of the tuple y; rhs(y) returns a new tuple."""
+    k1 = rhs(y)
+    k2 = rhs(tuple(v + 0.5 * dt * k for v, k in zip(y, k1)))
+    k3 = rhs(tuple(v + 0.5 * dt * k for v, k in zip(y, k2)))
+    k4 = rhs(tuple(v + dt * k for v, k in zip(y, k3)))
+    return tuple(
+        v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
+
+
+def integrate_rk4(y, rhs, snapshot_times, dt, after_step=None):
+    """kinetic.integrate_rk4's steps with rk4_step: round(segment/dt)
+    equal steps per segment, then ``after_step(y)`` returns the state to
+    go on from, then round-off negatives are clipped (the dt guard and
+    the instability check are left out).  A copy of y per snapshot time."""
+    out, t = [], 0.0
+    for target in sorted(snapshot_times):
+        seg = target - t
+        if seg > 1e-12:
+            nsteps = max(1, round(seg / dt))
+            for _ in range(nsteps):
+                y = rk4_step(y, seg / nsteps, rhs)
+                if after_step is not None:
+                    y = after_step(y)
+                y = tuple(np.maximum(v, 0.0) if float(v.min()) < 0.0 else v for v in y)
+            t = target
+        out.append(tuple(v.copy() for v in y))
+    return out
 
 
 def kinetic_rhs(f, params):

@@ -560,30 +560,39 @@ def test_k2_slice_rows_name_the_offsets_read(tmp_path):
 
 def test_cli_import_loads_no_scipy(cfg_path, tmp_path):
     # scipy is a test dependency only: every command runs in one fresh
-    # process, which must end with no scipy module loaded
+    # process, which must end with no scipy module loaded.  Each command
+    # imports its own solver, so `import slm.cli` loads none of the solver
+    # modules below, and `slm kinetic`, run first, none of the first three.
     commands = [
+        ["kinetic"],
         ["simulate"],
         ["stats", "--snapshots", str(tmp_path / "simulate")],
-        ["kinetic"],
         ["hierarchy"],
         ["scaling", "--mode", "hierarchy"],
         ["analyze"],
     ]
     code = (
         "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('slm', 'scipy'))\n"
         "from slm.cli import main\n"
         "cfg, out, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
-        "codes = [main([cmd, '--config', cfg, '--out', f'{out}/{cmd}', *flags])\n"
-        "         for cmd, *flags in commands]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "codes, steps = [], [loaded()]\n"
+        "for cmd, *flags in commands:\n"
+        "    codes.append(main([cmd, '--config', cfg, '--out', f'{out}/{cmd}', *flags]))\n"
+        "    steps.append(loaded())\n"
+        "print(json.dumps([codes, steps]))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["slm"].__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = [sys.executable, "-c", code, cfg_path, str(tmp_path), json.dumps(commands)]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    codes, steps = json.loads(out.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
-    assert loaded == []
+    solvers = ["slm.microsim", "slm.stats", "slm.hierarchy", "slm.scaling", "slm.theory"]
+    assert set(steps[0]).isdisjoint(solvers)
+    assert set(steps[1]).isdisjoint(solvers[:3])
+    assert [m for m in steps[-1] if m.startswith("scipy")] == []
 
 
 class TestFailures:

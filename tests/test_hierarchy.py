@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,13 @@ from oracles import closure_tensor, rel_err
 from slm.errors import ClosureSingularityError, InvalidParameterError
 from slm.grid import Grid
 from slm.hierarchy import (
+    CLOSURES,
     Field2,
     TruncatedState,
     closure_contraction,
     rhs_k1,
     rhs_k2,
+    rhs_k2_work,
     solve_hierarchy,
 )
 from slm.kernels import Kernel, make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
@@ -242,6 +245,45 @@ class TestSolver:
             defect = s.k2.values - np.outer(s.k1.values, s.k1.values)
             assert np.max(np.abs(defect)) < 1e-9
         assert diag["max_symmetry_drift"] < 1e-14
+
+    @pytest.mark.parametrize("rule", CLOSURES)
+    def test_matches_allocating_rk4(self, rule, grid, params):
+        # stepped in reused buffers, the solve must equal the one in fresh
+        # arrays to the bit (tolerance 0)
+        st = random_state(grid, 4)
+        st = TruncatedState(st.k1, st.k2, 0.5)
+        initial = st.k1.values.copy(), st.k2.values.copy()
+        times = [0.0, 0.2, 0.4]
+        snaps, diag = solve_hierarchy(st, rule, params, 0.4, 0.02, times)
+        drift = [0.0]
+
+        def rhs(y):
+            s = TruncatedState(Field(grid, y[0]), Field2(grid, y[1]), st.epsilon)
+            return rhs_k1(s, params).values, oracles.fused_rhs_k2(s, rule, params)
+
+        def symmetrize(y):
+            drift[0] = max(drift[0], float(np.max(np.abs(y[1] - y[1].T))))
+            return y[0], 0.5 * (y[1] + y[1].T)
+
+        want = oracles.integrate_rk4((st.k1.values, st.k2.values), rhs, times, 0.02, symmetrize)
+        for s, (k1, k2) in zip(snaps, want):
+            assert np.array_equal(s.k1.values, k1) and np.array_equal(s.k2.values, k2)
+        assert diag["max_symmetry_drift"] == drift[0]
+        assert all(np.array_equal(a, b) for a, b in zip((st.k1.values, st.k2.values), initial))
+        # each snapshot is its own array, which later steps did not overwrite
+        arrays = [st.k1.values, st.k2.values] + [v for s in snaps for v in (s.k1.values, s.k2.values)]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+    @pytest.mark.parametrize("rule", CLOSURES)
+    def test_rhs_into_reused_buffers(self, rule, grid, params):
+        k1, k2 = np.empty(grid.cells), np.empty((grid.cells, grid.cells))
+        work = rhs_k2_work(params)
+        for seed in (6, 7):  # the second call runs in buffers the first filled
+            st = random_state(grid, seed)
+            assert rhs_k1(st, params, k1).values is k1
+            assert rhs_k2(st, rule, params, k2, work).values is k2
+            assert np.array_equal(k1, rhs_k1(st, params).values)
+            assert np.array_equal(k2, oracles.fused_rhs_k2(st, rule, params))
 
     def test_pure_death_exponential(self, grid):
         params = ModelParams(0.5, make_zero_kernel(grid), make_zero_kernel(grid))

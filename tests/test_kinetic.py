@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import oracles
 import pytest
@@ -5,7 +7,7 @@ from oracles import circulant, rel_err, roll_convolution
 
 from slm.errors import IncompatibleGridsError, InstabilityError, InvalidParameterError
 from slm.grid import Grid
-from slm.kernels import Kernel, make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
+from slm.kernels import Kernel, make_gaussian_kernel, make_indicator_kernel, make_zero_kernel, spectral_work
 from slm.kinetic import (
     BernoulliParams,
     Field,
@@ -184,6 +186,52 @@ class TestSharedTransform:
     def test_grid_mismatch(self, params):
         with pytest.raises(IncompatibleGridsError):
             kinetic_rhs(Field.constant(Grid(1, 5.0, 100), 1.0), params)
+
+
+class TestWorkBuffers:
+    """The solver steps in buffers it reuses; its results must be those of
+    fresh arrays to the bit (tolerance 0)."""
+
+    @staticmethod
+    def model(dim, cells):
+        g = Grid(dim, 8.0, cells)
+        return ModelParams(0.3, make_gaussian_kernel(0.6, dim, g), make_indicator_kernel(0.7, 1.3, dim, g))
+
+    @pytest.mark.parametrize("dim,cells,batch", [(1, 99, ()), (1, 100, (7,)), (2, 24, ()), (3, 10, ())])
+    def test_convolve_spectra_into_reused_work(self, dim, cells, batch):
+        params = self.model(dim, cells)
+        g = params.grid
+        work = spectral_work(params.spectra, g, g.shape + batch)
+        rng = np.random.default_rng(cells)
+        for _ in range(2):  # the second call runs in buffers the first filled
+            f = rng.random(g.shape + batch)
+            got = params.convolve_both(f, work)
+            assert got is work[2]
+            assert np.array_equal(got, oracles.convolve_spectra(params.spectra, g, f))
+
+    def test_kinetic_rhs_into_out(self, grid, params):
+        f = Field(grid, np.random.default_rng(5).random(grid.shape))
+        out = np.empty(grid.shape)
+        work = spectral_work(params.spectra, grid, grid.shape)
+        assert kinetic_rhs(f, params, out, work).values is out
+        assert np.array_equal(out, oracles.fused_kinetic_rhs(f.values, params))
+        assert np.array_equal(kinetic_rhs(f, params).values, out)
+
+    @pytest.mark.parametrize("dim,cells", [(1, 100), (2, 24), (3, 10)])
+    def test_solve_matches_allocating_rk4(self, dim, cells):
+        params = self.model(dim, cells)
+        rho0 = Field(params.grid, np.random.default_rng(dim).random(params.grid.shape))
+        initial = rho0.values.copy()
+        times = [0.0, 0.2, 0.5]
+        snaps = solve_kinetic(rho0, params, 0.5, 0.01, times)
+        want = oracles.integrate_rk4(
+            (rho0.values,), lambda y: (oracles.fused_kinetic_rhs(y[0], params),), times, 0.01
+        )
+        assert all(np.array_equal(f.values, w) for f, (w,) in zip(snaps, want))
+        assert np.array_equal(rho0.values, initial)
+        # each snapshot is its own array, which later steps did not overwrite
+        arrays = [rho0.values] + [f.values for f in snaps]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
 
 class TestSolver:

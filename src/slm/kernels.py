@@ -95,11 +95,13 @@ class Kernel:
 
     # -- sampling --------------------------------------------------------
 
-    def sample_displacement(self, rng: np.random.Generator, size: int | None = 1):
+    def sample_displacement(self, rng, size: int | None = 1):
         """Draw displacements from the density a/<a> (inverse CDF over cells
-        plus a uniform jitter inside the chosen cell).  Returns (size, dim),
-        or for ``size=None`` one draw as a list of dim Python floats, from
-        the same stream and arithmetic as ``size=1``.
+        plus a uniform jitter inside the chosen cell).  Returns (size, dim)
+        from a Generator ``rng``.  For ``size=None`` it returns one draw as a
+        list of dim Python floats, reading only ``rng.random()``, 1 + dim
+        times: a Generator gives the stream and arithmetic of ``size=1``,
+        and the simulator passes its :class:`microsim.Draws`.
         """
         if self.mass <= 0:
             raise InvalidParameterError("cannot sample from a kernel with zero mass")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -35,12 +36,67 @@ from .model import ModelParams
 DEFAULT_POPULATION_CAP = 1_000_000
 AUDIT_INTERVAL = 10_000
 AUDIT_TOLERANCE = 1e-9
+# a draw stream's first block, doubled per block up to the cap
+DRAW_BLOCK = 16
+DRAW_BLOCK_CAP = 4096
+_LOW = (1 << 64) - 1  # the low 64 bits of a product
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     """Per-run generator derived from the master seed; reproducible and
     independent of scheduling order."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(run_index,)))
+
+
+class Draws:
+    """The random numbers of one simulator run, drawn in blocks from three
+    generators that ``rng.spawn(3)`` gives, one per kind of draw:
+
+    - ``exponential()``: standard exponentials, so a wait at total
+      proposal rate r is ``exponential() / r``;
+    - ``index(n)``: a particle index exactly uniform on 0..n-1, from the
+      64-bit words of the second generator (:func:`uniform_index`);
+    - ``random()``: uniforms on [0, 1), for thinning levels and birth
+      displacements (:meth:`Kernel.sample_displacement` with ``size=None``).
+
+    A block's values come in the order one call per value would give, so
+    no sequence depends on the block sizes: DRAW_BLOCK, doubled per block
+    up to DRAW_BLOCK_CAP, so that a short run draws few values.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        waits, words, levels = rng.spawn(3)
+        self.exponential = _stream(waits.standard_exponential)
+        self.word = _stream(words.bit_generator.random_raw)
+        self.random = _stream(levels.random)
+
+    def index(self, n: int) -> int:
+        return uniform_index(self.word, n)
+
+
+def _stream(draw):
+    """A callable that returns the values of ``draw(size)`` one at a time."""
+    def blocks():
+        size = DRAW_BLOCK
+        while True:
+            yield draw(size).tolist()
+            size = min(2 * size, DRAW_BLOCK_CAP)
+
+    return chain.from_iterable(blocks()).__next__
+
+
+def uniform_index(word, n: int) -> int:
+    """An integer exactly uniform on 0..n-1 from the uniform 64-bit words
+    ``word()`` gives: the high word of ``word() * n``, redrawn while the
+    low word is below 2^64 mod n (Lemire 2019, multiply-shift with
+    rejection).  The test costs one compare except when the low word is
+    below n, which has probability n / 2^64."""
+    m = word() * n
+    if m & _LOW < n:
+        floor = (1 << 64) % n
+        while m & _LOW < floor:
+            m = word() * n
+    return m >> 64
 
 
 class CellList:
@@ -281,13 +337,14 @@ def step_event(
     times of the proposals up to and including the first real one).
     """
     _require_kernel(config, params)
+    draws = Draws(rng)
     log = []
     while not log:
         bound = _bound(config, params)
         if config.n * bound <= 0:
             raise AbsorbedStateError("total event rate is zero")
-        t = t + rng.exponential(1.0 / (config.n * bound))
-        _propose(config, params, rng, t, bound, log)
+        t = t + draws.exponential() / (config.n * bound)
+        _propose(config, params, draws, t, bound, log)
     return log[0]
 
 
@@ -331,6 +388,7 @@ def run(
         raise InvalidParameterError("snapshot times must not exceed the horizon")
     traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
     log = traj.event_log if keep_events else None
+    draws = Draws(rng)
     t = 0.0
     next_snap = 0
     while next_snap < len(times):
@@ -338,7 +396,7 @@ def run(
         if config.n * bound <= 0:
             traj.absorbed = True
             break
-        t = t + rng.exponential(1.0 / (config.n * bound))
+        t = t + draws.exponential() / (config.n * bound)
         # snapshots due before the proposal see the configuration before it
         while next_snap < len(times) and t > times[next_snap]:
             traj.snapshots.append(config.positions())
@@ -346,7 +404,7 @@ def run(
         if next_snap == len(times):
             break
         traj.proposals += 1
-        kind = _propose(config, params, rng, t, bound, log)
+        kind = _propose(config, params, draws, t, bound, log)
         if kind is None:
             continue
         traj.events += 1
@@ -387,7 +445,7 @@ def _bound(config, params) -> float:
     return params.dispersal.mass + params.mortality + params.epsilon * config.crate_bound
 
 
-def _propose(config, params, rng, t, bound, log) -> str | None:
+def _propose(config, params, draws, t, bound, log) -> str | None:
     """One thinned proposal at time t against the bound from _bound: a
     uniform particle i and a uniform level u on [0, bound) pick a birth
     from i, its natural or competitive death, or nothing.  Returns the
@@ -396,12 +454,12 @@ def _propose(config, params, rng, t, bound, log) -> str | None:
     tightened, which is O(1) per proposal and ends the nulls once every
     c_i has dropped to zero.
     """
-    i = int(rng.integers(config.n))
+    i = draws.index(config.n)
     birth = params.dispersal.mass
     natural = birth + params.mortality
-    u = rng.random() * bound
+    u = draws.random() * bound
     if u < birth:
-        step = params.dispersal.sample_displacement(rng, None)
+        step = params.dispersal.sample_displacement(draws, None)
         j = config.add_particle([x + d for x, d in zip(config.pos[i].tolist(), step)])
         if log is not None:
             log.append(Event("birth", config.pos[j].copy(), t))

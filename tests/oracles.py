@@ -16,11 +16,29 @@ also kept in the forms that make fresh arrays, as before the solvers
 stepped in reused buffers, and so are the hierarchy's right-hand side and
 contractions with their shared transform; the package must match them to
 the bit.
+The simulator's thinned proposal loop is kept as it was before it became
+one loop over block draws: ``run`` and a ``_propose`` call per proposal,
+reading either the same block draws as ``microsim.run`` or one Generator
+call per value, as before block draws.
 """
 import numpy as np
 
-from slm.errors import ClosureSingularityError, InvalidParameterError
+from slm.errors import (
+    AuditDriftError,
+    BlowUpError,
+    ClosureSingularityError,
+    InvalidParameterError,
+)
 from slm.hierarchy import CLOSURES, KIRKWOOD_FLOOR_FACTOR
+from slm.microsim import (
+    AUDIT_INTERVAL,
+    AUDIT_TOLERANCE,
+    DEFAULT_POPULATION_CAP,
+    Draws,
+    Event,
+    Trajectory,
+    _require_kernel,
+)
 
 
 def roll_convolution(kernel, f):
@@ -269,3 +287,114 @@ def rel_err(value, reference):
     """max |value - reference| / max |reference|."""
     reference = np.asarray(reference)
     return float(np.max(np.abs(np.asarray(value) - reference)) / np.max(np.abs(reference)))
+
+
+class BlockDraws:
+    """microsim.Draws as microsim.run reads them: a wait at total rate r
+    is ``exponential() / r``."""
+
+    def __init__(self, rng):
+        draws = Draws(rng)
+        self.random, self.index, self._exponential = draws.random, draws.index, draws.exponential
+
+    def wait(self, rate):
+        return self._exponential() / rate
+
+
+class PerCallDraws:
+    """The draws before block draws: one call of the run's Generator per
+    value, a wait at total rate r as ``rng.exponential(1 / r)`` and an
+    index as ``rng.integers(n)``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.random = rng.random
+
+    def wait(self, rate):
+        return self.rng.exponential(1.0 / rate)
+
+    def index(self, n):
+        return int(self.rng.integers(n))
+
+
+def thinned_run(
+    config, params, horizon, snapshot_times, rng, population_cap=DEFAULT_POPULATION_CAP,
+    audit_interval=AUDIT_INTERVAL, keep_events=False, draws=BlockDraws,
+):
+    """microsim.run with one _propose call per proposal, reading the
+    ``draws`` (BlockDraws or PerCallDraws) of ``rng``."""
+    _require_kernel(config, params)
+    draws = draws(rng)
+    times = sorted(float(s) for s in snapshot_times)
+    if times and times[-1] > horizon + 1e-12:
+        raise InvalidParameterError("snapshot times must not exceed the horizon")
+    traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
+    log = traj.event_log if keep_events else None
+    t = 0.0
+    next_snap = 0
+    while next_snap < len(times):
+        bound = params.dispersal.mass + params.mortality + params.epsilon * config.crate_bound
+        if config.n * bound <= 0:
+            traj.absorbed = True
+            break
+        t = t + draws.wait(config.n * bound)
+        # snapshots due before the proposal see the configuration before it
+        while next_snap < len(times) and t > times[next_snap]:
+            traj.snapshots.append(config.positions())
+            next_snap += 1
+        if next_snap == len(times):
+            break
+        traj.proposals += 1
+        kind = _propose(config, params, draws, t, bound, log)
+        if kind is None:
+            continue
+        traj.events += 1
+        if kind == "birth":
+            traj.births += 1
+            traj.peak_n = max(traj.peak_n, config.n)
+        else:
+            traj.deaths += 1
+            traj.competition_deaths += kind == "death-competition"
+        if config.n > population_cap:
+            raise BlowUpError(t, config.n, population_cap)
+        if traj.events % audit_interval == 0:
+            drift = config.audit()
+            traj.max_audit_drift = max(traj.max_audit_drift, drift)
+            if drift > AUDIT_TOLERANCE:
+                raise AuditDriftError(
+                    f"rate drift {drift:.3g} above {AUDIT_TOLERANCE:g} at t={t:.6g}"
+                )
+            config.tighten()
+    while len(traj.snapshots) < len(times):
+        traj.snapshots.append(config.positions())
+    traj.n_end = config.n
+    return traj
+
+
+def _propose(config, params, draws, t, bound, log):
+    """One thinned proposal: a uniform particle i and a uniform level u on
+    [0, bound) pick a birth from i, its natural or competitive death, or
+    nothing (the bound is tightened after as many nulls as particles)."""
+    i = draws.index(config.n)
+    birth = params.dispersal.mass
+    natural = birth + params.mortality
+    u = draws.random() * bound
+    if u < birth:
+        step = params.dispersal.sample_displacement(draws, None)
+        j = config.add_particle([x + d for x, d in zip(config.pos[i].tolist(), step)])
+        if log is not None:
+            log.append(Event("birth", config.pos[j].copy(), t))
+        return "birth"
+    if u < natural:
+        kind = "death-natural"
+    elif u < natural + params.epsilon * config.crate[i]:
+        kind = "death-competition"
+    else:
+        config.nulls += 1
+        if config.nulls >= config.n:
+            config.tighten()
+        return None
+    if log is not None:
+        log.append(Event(kind, config.pos[i].copy(), t))
+    config.remove_particle(i)
+    return kind

@@ -13,13 +13,19 @@ proposal instead of a sum over all particles.  Competitive rates are
 maintained incrementally through a cell list and audited against a
 recomputation over the pair search of :mod:`slm.grid`, whose cells the
 cell list shares.
+
+A run draws its randomness from three streams of its Generator, one per
+kind of draw (:class:`Draws`), in blocks of Python numbers, so a proposal
+costs no Generator call; the one proposal loop serves :func:`run` and
+:func:`step_event`.  A seed gives the same events whatever the block
+sizes, and whichever worker process runs it.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -54,8 +60,8 @@ class Draws:
 
     - ``exponential()``: standard exponentials, so a wait at total
       proposal rate r is ``exponential() / r``;
-    - ``index(n)``: a particle index exactly uniform on 0..n-1, from the
-      64-bit words of the second generator (:func:`uniform_index`);
+    - ``word()``: uniform 64-bit words, from which :func:`uniform_index`
+      draws a particle index exactly uniform on 0..n-1;
     - ``random()``: uniforms on [0, 1), for thinning levels and birth
       displacements (:meth:`Kernel.sample_displacement` with ``size=None``).
 
@@ -70,9 +76,6 @@ class Draws:
         self.word = _stream(words.bit_generator.random_raw)
         self.random = _stream(levels.random)
 
-    def index(self, n: int) -> int:
-        return uniform_index(self.word, n)
-
 
 def _stream(draw):
     """A callable that returns the values of ``draw(size)`` one at a time."""
@@ -82,7 +85,7 @@ def _stream(draw):
             yield draw(size).tolist()
             size = min(2 * size, DRAW_BLOCK_CAP)
 
-    return chain.from_iterable(blocks()).__next__
+    return itertools.chain.from_iterable(blocks()).__next__
 
 
 def uniform_index(word, n: int) -> int:
@@ -268,11 +271,14 @@ class Configuration:
             c = self.cells.cell(pos)
             idx = self.cells.candidates(c)
             vals = self._kernel_from(self.pos[i], idx)
-            self.crate[idx] += vals
+            touched = self.crate.take(idx)
+            touched += vals
+            self.crate.put(idx, touched)
             # the ufunc reductions that .sum() and .max() wrap, without the wrappers
-            self.crate[i] = np.add.reduce(vals)
-            touched = np.maximum.reduce(self.crate.take(idx), initial=0.0)
-            self.crate_bound = max(self.crate_bound, self.crate[i], touched)
+            self.crate[i] = own = np.add.reduce(vals)
+            top = np.maximum.reduce(touched, initial=own)
+            if top > self.crate_bound:
+                self.crate_bound = float(top)
             self.cells.add(i, c)
         return i
 
@@ -280,7 +286,7 @@ class Configuration:
         if self.interacting:
             # the candidates include i itself; c_i is overwritten or dropped below
             idx = self.cells.candidates(self.cells.cell_of[i])
-            self.crate[idx] -= self._kernel_from(self.pos[i], idx)
+            self.crate.put(idx, self.crate.take(idx) - self._kernel_from(self.pos[i], idx))
             self.cells.remove(i)
         last = self.n - 1
         if i != last:
@@ -334,18 +340,16 @@ def step_event(
 ) -> Event:
     """Advance the configuration by exactly one jump; mutates config in
     place and returns the realized event (its time is t plus the waiting
-    times of the proposals up to and including the first real one).
+    times of the proposals up to and including the first real one).  The
+    proposals are those of :func:`run`, drawn from a :class:`Draws` of
+    ``rng``.
     """
     _require_kernel(config, params)
-    draws = Draws(rng)
-    log = []
-    while not log:
-        bound = _bound(config, params)
-        if config.n * bound <= 0:
-            raise AbsorbedStateError("total event rate is zero")
-        t = t + draws.exponential() / (config.n * bound)
-        _propose(config, params, draws, t, bound, log)
-    return log[0]
+    traj = Trajectory(times=[], snapshots=[])
+    _propose_until(config, params, Draws(rng), traj, [math.inf], t, math.inf, AUDIT_INTERVAL, stop=1)
+    if traj.absorbed:
+        raise AbsorbedStateError("total event rate is zero")
+    return traj.event_log[0]
 
 
 @dataclass
@@ -375,7 +379,8 @@ def run(
     audit_interval: int = AUDIT_INTERVAL,
     keep_events: bool = False,
 ) -> Trajectory:
-    """Exact-jump trajectory with snapshots at the requested times.
+    """Exact-jump trajectory with snapshots at the requested times, its
+    randomness drawn from a :class:`Draws` of ``rng``.
 
     Mutates ``config``.  Raises BlowUpError when the population cap is
     exceeded, and AuditDriftError when an audit finds the incremental
@@ -387,43 +392,10 @@ def run(
     if times and times[-1] > horizon + 1e-12:
         raise InvalidParameterError("snapshot times must not exceed the horizon")
     traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
-    log = traj.event_log if keep_events else None
-    draws = Draws(rng)
-    t = 0.0
-    next_snap = 0
-    while next_snap < len(times):
-        bound = _bound(config, params)
-        if config.n * bound <= 0:
-            traj.absorbed = True
-            break
-        t = t + draws.exponential() / (config.n * bound)
-        # snapshots due before the proposal see the configuration before it
-        while next_snap < len(times) and t > times[next_snap]:
-            traj.snapshots.append(config.positions())
-            next_snap += 1
-        if next_snap == len(times):
-            break
-        traj.proposals += 1
-        kind = _propose(config, params, draws, t, bound, log)
-        if kind is None:
-            continue
-        traj.events += 1
-        if kind == "birth":
-            traj.births += 1
-            traj.peak_n = max(traj.peak_n, config.n)
-        else:
-            traj.deaths += 1
-            traj.competition_deaths += kind == "death-competition"
-        if config.n > population_cap:
-            raise BlowUpError(t, config.n, population_cap)
-        if traj.events % audit_interval == 0:
-            drift = config.audit()
-            traj.max_audit_drift = max(traj.max_audit_drift, drift)
-            if drift > AUDIT_TOLERANCE:
-                raise AuditDriftError(
-                    f"rate drift {drift:.3g} above {AUDIT_TOLERANCE:g} at t={t:.6g}"
-                )
-            config.tighten()
+    _propose_until(
+        config, params, Draws(rng), traj, times, 0.0, population_cap, audit_interval,
+        keep_events=keep_events,
+    )
     while len(traj.snapshots) < len(times):
         traj.snapshots.append(config.positions())
     traj.n_end = config.n
@@ -440,43 +412,87 @@ def _require_kernel(config, params):
         raise InvalidParameterError("the configuration's competition kernel is not the model's")
 
 
-def _bound(config, params) -> float:
-    """B = <a+> + m + eps * crate_bound, at least every particle's total rate."""
-    return params.dispersal.mass + params.mortality + params.epsilon * config.crate_bound
+def _propose_until(
+    config, params, draws, traj, times, t, population_cap, audit_interval, keep_events=True,
+    stop=0,
+):
+    """The thinned proposals from time t until the last of ``times`` or
+    the ``stop``-th event (0: no such stop), added to ``traj``'s counters;
+    a snapshot is taken at each time as the first proposal after it comes.
 
-
-def _propose(config, params, draws, t, bound, log) -> str | None:
-    """One thinned proposal at time t against the bound from _bound: a
-    uniform particle i and a uniform level u on [0, bound) pick a birth
-    from i, its natural or competitive death, or nothing.  Returns the
-    event's kind, or None, and appends its :class:`Event` to ``log`` unless
-    that is None.  After as many null proposals as particles the bound is
-    tightened, which is O(1) per proposal and ends the nulls once every
-    c_i has dropped to zero.
+    Each proposal comes after a wait at rate N B, for the bound
+    B = <a+> + m + eps * crate_bound of every particle's total rate, and
+    picks a uniform particle i and a uniform level u on [0, B): a birth
+    from i, its natural or competitive death, or nothing.  After as many
+    null proposals as particles the bound is tightened, which is O(1) per
+    proposal and ends the nulls once every c_i has dropped to zero.
     """
-    i = draws.index(config.n)
+    exponential, word, uniform = draws.exponential, draws.word, draws.random
     birth = params.dispersal.mass
     natural = birth + params.mortality
-    u = draws.random() * bound
-    if u < birth:
-        step = params.dispersal.sample_displacement(draws, None)
-        j = config.add_particle([x + d for x, d in zip(config.pos[i].tolist(), step)])
-        if log is not None:
-            log.append(Event("birth", config.pos[j].copy(), t))
-        return "birth"
-    if u < natural:
-        kind = "death-natural"
-    elif u < natural + params.epsilon * config.crate[i]:
-        kind = "death-competition"
-    else:
-        config.nulls += 1
-        if config.nulls >= config.n:
+    eps = params.epsilon
+    sample = params.dispersal.sample_displacement
+    log = traj.event_log if keep_events else None
+    snapshots, last = traj.snapshots, len(times)
+    next_snap = proposals = events = births = competition = 0
+    peak = traj.peak_n
+    while next_snap < last:
+        n = config.n
+        bound = natural + eps * config.crate_bound
+        if n * bound <= 0:
+            traj.absorbed = True
+            break
+        t += exponential() / (n * bound)
+        # snapshots due before the proposal see the configuration before it
+        while next_snap < last and t > times[next_snap]:
+            snapshots.append(config.positions())
+            next_snap += 1
+        if next_snap == last:
+            break
+        proposals += 1
+        i = uniform_index(word, n)
+        u = uniform() * bound
+        if u < birth:
+            step = sample(draws, None)
+            j = config.add_particle([x + d for x, d in zip(config.pos[i].tolist(), step)])
+            if log is not None:
+                log.append(Event("birth", config.pos[j].copy(), t))
+            births += 1
+            if n >= peak:
+                peak = n + 1
+        else:
+            if u < natural:
+                kind = "death-natural"
+            elif u < natural + eps * config.crate[i]:
+                kind = "death-competition"
+                competition += 1
+            else:
+                config.nulls += 1
+                if config.nulls >= n:
+                    config.tighten()
+                continue
+            if log is not None:
+                log.append(Event(kind, config.pos[i].copy(), t))
+            config.remove_particle(i)
+        events += 1
+        if config.n > population_cap:
+            raise BlowUpError(t, config.n, population_cap)
+        if events % audit_interval == 0:
+            drift = config.audit()
+            traj.max_audit_drift = max(traj.max_audit_drift, drift)
+            if drift > AUDIT_TOLERANCE:
+                raise AuditDriftError(
+                    f"rate drift {drift:.3g} above {AUDIT_TOLERANCE:g} at t={t:.6g}"
+                )
             config.tighten()
-        return None
-    if log is not None:
-        log.append(Event(kind, config.pos[i].copy(), t))
-    config.remove_particle(i)
-    return kind
+        if events == stop:
+            break
+    traj.proposals += proposals
+    traj.events += events
+    traj.births += births
+    traj.deaths += events - births
+    traj.competition_deaths += competition
+    traj.peak_n = peak
 
 
 def _ensemble_member(rho0, params, horizon, snapshot_times, seed, cap, keep_events, run_index):

@@ -38,6 +38,7 @@ from slm.microsim import (
     Event,
     Trajectory,
     _require_kernel,
+    uniform_index,
 )
 
 
@@ -295,10 +296,13 @@ class BlockDraws:
 
     def __init__(self, rng):
         draws = Draws(rng)
-        self.random, self.index, self._exponential = draws.random, draws.index, draws.exponential
+        self.random, self._word, self._exponential = draws.random, draws.word, draws.exponential
 
     def wait(self, rate):
         return self._exponential() / rate
+
+    def index(self, n):
+        return uniform_index(self._word, n)
 
 
 class PerCallDraws:

@@ -517,7 +517,7 @@ def test_uniform_index_rejects_exactly_the_low_words_below_2_64_mod_n():
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_index_draws_are_uniform(n):
     draws = Draws(run_rng(5201, n))
-    counts = np.bincount([draws.index(n) for _ in range(30_000)], minlength=n)
+    counts = np.bincount([uniform_index(draws.word, n) for _ in range(30_000)], minlength=n)
     assert len(counts) == n
     assert sps.chisquare(counts).pvalue > 0.001
 

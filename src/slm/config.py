@@ -197,6 +197,8 @@ def parse_config(path, overrides=None) -> RunConfig:
     population_cap = get("run", "population_cap")
     if runs < 1:
         raise ConfigError("[run] runs must be >= 1")
+    if population_cap < 1:
+        raise ConfigError(f"[run] population_cap: not at least 1: {population_cap}")
     if seed < 0:
         raise ConfigError("[run] seed must be >= 0")
 

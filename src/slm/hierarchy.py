@@ -91,11 +91,6 @@ class TruncatedState:
     def grid(self) -> Grid:
         return self.k1.grid
 
-    @property
-    def witness_C(self) -> float:
-        """Grid witness for the sub-Poissonian bound at orders <= 2."""
-        return witness(self.k1.max, float(self.k2.values.max()))
-
 
 def witness(k1_max: float, k2_max: float) -> float:
     """max(max k1, sqrt(max k2)), the witness C from the maxima of k1 and k2."""

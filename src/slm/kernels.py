@@ -86,13 +86,6 @@ class Kernel:
         strides = (2.0 * m + 1.0) ** np.arange(self.dim - 1, -1, -1)
         return np.roll(table.ravel(), -m * int(strides[1:].sum())), strides, self.grid.spacing
 
-    def is_even(self, tol: float = 0.0) -> bool:
-        v = self.values
-        flipped = v
-        for ax in range(v.ndim):
-            flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
-        return bool(np.max(np.abs(v - flipped)) <= tol)
-
     # -- sampling --------------------------------------------------------
 
     def sample_displacement(self, rng, size: int | None = 1):

@@ -65,11 +65,6 @@ class BernoulliParams:
         if min(self.mortality, self.aplus_mass, self.aminus_mass) < 0:
             raise InvalidParameterError("Bernoulli coefficients must be nonnegative")
 
-    @classmethod
-    def from_model(cls, params: ModelParams) -> "BernoulliParams":
-        """Discrete masses, with competition scaled by epsilon."""
-        return cls(params.mortality, params.dispersal.mass, params.epsilon * params.competition.mass)
-
 
 def bernoulli_q(p: BernoulliParams) -> float:
     """Carrying capacity (<a+> - m)/<a->; may be <= 0, caller checks."""

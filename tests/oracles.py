@@ -29,7 +29,8 @@ from slm.errors import (
     ClosureSingularityError,
     InvalidParameterError,
 )
-from slm.hierarchy import CLOSURES, KIRKWOOD_FLOOR_FACTOR
+from slm.hierarchy import CLOSURES, KIRKWOOD_FLOOR_FACTOR, witness
+from slm.kinetic import BernoulliParams
 from slm.microsim import (
     AUDIT_INTERVAL,
     AUDIT_TOLERANCE,
@@ -282,6 +283,28 @@ def write_csv(path, header, columns):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def is_even(kernel, tol=0.0):
+    """a(-x) = a(x) on the offset grid, to within ``tol``."""
+    v = kernel.values
+    flipped = v
+    for ax in range(v.ndim):
+        flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
+    return bool(np.max(np.abs(v - flipped)) <= tol)
+
+
+def witness_C(state):
+    """The witness C of a TruncatedState's k1 and k2."""
+    return witness(state.k1.max, float(state.k2.values.max()))
+
+
+def bernoulli_params(params):
+    """The Bernoulli coefficients of a model: its masses, with competition
+    scaled by epsilon."""
+    return BernoulliParams(
+        params.mortality, params.dispersal.mass, params.epsilon * params.competition.mass
+    )
 
 
 def rel_err(value, reference):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
 from slm.grid import Grid
 from slm.hierarchy import TruncatedState, solve_hierarchy
 from slm.kernels import (
@@ -18,7 +19,6 @@ from slm.kernels import (
     make_zero_kernel,
 )
 from slm.kinetic import (
-    BernoulliParams,
     Field,
     bernoulli_q,
     bernoulli_solution,
@@ -52,7 +52,7 @@ def unit_mass_indicator(grid, radius):
 def test_criterion_01_logistic_oracle_agreement(announce):
     grid = Grid(1, 10.0, 100)
     params = ModelParams(0.2, unit_mass_indicator(grid, 0.5), unit_mass_indicator(grid, 0.4))
-    bp = BernoulliParams.from_model(params)
+    bp = oracles.bernoulli_params(params)
     assert bp.aplus_mass == pytest.approx(1.0, abs=1e-12)
     assert bp.aminus_mass == pytest.approx(1.0, abs=1e-12)
     assert bernoulli_q(bp) == pytest.approx(0.8, abs=1e-12)
@@ -92,14 +92,14 @@ def test_criterion_03_bound_preservation_and_flattening(announce):
     m = 0.6  # 1 - m/<a+> = 0.4 <= (r/R)^d = 0.5
     params = ModelParams(m, aplus, aminus)
     assert check_homogenization(aplus, aminus, m)
-    q = bernoulli_q(BernoulliParams.from_model(params))
+    q = bernoulli_q(oracles.bernoulli_params(params))
     x = grid.centers()
     rho0 = Field(grid, 0.2 + 0.1 * np.sin(2 * np.pi * x / grid.side))
     delta = rho0.min
     assert 0 < delta and rho0.max < q
     times = [1.0, 5.0, 10.0, 20.0, 50.0]
     snaps = solve_kinetic(rho0, params, 50.0, 0.01, times)
-    bp = BernoulliParams.from_model(params)
+    bp = oracles.bernoulli_params(params)
     bounded = all(
         bernoulli_solution(delta, t, bp) <= f.min and f.max < q
         for t, f in zip(times, snaps)
@@ -283,7 +283,7 @@ def test_criterion_08_simulator_micro_checks(announce):
 def test_criterion_09_integrator_order_and_positivity(announce):
     grid = Grid(1, 10.0, 128)
     params = ModelParams(0.2, unit_mass_indicator(grid, 0.8), unit_mass_indicator(grid, 0.6))
-    bp = BernoulliParams.from_model(params)
+    bp = oracles.bernoulli_params(params)
     exact = bernoulli_solution(0.1, 2.0, bp)
     errs = [
         abs(solve_kinetic(Field.constant(grid, 0.1), params, 2.0, dt, [2.0])[0].mean - exact)

@@ -151,6 +151,8 @@ class TestConfig:
             ("run", "runs", "2.9"),
             ("run", "seed", "1.5"),
             ("run", "population_cap", "1e6"),
+            ("run", "population_cap", "0"),
+            ("run", "population_cap", "-3"),
             ("stats", "pair_bins", "24.5"),
             ("scaling", "scaling_runs", "5.5"),
             ("scaling", "eps_list", "1 half"),

@@ -318,7 +318,7 @@ class TestSolver:
             0.0, make_indicator_kernel(2.0, 0.5, 1, g), make_indicator_kernel(1.0, 0.5, 1, g)
         )
         st = TruncatedState.poisson_like(Field.constant(g, 0.1), 0.0)
-        assert stability_dt(params, st.witness_C) > 0.04
+        assert stability_dt(params, oracles.witness_C(st)) > 0.04
         with pytest.raises(InvalidParameterError, match=r"at t=0\.52"):
             solve_hierarchy(st, "mean-field", params, 4.0, 0.04, [2.0, 4.0])
 
@@ -334,4 +334,4 @@ class TestSolver:
 
     def test_stability_guard_positive(self, grid, params):
         st = TruncatedState.poisson_like(Field.constant(grid, 1.0), 1.0)
-        assert 0 < stability_dt(params, st.witness_C) < 1.0
+        assert 0 < stability_dt(params, oracles.witness_C(st)) < 1.0

@@ -139,7 +139,7 @@ class TestConvolution:
 
 class TestRhs:
     def test_equilibrium(self, grid, params):
-        q = bernoulli_q(BernoulliParams.from_model(params))
+        q = bernoulli_q(oracles.bernoulli_params(params))
         out = kinetic_rhs(Field.constant(grid, q), params)
         assert np.max(np.abs(out.values)) < 1e-14
 
@@ -238,7 +238,7 @@ class TestSolver:
     def test_constant_matches_bernoulli(self, grid, params):
         times = [1.0, 2.0, 5.0, 10.0]
         snaps = solve_kinetic(Field.constant(grid, 0.1), params, 10.0, 1e-3, times)
-        bp = BernoulliParams.from_model(params)
+        bp = oracles.bernoulli_params(params)
         for t, f in zip(times, snaps):
             u = bernoulli_solution(0.1, t, bp)
             assert np.max(np.abs(f.values - u)) / u < 1e-6

@@ -345,8 +345,8 @@ def step_event(
     ``rng``.
     """
     _require_kernel(config, params)
-    traj = Trajectory(times=[], snapshots=[])
-    _propose_until(config, params, Draws(rng), traj, [math.inf], t, math.inf, AUDIT_INTERVAL, stop=1)
+    traj = Trajectory(times=[math.inf], snapshots=[])
+    _propose_until(config, params, Draws(rng), traj, t, math.inf, AUDIT_INTERVAL, stop=1)
     if traj.absorbed:
         raise AbsorbedStateError("total event rate is zero")
     return traj.event_log[0]
@@ -393,8 +393,7 @@ def run(
         raise InvalidParameterError("snapshot times must not exceed the horizon")
     traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
     _propose_until(
-        config, params, Draws(rng), traj, times, 0.0, population_cap, audit_interval,
-        keep_events=keep_events,
+        config, params, Draws(rng), traj, 0.0, population_cap, audit_interval, keep_events
     )
     while len(traj.snapshots) < len(times):
         traj.snapshots.append(config.positions())
@@ -413,12 +412,12 @@ def _require_kernel(config, params):
 
 
 def _propose_until(
-    config, params, draws, traj, times, t, population_cap, audit_interval, keep_events=True,
-    stop=0,
+    config, params, draws, traj, t, population_cap, audit_interval, keep_events=True, stop=0
 ):
-    """The thinned proposals from time t until the last of ``times`` or
-    the ``stop``-th event (0: no such stop), added to ``traj``'s counters;
-    a snapshot is taken at each time as the first proposal after it comes.
+    """The thinned proposals from time t until the last of ``traj.times``
+    or the ``stop``-th event (0: no such stop), added to ``traj``'s
+    counters; a snapshot is taken at each time as the first proposal after
+    it comes.
 
     Each proposal comes after a wait at rate N B, for the bound
     B = <a+> + m + eps * crate_bound of every particle's total rate, and
@@ -433,7 +432,8 @@ def _propose_until(
     eps = params.epsilon
     sample = params.dispersal.sample_displacement
     log = traj.event_log if keep_events else None
-    snapshots, last = traj.snapshots, len(times)
+    times, snapshots = traj.times, traj.snapshots
+    last = len(times)
     next_snap = proposals = events = births = competition = 0
     peak = traj.peak_n
     while next_snap < last:

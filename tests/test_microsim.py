@@ -381,7 +381,9 @@ def guard_run(case, keep_events=True, simulate=run):
     microsim.run or by a loop called as it is."""
     if case == "1d":
         g = Grid(1, 10.0, 100)
-        params = ModelParams(0.3, unit_mass_indicator(g, 0.5), make_indicator_kernel(0.6, 0.5, 1, g))
+        params = ModelParams(
+            0.3, unit_mass_indicator(g, 0.5), make_indicator_kernel(0.6, 0.5, 1, g)
+        )
         rng = run_rng(2024, 1)
         config = init_poisson(2.0, params.competition, rng)
         args, kwargs = (3.0, [1.5, 3.0]), {}
@@ -447,8 +449,8 @@ def test_long_same_seed_runs_keep_their_events(case):
 
 @pytest.mark.parametrize("case", ["1d", "2d", "3d", "2d-audited"])
 def test_per_call_oracle_gives_the_events_recorded_before_block_draws(case):
-    config, traj = guard_run(case, simulate=partial(oracles.thinned_run, draws=oracles.PerCallDraws))
-    assert event_record(config, traj) == PER_CALL_SEED[case]
+    per_call = partial(oracles.thinned_run, draws=oracles.PerCallDraws)
+    assert event_record(*guard_run(case, simulate=per_call)) == PER_CALL_SEED[case]
 
 
 @pytest.mark.parametrize("case", ["1d", "2d"])
@@ -828,8 +830,7 @@ def test_step_event_returns_a_real_event_after_null_proposals(grid):
     config, params = equivalence_case(1)
     n = config.n
     # still a bound, so still exact; a proposal is real with probability
-    # 6e-10, so the first n are null for all but about 1e-8 of seeds (with a
-    # factor of 1e3, all but about 1%)
+    # 6e-10, so the first n are null for all but about 1e-8 of seeds
     loose = config.crate_bound = 1e9 * config.crate_bound
     rng = run_rng(15, 0)
     ev = step_event(config, params, rng, t=2.0)

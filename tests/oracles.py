@@ -17,9 +17,10 @@ stepped in reused buffers, and so are the hierarchy's right-hand side and
 contractions with their shared transform; the package must match them to
 the bit.
 The simulator's thinned proposal loop is kept as it was before it became
-one loop over block draws: ``run`` and a ``_propose`` call per proposal,
-reading either the same block draws as ``microsim.run`` or one Generator
-call per value, as before block draws.
+one loop over block draws, ``thinned_run`` with one ``_propose`` call per
+proposal, reading either the same block draws as ``microsim.run`` or one
+Generator call per value, as before block draws.  ``is_even``,
+``witness_C`` and ``bernoulli_params`` are helpers that only tests call.
 """
 import numpy as np
 

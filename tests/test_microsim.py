@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import oracles
+from slm import microsim
 from slm.errors import (
     AbsorbedStateError,
     AuditDriftError,
@@ -21,7 +22,6 @@ from slm.errors import (
 from slm.grid import Grid, cell_keys
 from slm.kernels import make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
 from slm.kinetic import Field
-from slm import microsim
 from slm.microsim import (
     Configuration,
     Draws,
@@ -330,7 +330,7 @@ class TestRun:
 # Event logs of four seeded runs: counts, a SHA-256 of the kinds and
 # positions, and a SHA-256 of the event times as little-endian doubles;
 # data/same_seed_event_times.json also holds every event time of the 1d
-# and 2d runs.  1d and 2d are about 90 events; 3d is longer, and
+# and 2d runs.  1d and 2d are under 100 events; 3d is longer, and
 # 2d-audited runs over 3000 events, audits every 500 and grows from 5
 # particles past the starting sizes of the position arrays and of the cell
 # list's rows, so that ``_grow``, the doubling of ``members``, the audits

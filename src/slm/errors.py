@@ -73,7 +73,3 @@ class ClosureSingularityError(SLMError):
 
 class ConfigError(SLMError):
     category = "config"
-
-
-class HorizonViolationError(SLMError):
-    category = "horizon-violation"

@@ -104,14 +104,14 @@ def closure_contraction(
     rule: str,
     state: TruncatedState,
     competition: Kernel,
-    competition_k2: np.ndarray | None = None,
-    work: tuple | None = None,
+    competition_k2: np.ndarray | None,
+    work: tuple,
 ) -> np.ndarray:
     """t1[i, j] = h sum_z a-(x_i - x_z) k3(x_i, x_j, x_z) for the closure
     ``rule``, contracted without forming k3 (O(M^2) memory).  Mean-field
-    needs a- * k2 (in the first argument); pass it as ``competition_k2``
-    if it is already known.  ``work`` holds two M x M arrays (allocated
-    when not given); the result is the first.
+    reads a- * k2 (in the first argument) from ``competition_k2``, which
+    Kirkwood ignores.  ``work`` holds two M x M arrays; the result is the
+    first.
 
     mean-field: k3 = (k2(x,y) k1(z) + k2(x,z) k1(y) + k2(y,z) k1(x)) / 3.
     kirkwood:   k3 = k2(x,y) k2(y,z) k2(x,z) / (k1(x) k1(y) k1(z)), guarded
@@ -121,14 +121,12 @@ def closure_contraction(
         raise InvalidParameterError(f"unknown closure {rule!r}; choose from {CLOSURES}")
     k1 = state.k1.values
     k2 = state.k2.values
-    t1, w = work or (np.empty_like(k2), np.empty_like(k2))
+    t1, w = work
     # each product and sum of the direct expressions, in their order
     cm = np.multiply(competition.grid.spacing, competition.pair_values, out=t1)
     if rule == "mean-field":
         # (k2 a-*k1[:, None] + own[:, None] k1[None, :] + k1[:, None] a-*k2) / 3
         own = np.einsum("ij,ij->i", cm, k2)
-        if competition_k2 is None:
-            competition_k2 = competition.convolve(k2)
         np.multiply(k2, competition.convolve(k1)[:, None], out=t1)
         np.add(t1, np.multiply(own[:, None], k1[None, :], out=w), out=t1)
         np.add(t1, np.multiply(k1[:, None], competition_k2, out=w), out=t1)

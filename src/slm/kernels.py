@@ -89,52 +89,38 @@ class Kernel:
     # -- sampling --------------------------------------------------------
 
     def sample_displacement(self, rng, size: int | None = 1):
-        """Draw displacements from the density a/<a> (inverse CDF over cells
-        plus a uniform jitter inside the chosen cell).  Returns (size, dim)
-        from a Generator ``rng``.  For ``size=None`` it returns one draw as a
-        list of dim Python floats, reading only ``rng.random()``, 1 + dim
-        times: a Generator gives the stream and arithmetic of ``size=1``,
-        and the simulator passes its :class:`microsim.Draws`.
+        """Draw displacements from the density a/<a>: a cell by inverse CDF,
+        then a uniform jitter inside it, axis by axis.  A draw reads only
+        ``rng.random()``, 1 + dim times, so ``rng`` is a Generator or the
+        simulator's :class:`microsim.Draws`.  ``size=None`` returns one draw
+        as a list of dim Python floats, and ``size=n`` returns n successive
+        draws as an (n, dim) array.
         """
         if self.mass <= 0:
             raise InvalidParameterError("cannot sample from a kernel with zero mass")
-        if size is None:
-            # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() in C doubles
-            cdf, centres, lo, width = self._scalar_draw
-            centre = centres[min(bisect_right(cdf, rng.random()), len(cdf) - 1)].tolist()
-            return [c + (lo + width * rng.random()) for c in centre]
-        cdf = self._cdf
-        h = self.grid.spacing
-        flat = np.searchsorted(cdf, rng.random(size), side="right")
-        # one row of jitter per axis, drawn axis after axis
-        jitter = rng.uniform(-0.5 * h, 0.5 * h, size=(self.dim, size))
-        return self._centres[np.minimum(flat, cdf.size - 1)] + jitter.T
-
-    @cached_property
-    def _cdf(self) -> np.ndarray:
-        cdf = np.cumsum(self.values.ravel())
-        cdf /= cdf[-1]
-        return cdf
+        if size is not None:
+            draws = [self.sample_displacement(rng, None) for _ in range(size)]
+            return np.array(draws, dtype=float).reshape(size, self.dim)
+        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() in C doubles
+        cdf, centres, lo, width = self._scalar_draw
+        centre = centres[min(bisect_right(cdf, rng.random()), len(cdf) - 1)].tolist()
+        return [c + (lo + width * rng.random()) for c in centre]
 
     @cached_property
     def _scalar_draw(self) -> tuple:
         """(cdf, centres, lo, width) for one draw in Python floats: over the
-        cells where a > 0, the CDF as a list to bisect and the offset-cell
-        centres as rows, and the jitter's lower end -h/2 and width h/2 - lo.
-        The first CDF value above u is always at such a cell, so bisecting
-        the short list picks the cell a search of the full CDF picks.  The
-        centres stay an array, one row read per draw: as lists of floats
-        they take several times the memory of the array on a wide 3-d kernel."""
+        cells where a > 0, in C order, the CDF as a list to bisect and the
+        offset-cell centres as rows, and the jitter's lower end -h/2 and
+        width h/2 - lo.  The cells where a = 0 would add nothing to the
+        sums and could never be picked.  The centres stay an array, one row
+        read per draw: as lists of floats they take several times the
+        memory of the array on a wide 3-d kernel."""
         nonzero = np.nonzero(self.values)
-        cdf = self._cdf.reshape(self.grid.shape)[nonzero]
+        cdf = np.cumsum(self.values[nonzero])
+        cdf /= cdf[-1]
         h = self.grid.spacing
         lo = -0.5 * h
         return cdf.tolist(), self.grid.axis_offsets()[np.transpose(nonzero)], lo, 0.5 * h - lo
-
-    @cached_property
-    def _centres(self) -> np.ndarray:
-        """Offset-cell centres in flat order, one row per cell."""
-        return self.grid.axis_offsets()[np.indices(self.grid.shape).reshape(self.dim, -1).T]
 
     # -- convolution ----------------------------------------------------
 

@@ -345,8 +345,8 @@ def step_event(
     ``rng``.
     """
     _require_kernel(config, params)
-    traj = Trajectory(times=[math.inf], snapshots=[])
-    _propose_until(config, params, Draws(rng), traj, t, math.inf, AUDIT_INTERVAL, stop=1)
+    traj = Trajectory(times=[], snapshots=[])
+    _propose_until(config, params, Draws(rng), traj, t, math.inf, math.inf, stop=1)
     if traj.absorbed:
         raise AbsorbedStateError("total event rate is zero")
     return traj.event_log[0]
@@ -376,25 +376,25 @@ def run(
     snapshot_times,
     rng: np.random.Generator,
     population_cap: int = DEFAULT_POPULATION_CAP,
-    audit_interval: int = AUDIT_INTERVAL,
     keep_events: bool = False,
 ) -> Trajectory:
-    """Exact-jump trajectory with snapshots at the requested times, its
-    randomness drawn from a :class:`Draws` of ``rng``.
+    """Exact-jump trajectory to ``horizon`` with snapshots at the requested
+    times, its randomness drawn from a :class:`Draws` of ``rng``; the
+    counters count every event up to the horizon, also after the last
+    snapshot.
 
     Mutates ``config``.  Raises BlowUpError when the population cap is
-    exceeded, and AuditDriftError when an audit finds the incremental
-    competitive rates more than AUDIT_TOLERANCE off; an absorbed (empty,
-    rateless) state simply freezes the remaining snapshots.
+    exceeded, and AuditDriftError when an audit, every AUDIT_INTERVAL
+    events, finds the incremental competitive rates more than
+    AUDIT_TOLERANCE off; an absorbed (empty, rateless) state simply
+    freezes the remaining snapshots.
     """
     _require_kernel(config, params)
     times = sorted(float(s) for s in snapshot_times)
     if times and times[-1] > horizon + 1e-12:
         raise InvalidParameterError("snapshot times must not exceed the horizon")
     traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
-    _propose_until(
-        config, params, Draws(rng), traj, 0.0, population_cap, audit_interval, keep_events
-    )
+    _propose_until(config, params, Draws(rng), traj, 0.0, horizon, population_cap, keep_events)
     while len(traj.snapshots) < len(times):
         traj.snapshots.append(config.positions())
     traj.n_end = config.n
@@ -412,12 +412,12 @@ def _require_kernel(config, params):
 
 
 def _propose_until(
-    config, params, draws, traj, t, population_cap, audit_interval, keep_events=True, stop=0
+    config, params, draws, traj, t, horizon, population_cap, keep_events=True, stop=0
 ):
-    """The thinned proposals from time t until the last of ``traj.times``
-    or the ``stop``-th event (0: no such stop), added to ``traj``'s
-    counters; a snapshot is taken at each time as the first proposal after
-    it comes.
+    """The thinned proposals from time t until the first one after both
+    ``horizon`` and the last of ``traj.times``, or until the ``stop``-th
+    event (0: no such stop), added to ``traj``'s counters; a snapshot is
+    taken at each time as the first proposal after it comes.
 
     Each proposal comes after a wait at rate N B, for the bound
     B = <a+> + m + eps * crate_bound of every particle's total rate, and
@@ -433,10 +433,11 @@ def _propose_until(
     sample = params.dispersal.sample_displacement
     log = traj.event_log if keep_events else None
     times, snapshots = traj.times, traj.snapshots
-    last = len(times)
+    last, end = len(times), max([horizon, *times])
+    audit_interval = AUDIT_INTERVAL
     next_snap = proposals = events = births = competition = 0
     peak = traj.peak_n
-    while next_snap < last:
+    while True:
         n = config.n
         bound = natural + eps * config.crate_bound
         if n * bound <= 0:
@@ -447,7 +448,7 @@ def _propose_until(
         while next_snap < last and t > times[next_snap]:
             snapshots.append(config.positions())
             next_snap += 1
-        if next_snap == last:
+        if t > end:
             break
         proposals += 1
         i = uniform_index(word, n)

@@ -24,6 +24,7 @@ Generator call per value, as before block draws.  ``is_even``,
 """
 import numpy as np
 
+from slm import microsim
 from slm.errors import (
     AuditDriftError,
     BlowUpError,
@@ -33,7 +34,6 @@ from slm.errors import (
 from slm.hierarchy import CLOSURES, KIRKWOOD_FLOOR_FACTOR, witness
 from slm.kinetic import BernoulliParams
 from slm.microsim import (
-    AUDIT_INTERVAL,
     AUDIT_TOLERANCE,
     DEFAULT_POPULATION_CAP,
     Draws,
@@ -347,10 +347,11 @@ class PerCallDraws:
 
 def thinned_run(
     config, params, horizon, snapshot_times, rng, population_cap=DEFAULT_POPULATION_CAP,
-    audit_interval=AUDIT_INTERVAL, keep_events=False, draws=BlockDraws,
+    keep_events=False, draws=BlockDraws,
 ):
     """microsim.run with one _propose call per proposal, reading the
-    ``draws`` (BlockDraws or PerCallDraws) of ``rng``."""
+    ``draws`` (BlockDraws or PerCallDraws) of ``rng`` and auditing every
+    microsim.AUDIT_INTERVAL events, as that constant reads at the call."""
     _require_kernel(config, params)
     draws = draws(rng)
     times = sorted(float(s) for s in snapshot_times)
@@ -358,9 +359,11 @@ def thinned_run(
         raise InvalidParameterError("snapshot times must not exceed the horizon")
     traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
     log = traj.event_log if keep_events else None
+    audit_interval = microsim.AUDIT_INTERVAL
+    end = max([horizon, *times])
     t = 0.0
     next_snap = 0
-    while next_snap < len(times):
+    while True:
         bound = params.dispersal.mass + params.mortality + params.epsilon * config.crate_bound
         if config.n * bound <= 0:
             traj.absorbed = True
@@ -370,7 +373,7 @@ def thinned_run(
         while next_snap < len(times) and t > times[next_snap]:
             traj.snapshots.append(config.positions())
             next_snap += 1
-        if next_snap == len(times):
+        if t > end:
             break
         traj.proposals += 1
         kind = _propose(config, params, draws, t, bound, log)

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats as sps
 
 import oracles
+from slm import microsim
 from slm.grid import Grid
 from slm.hierarchy import TruncatedState, solve_hierarchy
 from slm.kernels import (
@@ -150,8 +151,7 @@ def test_criterion_05_weak_interaction_convergence(announce):
     x = grid.centers()
     rho0 = Field(grid, 0.4 + 0.1 * np.sin(2 * np.pi * x / grid.side))
     report = vlasov_error(
-        [1.0, 0.5, 0.25, 0.1], rho0, params, T=0.8 * t_star, runs=0, seed=0,
-        mode="hierarchy", T_star=t_star,
+        [1.0, 0.5, 0.25, 0.1], rho0, params, T=0.8 * t_star, runs=0, seed=0, mode="hierarchy"
     )
     ok = all(b < a for a, b in zip(report.errors, report.errors[1:]))
     announce(
@@ -236,7 +236,7 @@ def test_criterion_07_clustering_dichotomy(announce):
     assert ok
 
 
-def test_criterion_08_simulator_micro_checks(announce):
+def test_criterion_08_simulator_micro_checks(announce, monkeypatch):
     grid = Grid(1, 10.0, 128)
 
     # single-particle death clock over 1e4 independent seeds
@@ -264,10 +264,11 @@ def test_criterion_08_simulator_micro_checks(announce):
     # incremental competitive-rate cache never drifts
     params = ModelParams(0.2, unit_mass_indicator(grid, 0.5), unit_mass_indicator(grid, 0.5))
     drift = 0.0
+    monkeypatch.setattr(microsim, "AUDIT_INTERVAL", 100)
     for ridx in range(5):
         rng = run_rng(42, ridx)
         config = init_poisson(2.0, params.competition, rng)
-        traj = run(config, params, 20.0, [20.0], rng, audit_interval=100)
+        traj = run(config, params, 20.0, [20.0], rng)
         drift = max(drift, traj.max_audit_drift, config.audit())
     audit_ok = drift <= 1e-9
 

@@ -273,6 +273,19 @@ class TestCommands:
                 births, natural, competition
             ]
 
+    def test_simulate_counts_to_the_horizon(self, tmp_path):
+        # runs.csv is the same whatever snapshots are taken before the horizon
+        tables = []
+        for times in ("0.5 1.0", "0.5", ""):
+            p = tmp_path / "run.cfg"
+            p.write_text(with_key(BASE_CFG, "run", "snapshot_times", times))
+            out = str(tmp_path / f"sim{len(tables)}")
+            assert main(["simulate", "--config", str(p), "--out", out]) == 0
+            tables.append(read(os.path.join(out, "runs.csv")))
+        events = np.loadtxt(io.StringIO(tables[-1]), delimiter=",", skiprows=1, ndmin=2)[:, 4]
+        assert events.min() > 0
+        assert tables[1] == tables[2] == tables[0]
+
     def test_simulate_seed_changes_output(self, cfg_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["simulate", "--config", cfg_path, "--out", out1])

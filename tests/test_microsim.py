@@ -203,6 +203,17 @@ class TestRun:
             assert a.shape == b.shape
             assert np.array_equal(a, b)
 
+    def test_counters_run_to_the_horizon_after_the_last_snapshot(self, grid, params):
+        def counters(times):
+            rng = run_rng(7, 0)
+            config = init_poisson(2.0, params.competition, rng)
+            traj = run(config, params, 2.0, times, rng)
+            return {k: v for k, v in vars(traj).items() if k not in ("times", "snapshots")}
+
+        want = counters([1.0, 2.0])
+        assert want["events"] > 0
+        assert counters([1.0]) == counters([]) == want
+
     def test_independent_runs_differ(self, grid, params):
         sizes = set()
         for i in range(4):
@@ -305,12 +316,13 @@ class TestRun:
         z = abs(left - total / 2) / np.sqrt(total / 4)
         assert z < 4.0
 
-    def test_audit_drift_raises(self, grid, params):
+    def test_audit_drift_raises(self, grid, params, monkeypatch):
         rng = run_rng(10, 0)
         config = init_poisson(2.0, params.competition, rng)
         config.crate[: config.n] += 1.0  # every cached rate is now off by one
+        monkeypatch.setattr(microsim, "AUDIT_INTERVAL", 1)
         with pytest.raises(AuditDriftError) as exc:
-            run(config, params, 4.0, [4.0], rng, audit_interval=1)
+            run(config, params, 4.0, [4.0], rng)
         assert exc.value.category == "audit-drift"
 
     def test_2d_smoke(self):
@@ -386,7 +398,7 @@ def guard_run(case, keep_events=True, simulate=run):
         )
         rng = run_rng(2024, 1)
         config = init_poisson(2.0, params.competition, rng)
-        args, kwargs = (3.0, [1.5, 3.0]), {}
+        args = (3.0, [1.5, 3.0])
     elif case == "2d":
         g = Grid(2, 10.0, 40)
         params = ModelParams(
@@ -395,7 +407,7 @@ def guard_run(case, keep_events=True, simulate=run):
         profile = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers() / g.side)[:, None] * np.ones(g.cells)
         rng = run_rng(2024, 2)
         config = init_poisson_field(Field(g, profile), params.competition, rng)
-        args, kwargs = (0.4, [0.2, 0.4]), {}
+        args = (0.4, [0.2, 0.4])
     elif case == "3d":
         g = Grid(3, 5.0, 20)
         params = ModelParams(
@@ -403,7 +415,7 @@ def guard_run(case, keep_events=True, simulate=run):
         )
         rng = run_rng(2025, 3)
         config = init_poisson(0.5, params.competition, rng)
-        args, kwargs = (6.0, [3.0, 6.0]), {}
+        args = (6.0, [3.0, 6.0])
     else:
         g = Grid(2, 8.0, 32)
         params = ModelParams(
@@ -412,8 +424,11 @@ def guard_run(case, keep_events=True, simulate=run):
         rng = run_rng(2025, 2)
         config = init_poisson(0.1, params.competition, rng)
         assert config.n == 5 and (len(config.pos), config.cells.members.shape[1]) == (16, 8)
-        args, kwargs = (12.0, [6.0, 12.0]), {"audit_interval": 500}
-    return config, simulate(config, params, *args, rng, keep_events=keep_events, **kwargs)
+        args = (12.0, [6.0, 12.0])
+    with pytest.MonkeyPatch.context() as mp:
+        if case == "2d-audited":
+            mp.setattr(microsim, "AUDIT_INTERVAL", 500)
+        return config, simulate(config, params, *args, rng, keep_events=keep_events)
 
 
 def event_record(config, traj):
@@ -662,14 +677,17 @@ def test_start_and_sampler_draw_as_the_loops_did(dim):
     config = init_poisson_field(rho0, make_indicator_kernel(1.0, 0.3, dim, grid), run_rng(dim, 0))
     assert np.array_equal(config.positions(), oracles.poisson_field_positions(rho0, run_rng(dim, 0)))
     kernel = make_gaussian_kernel(0.3, dim, grid)
-    for size in (1, 7):
-        got = kernel.sample_displacement(run_rng(dim, size), size)
-        assert np.array_equal(got, oracles.sample_displacement(kernel, run_rng(dim, size), size))
     one = kernel.sample_displacement(run_rng(dim, 1), None)
     assert len(one) == dim
     assert np.array_equal(one, oracles.sample_displacement(kernel, run_rng(dim, 1), 1)[0])
-    # one draw at a time reads the stream as size=1 does, on a kernel with zero cells too
+    # size=n is n successive draws, and one draw at a time reads the stream
+    # as size=1 does, on a kernel with zero cells too
     for kernel in (kernel, make_indicator_kernel(1.0, 0.6, dim, grid)):
+        for size in (1, 7):
+            got = kernel.sample_displacement(run_rng(dim, size), size)
+            ref = run_rng(dim, size)
+            want = [oracles.sample_displacement(kernel, ref, 1)[0] for _ in range(size)]
+            assert got.shape == (size, dim) and np.array_equal(got, want)
         rng, ref = run_rng(dim, 2), run_rng(dim, 2)
         got = [kernel.sample_displacement(rng, None) for _ in range(500)]
         want = [oracles.sample_displacement(kernel, ref, 1)[0] for _ in range(500)]
@@ -841,12 +859,13 @@ def test_step_event_returns_a_real_event_after_null_proposals(grid):
     assert config.audit() < 1e-12
 
 
-def test_audit_tightens_the_bound(grid, params):
+def test_audit_tightens_the_bound(grid, params, monkeypatch):
     # at eps = 0 no proposal is null, so only the audits tighten
     rng = run_rng(16, 0)
     config = init_poisson(3.0, params.competition, rng)
     config.crate_bound += 1.0
-    traj = run(config, params.with_epsilon(0.0), 2.0, [2.0], rng, audit_interval=1)
+    monkeypatch.setattr(microsim, "AUDIT_INTERVAL", 1)
+    traj = run(config, params.with_epsilon(0.0), 2.0, [2.0], rng)
     assert traj.events >= 1 and config.crate_bound == config.crate[: config.n].max()
 
 
@@ -855,6 +874,7 @@ def test_audit_interval_counts_real_events(grid, params, monkeypatch):
     rng = run_rng(17, 0)
     config = init_poisson(3.0, params.competition, rng)
     monkeypatch.setattr(config, "audit", lambda: calls.append(1) or 0.0)
-    traj = run(config, params, 6.0, [6.0], rng, audit_interval=7)
+    monkeypatch.setattr(microsim, "AUDIT_INTERVAL", 7)
+    traj = run(config, params, 6.0, [6.0], rng)
     assert traj.proposals > traj.events
     assert len(calls) == traj.events // 7

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import slm.scaling
-from slm.errors import HorizonViolationError, InvalidParameterError
+from slm.errors import InvalidParameterError
 from slm.grid import Grid
 from slm.kernels import make_indicator_kernel
 from slm.kinetic import Field
+from slm.microsim import run_ensemble
 from slm.model import ModelParams
 from slm.scaling import scaled_params, vlasov_error
 
@@ -72,9 +73,19 @@ class TestVlasovError:
         assert all(e >= 0 for e in report.errors)
         assert all(se > 0 for se in report.mc_se)
 
-    def test_horizon_violation(self, params, rho0):
-        with pytest.raises(HorizonViolationError):
-            vlasov_error([1.0, 0.5], rho0, params, T=2.0, runs=0, seed=0, T_star=1.5)
+    def test_microsim_runs_stop_at_the_last_snapshot(self, params, rho0, monkeypatch):
+        # the runs are compared at the snapshot times only
+        horizons = []
+
+        def ensemble(rho0, params, horizon, *args, **kwargs):
+            horizons.append(horizon)
+            return run_ensemble(rho0, params, horizon, *args, **kwargs)
+
+        monkeypatch.setattr(slm.scaling, "run_ensemble", ensemble)
+        vlasov_error(
+            [1.0, 0.5], rho0, params, T=1.0, runs=2, seed=0, mode="microsim", snapshot_times=[0.25]
+        )
+        assert horizons == [0.25, 0.25]
 
     def test_eps_list_must_decrease(self, params, rho0):
         with pytest.raises(InvalidParameterError):
@@ -100,6 +111,15 @@ class TestVlasovError:
             vlasov_error(
                 [1.0, 0.5], rho0, params.with_epsilon(0.5), T=1.0, runs=2, seed=0, mode=mode
             )
+
+    @pytest.mark.parametrize("runs", [1, 0, -5])
+    def test_microsim_runs_checked_before_the_reference(self, params, rho0, monkeypatch, runs):
+        def solve(*args):
+            raise AssertionError("kinetic reference solved before runs was checked")
+
+        monkeypatch.setattr(slm.scaling, "solve_kinetic", solve)
+        with pytest.raises(InvalidParameterError, match="at least 2 runs"):
+            vlasov_error([1.0, 0.5], rho0, params, T=1.0, runs=runs, seed=0, mode="microsim")
 
     def test_unknown_mode(self, params, rho0):
         with pytest.raises(InvalidParameterError):

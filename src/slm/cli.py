@@ -193,11 +193,15 @@ def cmd_stats(args, cfg):
     if index[:, 2].any():
         snap_path = os.path.join(args.snapshots, "snapshots.csv")
         data = read_table(snap_path, SLMError, skiprows=1, ndmin=2)
+        if data.shape[1] != 2 + cfg.grid.dim:
+            raise SLMError(f"{snap_path} has {data.shape[1]} columns, "
+                           f"but a {cfg.grid.dim}-d model needs {2 + cfg.grid.dim}")
     edges = default_pair_edges(
         cfg.grid.side,
         max(cfg.params.dispersal.support_radius, cfg.params.competition.support_radius),
         cfg.pair_bins,
     )
+    r_mid = 0.5 * (edges[:-1] + edges[1:])
     n = cfg.grid.size
     density, pairs, diagnostic = [], [], []
     for t in sorted(set(index[:, 1].tolist())):
@@ -212,13 +216,13 @@ def cmd_stats(args, cfg):
         est = estimate_correlations(ensemble, cfg.grid, edges)
         k1 = est.k1_hat
         density.append((np.full(n, t), np.arange(n), k1.mean.ravel(), k1.se.ravel()))
-        pairs += [(t, b.r_mid, b.g, b.se) for b in est.pair_g]
+        pairs.append((np.full(len(r_mid), t), r_mid, est.pair_g, est.pair_se))
         report = subpoisson_diagnostic(est, max(est.mean_density * 1.5, 1e-12))
         flags = len(report.flagged_cells) + len(report.flagged_bins)
         diagnostic.append((t, report.minimal_C, flags))
     return {
         "density.csv": (["t", "cell", "k1_hat", "se"], map(np.concatenate, zip(*density))),
-        "pairs.csv": (["t", "r_mid", "g_hat", "se"], zip(*pairs)),
+        "pairs.csv": (["t", "r_mid", "g_hat", "se"], map(np.concatenate, zip(*pairs))),
         "diagnostic.csv": (["t", "minimal_C", "flags"], zip(*diagnostic)),
     }
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .hierarchy import TruncatedState, require_pair_grid, solve_hierarchy
 from .kinetic import Field, solve_kinetic, stability_dt
-from .microsim import run_ensemble
+from .microsim import DEFAULT_POPULATION_CAP, run_ensemble
 from .model import ModelParams
 from .stats import density_estimate
 
@@ -53,7 +53,7 @@ def vlasov_error(
     mode: str = "hierarchy",
     snapshot_times=None,
     closure_rule: str = "mean-field",
-    population_cap: int = 1_000_000,
+    population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> ScalingReport:
     """For each eps, evolve the scaled system, rescale the order-1
     density by eps, and take the sup over snapshot times of the max-cell

@@ -24,21 +24,11 @@ class FieldEstimate:
 
 
 @dataclass
-class PairBin:
-    r_lo: float
-    r_hi: float
-    g: float
-    se: float
-
-    @property
-    def r_mid(self) -> float:
-        return 0.5 * (self.r_lo + self.r_hi)
-
-
-@dataclass
 class CorrelationEstimate:
     k1_hat: FieldEstimate
-    pair_g: list
+    edges: np.ndarray
+    pair_g: np.ndarray  # one value per bin between consecutive edges
+    pair_se: np.ndarray
 
     @property
     def mean_density(self) -> float:
@@ -95,8 +85,8 @@ def _pair_counts(pts: np.ndarray, side: float, radii: np.ndarray) -> np.ndarray:
     return 2 * below
 
 
-def pair_correlation(positions_per_run: list, side: float, dim: int, edges: np.ndarray) -> list:
-    """Radial pair correlation g(r) per distance bin.
+def pair_correlation(positions_per_run: list, side: float, dim: int, edges: np.ndarray) -> tuple:
+    """Radial pair correlation g(r) and its standard error per distance bin.
 
     Ordered-pair counts are normalized by kappa^2 L^d V_shell with kappa
     the ensemble mean density, so a Poisson ensemble gives g = 1.  Bins
@@ -127,27 +117,21 @@ def pair_correlation(positions_per_run: list, side: float, dim: int, edges: np.n
         if edges[0] <= 0:
             below[0] = 0
         per_run[r] = np.diff(below) / norm
-    g = per_run.mean(axis=0)
-    se = per_run.std(axis=0, ddof=1) / np.sqrt(runs)
-    return [
-        PairBin(float(lo), float(hi), float(gv), float(sv))
-        for lo, hi, gv, sv in zip(edges[:-1], edges[1:], g, se)
-    ]
+    return per_run.mean(axis=0), per_run.std(axis=0, ddof=1) / np.sqrt(runs)
 
 
 def estimate_correlations(positions_per_run: list, grid: Grid, edges: np.ndarray) -> CorrelationEstimate:
     """Density and pair correlation of one snapshot of the ensemble."""
-    return CorrelationEstimate(
-        k1_hat=density_estimate(positions_per_run, grid),
-        pair_g=pair_correlation(positions_per_run, grid.side, grid.dim, edges),
-    )
+    k1_hat = density_estimate(positions_per_run, grid)  # first, so its errors come first
+    g, se = pair_correlation(positions_per_run, grid.side, grid.dim, edges)
+    return CorrelationEstimate(k1_hat, edges, g, se)
 
 
 @dataclass
 class SubPoissonReport:
     C: float
     flagged_cells: list  # cells with k1 above C beyond 3 SE
-    flagged_bins: list  # pair bins with k2 above C^2 beyond 3 SE
+    flagged_bins: list  # indices of pair bins with k2 above C^2 beyond 3 SE
     minimal_C: float
 
     @property
@@ -167,13 +151,9 @@ def subpoisson_diagnostic(est: CorrelationEstimate, C: float) -> SubPoissonRepor
     excess1 = k1.mean - 3.0 * k1.se
     flagged_cells = [tuple(ix) for ix in np.argwhere(excess1 > C)]
     dens = est.mean_density
-    flagged_bins = []
-    k2_floor = 0.0
-    for b in est.pair_g:
-        k2 = b.g * dens * dens
-        k2_se = b.se * dens * dens
-        if k2 - 3.0 * k2_se > C * C:
-            flagged_bins.append(b)
-        k2_floor = max(k2_floor, k2 - 3.0 * k2_se)
-    minimal = max(float(np.max(excess1)), float(np.sqrt(max(k2_floor, 0.0))), 0.0)
+    excess2 = est.pair_g * dens * dens - 3.0 * (est.pair_se * dens * dens)
+    flagged_bins = np.flatnonzero(excess2 > C * C).tolist()
+    # fmax, like max over Python floats, passes over a NaN bin
+    k2_floor = np.fmax.reduce(excess2, initial=0.0)
+    minimal = max(float(np.max(excess1)), float(np.sqrt(k2_floor)), 0.0)
     return SubPoissonReport(C, flagged_cells, flagged_bins, minimal)

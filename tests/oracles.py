@@ -20,7 +20,8 @@ The simulator's thinned proposal loop is kept as it was before it became
 one loop over block draws, ``thinned_run`` with one ``_propose`` call per
 proposal, reading either the same block draws as ``microsim.run`` or one
 Generator call per value, as before block draws.  ``is_even``,
-``witness_C`` and ``bernoulli_params`` are helpers that only tests call.
+``witness_C``, ``bernoulli_params`` and ``unit_mass_indicator`` are
+helpers that only tests call.
 """
 import numpy as np
 
@@ -32,6 +33,7 @@ from slm.errors import (
     InvalidParameterError,
 )
 from slm.hierarchy import CLOSURES, KIRKWOOD_FLOOR_FACTOR, witness
+from slm.kernels import make_indicator_kernel
 from slm.kinetic import BernoulliParams
 from slm.microsim import (
     AUDIT_TOLERANCE,
@@ -298,6 +300,12 @@ def is_even(kernel, tol=0.0):
 def witness_C(state):
     """The witness C of a TruncatedState's k1 and k2."""
     return witness(state.k1.max, float(state.k2.values.max()))
+
+
+def unit_mass_indicator(grid, radius):
+    """Indicator kernel rescaled so its tabulated mass is exactly 1."""
+    k = make_indicator_kernel(1.0, radius, grid.dim, grid)
+    return make_indicator_kernel(1.0 / k.mass, radius, grid.dim, grid)
 
 
 def bernoulli_params(params):

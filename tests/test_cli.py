@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from slm import cli
 from slm.cli import main
 from slm.config import parse_config
 from slm.errors import ConfigError
+from slm.stats import default_pair_edges, estimate_correlations, pair_correlation, subpoisson_diagnostic
 
 BASE_CFG = """\
 [model]
@@ -339,6 +341,53 @@ class TestCommands:
         assert main(["stats", "--config", cfg_path, "--out", out, "--snapshots", sim]) == 0
         for f in ("density.csv", "pairs.csv", "diagnostic.csv"):
             assert os.path.exists(os.path.join(out, f))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stats_tables_are_the_library_estimates(self, tmp_path, dim):
+        # pairs.csv and diagnostic.csv hold, to the bit, what slm.stats gives
+        # on the ensemble read back from snapshots.csv
+        p = tmp_path / "run.cfg"
+        p.write_text(with_key(BASE_CFG, "model", "dimension", str(dim)))
+        sim, out = tmp_path / "sim", tmp_path / "st"
+        assert main(["simulate", "--config", str(p), "--out", str(sim)]) == 0
+        assert main(["stats", "--config", str(p), "--out", str(out), "--snapshots", str(sim)]) == 0
+        cfg = parse_config(str(p))
+        load = partial(np.loadtxt, delimiter=",", skiprows=1, ndmin=2)
+        snaps, summary = load(sim / "snapshots.csv"), load(sim / "summary.csv")
+        pairs, diagnostic = load(out / "pairs.csv"), load(out / "diagnostic.csv")
+        radius = max(cfg.params.dispersal.support_radius, cfg.params.competition.support_radius)
+        edges = default_pair_edges(cfg.grid.side, radius, cfg.pair_bins)
+        times = sorted(set(summary[:, 1].tolist()))
+        assert diagnostic[:, 0].tolist() == times
+        for t, (_, minimal_C, flags) in zip(times, diagnostic):
+            at = snaps[snaps[:, 1] == t]
+            ensemble = [at[at[:, 0] == r][:, 2:] for r in summary[summary[:, 1] == t, 0]]
+            g, se = pair_correlation(ensemble, cfg.grid.side, cfg.grid.dim, edges)
+            rows = pairs[pairs[:, 0] == t]
+            assert rows[:, 1].tolist() == (0.5 * (edges[:-1] + edges[1:])).tolist()
+            assert rows[:, 2].tolist() == g.tolist() and rows[:, 3].tolist() == se.tolist()
+            est = estimate_correlations(ensemble, cfg.grid, edges)
+            report = subpoisson_diagnostic(est, max(1.5 * est.mean_density, 1e-12))
+            assert minimal_C == report.minimal_C
+            assert flags == len(report.flagged_cells) + len(report.flagged_bins)
+
+    @pytest.mark.parametrize("sim_dim, stats_dim", [(2, 1), (1, 2)])
+    def test_stats_rejects_snapshots_of_another_dimension(
+        self, tmp_path, capsys, sim_dim, stats_dim
+    ):
+        cfgs = {d: tmp_path / f"d{d}.cfg" for d in (1, 2)}
+        for d, p in cfgs.items():
+            p.write_text(with_key(BASE_CFG, "model", "dimension", str(d)))
+        sim, out = tmp_path / "sim", tmp_path / "st"
+        assert main(["simulate", "--config", str(cfgs[sim_dim]), "--out", str(sim)]) == 0
+        capsys.readouterr()
+        argv = ["stats", "--config", str(cfgs[stats_dim]), "--out", str(out), "--snapshots", str(sim)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error-category: error: {sim / 'snapshots.csv'} has {2 + sim_dim} columns, "
+            f"but a {stats_dim}-d model needs {2 + stats_dim}\n"
+        )
+        assert not out.exists()
 
     def test_stats_counts_extinct_runs(self, tmp_path):
         # subcritical (m > <a+>): some runs die out before the last snapshot

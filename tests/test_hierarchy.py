@@ -5,7 +5,7 @@ import numpy as np
 import oracles
 import pytest
 from oracles import closure_contraction as dense_contraction
-from oracles import closure_tensor, rel_err
+from oracles import closure_tensor, rel_err, unit_mass_indicator
 
 from slm.errors import ClosureSingularityError, InvalidParameterError
 from slm.grid import Grid
@@ -27,11 +27,6 @@ from slm.model import ModelParams
 @pytest.fixture
 def grid():
     return Grid(1, 10.0, 64)
-
-
-def unit_mass_indicator(grid, radius):
-    k = make_indicator_kernel(1.0, radius, 1, grid)
-    return make_indicator_kernel(1.0 / k.mass, radius, 1, grid)
 
 
 @pytest.fixture

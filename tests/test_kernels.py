@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import unit_mass_indicator
 from slm.errors import IncompatibleGridsError, InvalidParameterError, PreconditionError
 from slm.grid import Grid, wrap
 from slm.kernels import (
@@ -20,12 +21,6 @@ from slm.model import ModelParams
 @pytest.fixture
 def grid():
     return Grid(1, 10.0, 200)
-
-
-def indicator_unit_mass(grid, radius, dim=1):
-    """Indicator kernel whose tabulated mass is exactly 1."""
-    k = make_indicator_kernel(1.0, radius, dim, grid)
-    return make_indicator_kernel(1.0 / k.mass, radius, dim, grid)
 
 
 class TestConstruction:
@@ -95,7 +90,7 @@ class TestConstruction:
 class TestMoments:
     def test_indicator_moments(self, grid):
         # the cached moments are those of the tabulation
-        k = indicator_unit_mass(grid, 0.5)
+        k = unit_mass_indicator(grid, 0.5)
         assert k.mass == pytest.approx(1.0, rel=1e-12)
         assert (k.mass, k.sup) == (float(grid.cell_volume * k.values.sum()), float(k.values.max()))
 
@@ -162,13 +157,13 @@ class TestHomogenization:
 
     def test_indicator_threshold(self, grid):
         # R = 1, r = 0.5, <a+> = 1: flattening iff 1 - m <= r/R = 0.5
-        aplus = indicator_unit_mass(grid, 1.0)
+        aplus = unit_mass_indicator(grid, 1.0)
         aminus = make_indicator_kernel(1.0, 0.5, 1, grid)
         assert check_homogenization(aplus, aminus, 0.6)
         assert not check_homogenization(aplus, aminus, 0.4)
 
     def test_nonpositive_q_rejected(self, grid):
-        k = indicator_unit_mass(grid, 0.5)
+        k = unit_mass_indicator(grid, 0.5)
         with pytest.raises(PreconditionError):
             check_homogenization(k, k, 2.0)
 

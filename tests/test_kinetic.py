@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import oracles
 import pytest
-from oracles import circulant, rel_err, roll_convolution
+from oracles import circulant, rel_err, roll_convolution, unit_mass_indicator
 
 from slm.errors import IncompatibleGridsError, InstabilityError, InvalidParameterError
 from slm.grid import Grid
@@ -24,11 +24,6 @@ from slm.model import ModelParams
 @pytest.fixture
 def grid():
     return Grid(1, 10.0, 100)
-
-
-def unit_mass_indicator(grid, radius):
-    k = make_indicator_kernel(1.0, radius, grid.dim, grid)
-    return make_indicator_kernel(1.0 / k.mass, radius, grid.dim, grid)
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import oracles
+from oracles import unit_mass_indicator
 from slm import microsim
 from slm.errors import (
     AbsorbedStateError,
@@ -39,11 +40,6 @@ from slm.model import ModelParams
 @pytest.fixture
 def grid():
     return Grid(1, 10.0, 100)
-
-
-def unit_mass_indicator(grid, radius):
-    k = make_indicator_kernel(1.0, radius, grid.dim, grid)
-    return make_indicator_kernel(1.0 / k.mass, radius, grid.dim, grid)
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import unit_mass_indicator
+
 import slm.scaling
 from slm.errors import InvalidParameterError
 from slm.grid import Grid
-from slm.kernels import make_indicator_kernel
 from slm.kinetic import Field
 from slm.microsim import run_ensemble
 from slm.model import ModelParams
@@ -14,11 +15,6 @@ from slm.scaling import scaled_params, vlasov_error
 @pytest.fixture
 def grid():
     return Grid(1, 10.0, 64)
-
-
-def unit_mass_indicator(grid, radius):
-    k = make_indicator_kernel(1.0, radius, 1, grid)
-    return make_indicator_kernel(1.0 / k.mass, radius, 1, grid)
 
 
 @pytest.fixture

@@ -6,73 +6,26 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .grid import Grid
-from .kernels import (
-    Kernel,
-    check_homogenization,
-    domination_theta,
-    make_gaussian_kernel,
-    make_indicator_kernel,
-    make_tabulated_kernel,
-    make_zero_kernel,
-)
-from .kinetic import (
-    BernoulliParams,
-    Field,
-    bernoulli_q,
-    bernoulli_solution,
-    convolve_periodic,
-    kinetic_rhs,
-    solve_kinetic,
-)
-from .model import ModelParams
-
-# names of the simulator and of the theory utilities, imported on first use
-# (PEP 562), so that a command that needs neither does not load them
-_LAZY = {
-    **dict.fromkeys(
-        ("Configuration", "init_poisson", "init_poisson_field", "run", "run_rng"), "microsim"
-    ),
-    **dict.fromkeys(
-        ("NormedHierarchyState", "check_initial_space", "horizon_T", "knorm_alpha", "optimize_alpha"),
-        "theory",
-    ),
+# module -> the public names it exports, each imported on first use
+# (PEP 562), so that a command loads only the modules it needs
+_EXPORTS = {
+    "grid": ("Grid",),
+    "kernels": ("Kernel", "check_homogenization", "domination_theta", "make_gaussian_kernel",
+                "make_indicator_kernel", "make_tabulated_kernel", "make_zero_kernel"),
+    "kinetic": ("BernoulliParams", "Field", "bernoulli_q", "bernoulli_solution",
+                "convolve_periodic", "kinetic_rhs", "solve_kinetic"),
+    "model": ("ModelParams",),
+    "microsim": ("Configuration", "init_poisson", "init_poisson_field", "run", "run_rng"),
+    "theory": ("NormedHierarchyState", "check_initial_space", "horizon_T", "knorm_alpha",
+               "optimize_alpha"),
 }
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name not in _LAZY:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
     globals()[name] = value
     return value
-
-
-__all__ = [
-    "Configuration",
-    "Grid",
-    "Kernel",
-    "Field",
-    "ModelParams",
-    "BernoulliParams",
-    "NormedHierarchyState",
-    "bernoulli_q",
-    "bernoulli_solution",
-    "check_homogenization",
-    "check_initial_space",
-    "convolve_periodic",
-    "domination_theta",
-    "horizon_T",
-    "init_poisson",
-    "init_poisson_field",
-    "kinetic_rhs",
-    "knorm_alpha",
-    "make_gaussian_kernel",
-    "make_indicator_kernel",
-    "make_tabulated_kernel",
-    "make_zero_kernel",
-    "optimize_alpha",
-    "run",
-    "run_rng",
-    "solve_kinetic",
-]

@@ -189,6 +189,8 @@ def cmd_stats(args, cfg):
     index = read_table(sum_path, SLMError, skiprows=1, ndmin=2)
     if index.size == 0:
         raise SLMError(f"no summary rows in {sum_path}")
+    if index.shape[1] != 3:
+        raise SLMError(f"{sum_path} has {index.shape[1]} columns, but (run, t, N) needs 3")
     data = np.empty((0, 2 + cfg.grid.dim))
     if index[:, 2].any():
         snap_path = os.path.join(args.snapshots, "snapshots.csv")

@@ -22,7 +22,7 @@ from .kernels import (
     make_zero_kernel,
 )
 from .kinetic import Field
-from .model import ModelParams
+from .model import DEFAULT_POPULATION_CAP, ModelParams
 
 _KERNEL_KEYS = {"shape": (str, "indicator"), "height": (float, None), "radius": (float, None),
                 "sigma": (float, None), "cutoff": (float, None), "file": (str, None)}
@@ -36,7 +36,8 @@ _KEYS = {
     "kernel.competition": _KERNEL_KEYS,
     "initial": {"kind": (str, "constant"), "density": (float, None), "file": (str, None)},
     "run": {"horizon": (float, None), "dt": (float, None), "snapshot_times": (list, None),
-            "seed": (int, "0"), "runs": (int, "100"), "population_cap": (int, "1000000")},
+            "seed": (int, "0"), "runs": (int, "100"),
+            "population_cap": (int, str(DEFAULT_POPULATION_CAP))},
     "theory": {"alpha_up": (float, None)},
     "stats": {"pair_bins": (int, "24")},
     "scaling": {"eps_list": (list, "1 0.5 0.25 0.1"), "scaling_runs": (int, "200")},

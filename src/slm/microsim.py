@@ -37,14 +37,11 @@ from .errors import (
 )
 from .grid import pair_blocks, require_same_grid, sort_by_cell, wrap
 from .kernels import Kernel
-from .model import ModelParams
+from .model import DEFAULT_POPULATION_CAP, ModelParams
 
-DEFAULT_POPULATION_CAP = 1_000_000
 AUDIT_INTERVAL = 10_000
 AUDIT_TOLERANCE = 1e-9
-# a draw stream's first block, doubled per block up to the cap
-DRAW_BLOCK = 16
-DRAW_BLOCK_CAP = 4096
+DRAW_BLOCK = 256  # values per Generator call of a draw stream
 _LOW = (1 << 64) - 1  # the low 64 bits of a product
 
 
@@ -66,8 +63,7 @@ class Draws:
       displacements (:meth:`Kernel.sample_displacement` with ``size=None``).
 
     A block's values come in the order one call per value would give, so
-    no sequence depends on the block sizes: DRAW_BLOCK, doubled per block
-    up to DRAW_BLOCK_CAP, so that a short run draws few values.
+    no sequence depends on the block size DRAW_BLOCK.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -78,14 +74,9 @@ class Draws:
 
 
 def _stream(draw):
-    """A callable that returns the values of ``draw(size)`` one at a time."""
-    def blocks():
-        size = DRAW_BLOCK
-        while True:
-            yield draw(size).tolist()
-            size = min(2 * size, DRAW_BLOCK_CAP)
-
-    return itertools.chain.from_iterable(blocks()).__next__
+    """A callable that returns the values of ``draw(DRAW_BLOCK)`` one at a time."""
+    blocks = (draw(DRAW_BLOCK).tolist() for _ in itertools.count())
+    return itertools.chain.from_iterable(blocks).__next__
 
 
 def uniform_index(word, n: int) -> int:

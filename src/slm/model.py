@@ -10,6 +10,9 @@ from .errors import InvalidParameterError
 from .grid import require_same_grid
 from .kernels import Kernel, convolve_spectra
 
+# a simulation whose population exceeds this stops with BlowUpError
+DEFAULT_POPULATION_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -1,4 +1,5 @@
 import configparser
+import importlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slm
 from slm import cli
 from slm.cli import main
 from slm.config import parse_config
@@ -659,6 +661,21 @@ def test_cli_import_loads_no_scipy(cfg_path, tmp_path):
     assert [m for m in steps[-1] if m.startswith("scipy")] == []
 
 
+def test_package_loads_each_public_name_from_its_module_on_first_use():
+    # `import slm` loads no submodule, so a misspelled name in its table
+    # would only fail on first use: every name is checked here
+    code = "import sys, slm\nprint(sorted(m for m in sys.modules if m.startswith('slm.')))\n"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["slm"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+    for name in slm.__all__:
+        value = getattr(slm, name)
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    with pytest.raises(AttributeError, match="^module 'slm' has no attribute 'no_such_name'$"):
+        slm.no_such_name
+
+
 class TestFailures:
     def test_config_error_category(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -694,6 +711,21 @@ class TestFailures:
         assert main(["stats", "--config", cfg_path, "--out", out, "--snapshots", str(sim)]) == 2
         err = capsys.readouterr().err
         assert err == f"error-category: error: no summary rows in {sim / 'summary.csv'}\n"
+
+    @pytest.mark.parametrize("header", ["run,t", "run,t,N,x"])
+    def test_stats_rejects_a_summary_of_another_width(self, cfg_path, tmp_path, capsys, header):
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        width = header.count(",") + 1
+        row = ",".join(["0"] * width)
+        (sim / "summary.csv").write_text(f"{header}\n{row}\n{row}\n")
+        out = tmp_path / "o"
+        assert main(["stats", "--config", cfg_path, "--out", str(out), "--snapshots", str(sim)]) == 2
+        assert capsys.readouterr().err == (
+            f"error-category: error: {sim / 'summary.csv'} has {width} columns, "
+            "but (run, t, N) needs 3\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["hierarchy"], ["scaling", "--mode", "hierarchy"]])
     def test_pair_functions_on_2d_fail_before_allocating(self, tmp_path, capsys, argv):

@@ -497,10 +497,9 @@ def test_run_is_the_per_proposal_loop_on_the_same_draws(case):
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_draw_block_sizes_do_not_change_a_run(block, monkeypatch):
-    # 2d-audited draws past DRAW_BLOCK_CAP uniforms, so the default blocks reach the cap
+    # 2d-audited draws each stream over many blocks of the default size
     want = trajectory_record(*guard_run("2d-audited"))
     monkeypatch.setattr(microsim, "DRAW_BLOCK", block)
-    monkeypatch.setattr(microsim, "DRAW_BLOCK_CAP", block)
     assert trajectory_record(*guard_run("2d-audited")) == want
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InstabilityError, InvalidParameterError
 from .grid import Grid, require_same_grid
-from .kernels import Kernel, spectral_work
+from .kernels import Kernel, convolve_spectra, spectral_work
 from .model import ModelParams
 
 
@@ -116,7 +116,7 @@ def kinetic_rhs(
     """
     require_same_grid(params.grid, f.grid)
     rho = f.values
-    comp, disp = params.convolve_both(rho, work)
+    comp, disp = convolve_spectra(params.spectra, params.grid, rho, work)
     out = np.multiply(-params.mortality, rho, out=out)
     np.subtract(out, np.multiply(rho, comp, out=comp), out=out)
     return Field(f.grid, np.add(out, disp, out=out))
@@ -171,9 +171,7 @@ def _clip_negatives(values, t, scale):
     np.maximum(values, 0.0, out=values)
 
 
-def integrate_rk4(
-    y: tuple, rhs, horizon: float, dt: float, snapshot_times, guard, after_step=None
-) -> list:
+def integrate_rk4(y: tuple, rhs, horizon: float, dt: float, snapshot_times, guard) -> list:
     """Classical RK4 for dy/dt = rhs(y), with y a tuple of nonnegative
     arrays; returns a copy of y at each sorted snapshot time.
 
@@ -185,10 +183,9 @@ def integrate_rk4(
     Segments between snapshots are covered by round(segment/dt) equal
     steps so snapshots land exactly on requested times.  Before each step
     dt is checked against ``guard(peaks)``, the explicit-stepping limit
-    at the current per-component maxima of y.  After each step
-    ``after_step(y, free)`` (if given) adjusts y in place, with ``free`` a
-    work tuple shaped like y that it may overwrite; then every component
-    has round-off negatives clipped against its own running maximum.
+    at the current per-component maxima of y.  After each step every
+    component has round-off negatives clipped against its own running
+    maximum.
     """
     times = sorted(float(t) for t in snapshot_times)
     if dt <= 0:
@@ -215,8 +212,6 @@ def integrate_rk4(
                     )
                 _rk4_step(y, step, rhs, k, stage)
                 t += step
-                if after_step is not None:
-                    after_step(y, stage)
                 for v, s in zip(y, scales):
                     _clip_negatives(v, t, s)
                 peaks = [float(v.max()) for v in y]

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .grid import require_same_grid
-from .kernels import Kernel, convolve_spectra
+from .kernels import Kernel
 
 # a simulation whose population exceeds this stops with BlowUpError
 DEFAULT_POPULATION_CAP = 1_000_000
@@ -40,11 +40,6 @@ class ModelParams:
     def spectra(self) -> np.ndarray:
         """The (a-, a+) spectra stacked along axis 0."""
         return np.stack((self.competition.spectrum, self.dispersal.spectrum))
-
-    def convolve_both(self, f: np.ndarray, work: tuple | None = None) -> np.ndarray:
-        """(a- * f, a+ * f) stacked along axis 0, from one transform of f,
-        computed in ``work`` as :func:`convolve_spectra` does."""
-        return convolve_spectra(self.spectra, self.grid, f, work)
 
     def with_epsilon(self, eps: float) -> "ModelParams":
         return replace(self, epsilon=eps)

@@ -17,6 +17,9 @@ from .errors import (
     NoInteriorMaximumError,
 )
 
+_LOG_MAX = math.log(np.finfo(float).max)  # e^x overflows above this
+_LOG_EPS = -53 * math.log(2.0)  # log of 2^-53, half an ulp of 1
+
 
 @dataclass(frozen=True)
 class NormedHierarchyState:
@@ -46,7 +49,9 @@ def knorm_alpha(state: NormedHierarchyState, alpha: float) -> float:
 
 def horizon_T(alpha_star: float, alpha_up: float, aplus_mass: float, aminus_mass: float) -> float:
     """Guaranteed existence horizon
-    (alpha_up - alpha_star) / (<a+> + <a-> e^{-alpha_star}).
+    (alpha_up - alpha_star) / (<a+> + <a-> e^{-alpha_star}).  Where
+    e^{-alpha_star} overflows, numerator and denominator are divided by
+    it, and T* underflows towards 0; with <a-> = 0 the term is absent.
     """
     if alpha_up <= alpha_star:
         raise InvalidIntervalError(
@@ -54,7 +59,10 @@ def horizon_T(alpha_star: float, alpha_up: float, aplus_mass: float, aminus_mass
         )
     if aplus_mass < 0 or aminus_mass < 0:
         raise InvalidParameterError("kernel masses must be nonnegative")
-    denom = aplus_mass + aminus_mass * np.exp(-alpha_star)
+    if aminus_mass > 0 and -alpha_star > _LOG_MAX:
+        scale = math.exp(alpha_star)
+        return (alpha_up - alpha_star) * scale / (aplus_mass * scale + aminus_mass)
+    denom = aplus_mass + (aminus_mass * np.exp(-alpha_star) if aminus_mass else 0.0)
     if denom == 0:
         raise InvalidParameterError("both kernel masses vanish")
     return float((alpha_up - alpha_star) / denom)
@@ -65,7 +73,10 @@ def _lambert_w0(log_z: float) -> float:
     w + log w = log z.  The function is increasing and concave in w, so
     after the first step the iterates rise monotonically to the root;
     convergence is quadratic, hence a relative step below 1e-12 leaves
-    only round-off."""
+    only round-off.  Below z = 2^-53, W0(z) = z - z^2 + ... is z to double
+    precision (0 once z underflows)."""
+    if log_z < _LOG_EPS:
+        return math.exp(log_z)
     w = log_z if log_z > 1.0 else math.exp(log_z)
     for _ in range(100):
         step = (w + math.log(w) - log_z) * w / (1.0 + w)
@@ -96,7 +107,8 @@ def optimize_alpha(alpha_up: float, aplus_mass: float, aminus_mass: float) -> tu
 
 
 def check_initial_space(theta: float, alpha_up: float) -> bool:
-    """Admissibility of the initial space: theta * e^{alpha_up} < 1 (strict)."""
+    """Admissibility of the initial space: theta * e^{alpha_up} < 1
+    (strict), tested as alpha_up < -log(theta)."""
     if theta <= 0:
         raise InvalidParameterError("theta must be positive")
-    return bool(theta * np.exp(alpha_up) < 1.0)
+    return bool(alpha_up < -math.log(theta))

@@ -456,9 +456,10 @@ class TestCommands:
         assert "error-category: invalid-parameter" in err and "epsilon = 0.5" in err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("alpha_up, code", [(5.0, 2), (-1.0, 0)])
+    @pytest.mark.parametrize("alpha_up, code", [(5.0, 2), (-1.0, 0), (720.0, 2), (-746.0, 0)])
     def test_analyze_requires_an_admissible_initial_space(self, tmp_path, capsys, alpha_up, code):
-        # a+ = 2 a-, so theta = 2 and theta e^alpha_up < 1 needs alpha_up < -ln 2
+        # a+ = 2 a-, so theta = 2 and theta e^alpha_up < 1 needs alpha_up < -ln 2;
+        # e^720 overflows, and at -746 W0 and T* underflow to 0
         cfg = BASE_CFG.replace("height = 1.0", "height = 2.0", 1)
         p = tmp_path / "a.cfg"
         p.write_text(cfg + f"\n[theory]\nalpha_up = {alpha_up}\n")
@@ -475,6 +476,22 @@ class TestCommands:
         assert main(["analyze", "--config", cfg_path]) == 0
         text = capsys.readouterr().out
         assert "T*" in text and "theta" in text
+
+    def test_analyze_without_dispersal_admits_every_alpha(self, tmp_path, capsys):
+        # a+ = 0 gives theta = 0: every alpha* is admissible, and alpha_up defaults to 0
+        cfg = BASE_CFG.replace(
+            "[kernel.dispersal]\nshape = indicator\nheight = 1.0\nradius = 0.5",
+            "[kernel.dispersal]\nshape = zero",
+        )
+        p = tmp_path / "z.cfg"
+        p.write_text(cfg)
+        out = tmp_path / "an"
+        assert main(["analyze", "--config", str(p), "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "theta            : 0\n" in text and "admissible alpha*: all alpha*\n" in text
+        rows = read(out / "analysis.csv").splitlines()
+        assert rows[0] == "theta,alpha_up,alpha_star_opt,T_star"
+        assert rows[1].startswith("0.0,0.0,-1.0,")
 
     def test_analyze_no_finite_theta_exits_zero(self, tmp_path, capsys):
         cfg = BASE_CFG.replace(
@@ -533,6 +550,17 @@ class TestOutputPath:
         for f in data:
             assert read(os.path.join(first, f)) == read(os.path.join(again, f))
         assert read(resolved) == read(os.path.join(again, "resolved.cfg"))
+
+    def test_out_root_prefixes_a_relative_out(self, cfg_path, tmp_path, monkeypatch):
+        # SLM_OUT_ROOT is joined in front of --out, which an absolute --out ignores
+        monkeypatch.setenv("SLM_OUT_ROOT", str(tmp_path / "root"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--config", cfg_path, "--out", "rel"]) == 0
+        assert (tmp_path / "root" / "rel" / "analysis.csv").exists()
+        assert not (tmp_path / "rel").exists()
+        assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "abs")]) == 0
+        assert (tmp_path / "abs" / "analysis.csv").exists()
+        assert os.listdir(tmp_path / "root") == ["rel"]
 
 
 # -0.0, a NaN with a payload, a negative signalling NaN, the smallest subnormal, +-inf
@@ -711,6 +739,19 @@ class TestFailures:
         assert main(["stats", "--config", cfg_path, "--out", out, "--snapshots", str(sim)]) == 2
         err = capsys.readouterr().err
         assert err == f"error-category: error: no summary rows in {sim / 'summary.csv'}\n"
+
+    def test_stats_rejects_counts_that_disagree(self, cfg_path, tmp_path, capsys):
+        sim, out = tmp_path / "sim", tmp_path / "o"
+        assert main(["simulate", "--config", cfg_path, "--out", str(sim)]) == 0
+        header, first, *rest = read(sim / "summary.csv").splitlines()
+        run, t, n = first.split(",")
+        (sim / "summary.csv").write_text("\n".join([header, f"{run},{t},{int(n) + 1}", *rest]) + "\n")
+        capsys.readouterr()
+        assert main(["stats", "--config", cfg_path, "--out", str(out), "--snapshots", str(sim)]) == 2
+        assert capsys.readouterr().err == (
+            f"error-category: error: snapshots.csv and summary.csv disagree at t={float(t)}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("header", ["run,t", "run,t,N,x"])
     def test_stats_rejects_a_summary_of_another_width(self, cfg_path, tmp_path, capsys, header):

@@ -19,7 +19,13 @@ from slm.hierarchy import (
     rhs_k2_work,
     solve_hierarchy,
 )
-from slm.kernels import Kernel, make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
+from slm.kernels import (
+    Kernel,
+    make_gaussian_kernel,
+    make_indicator_kernel,
+    make_tabulated_kernel,
+    make_zero_kernel,
+)
 from slm.kinetic import Field, kinetic_rhs, solve_kinetic, stability_dt
 from slm.model import ModelParams
 
@@ -269,6 +275,44 @@ class TestSolver:
         # each snapshot is its own array, which later steps did not overwrite
         arrays = [st.k1.values, st.k2.values] + [v for s in snaps for v in (s.k1.values, s.k2.values)]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+    EVEN_KERNELS = {
+        "gaussian": lambda g, width: make_gaussian_kernel(0.5 * width, 1, g),
+        "indicator": lambda g, width: make_indicator_kernel(1.0, width, 1, g),
+        "tabulated": lambda g, width: make_tabulated_kernel(
+            [0.0, 0.5 * width, width], [1.0, 0.8, 0.1], 1, g
+        ),
+    }
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("rule", CLOSURES)
+    @pytest.mark.parametrize("shape", sorted(EVEN_KERNELS))
+    def test_even_kernels_keep_k2_exactly_symmetric(self, shape, rule, eps, grid):
+        # every RK4 stage sums exactly symmetric arrays, so the solve needs
+        # no projection onto symmetric k2 (tolerance 0)
+        make = self.EVEN_KERNELS[shape]
+        params = ModelParams(0.3, make(grid, 0.8), make(grid, 0.6))
+        st = random_state(grid, 9)
+        st = TruncatedState(st.k1, st.k2, eps)
+        times = [0.1, 0.2, 0.3, 0.4, 0.5]
+        snaps, diag = solve_hierarchy(st, rule, params, 0.5, 0.01, times)
+        assert all(np.array_equal(s.k2.values, s.k2.values.T) for s in snaps)
+        assert diag["max_symmetry_drift"] == 0.0
+
+    @pytest.mark.parametrize("rule", CLOSURES)
+    def test_uneven_dispersal_fails_within_the_first_step(self, rule, grid):
+        # a+ on the one offset cell +h: at eps > 0 the first stage's k2
+        # derivative is asymmetric, and the second stage's rhs_k2 rejects it;
+        # at eps = 0 the uneven term drops out and k2 stays symmetric
+        values = np.zeros(grid.shape)
+        values[1] = 1.0 / grid.spacing
+        params = ModelParams(0.3, Kernel(grid, values), unit_mass_indicator(grid, 0.6))
+        st = random_state(grid, 10)
+        with pytest.raises(InvalidParameterError, match="k2 must be symmetric"):
+            solve_hierarchy(TruncatedState(st.k1, st.k2, 0.5), rule, params, 0.01, 0.01, [0.01])
+        snaps, diag = solve_hierarchy(TruncatedState(st.k1, st.k2, 0.0), rule, params, 0.1, 0.01, [0.1])
+        assert np.array_equal(snaps[0].k2.values, snaps[0].k2.values.T)
+        assert diag["max_symmetry_drift"] == 0.0
 
     @pytest.mark.parametrize("rule", CLOSURES)
     def test_rhs_into_reused_buffers(self, rule, grid, params):

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +62,8 @@ class TestHorizon:
 
     def test_dispersal_only(self):
         assert horizon_T(0.0, 2.0, 2.0, 0.0) == pytest.approx(1.0)
+        # no competition term, so no e^{-alpha_star} to overflow
+        assert horizon_T(-800.0, 0.0, 2.0, 0.0) == 400.0
 
     def test_interval_validation(self):
         with pytest.raises(InvalidIntervalError):
@@ -107,6 +111,22 @@ class TestOptimizeAlpha:
         w = lambertw(ap * np.exp(alpha_up - 1.0) / am).real
         assert a_opt == pytest.approx(alpha_up - 1.0 - w, rel=1e-13, abs=1e-13)
         assert t_max == horizon_T(a_opt, alpha_up, ap, am)
+
+    @pytest.mark.parametrize("alpha_up", [-40.0, -720.0, -746.0, -1000.0])
+    def test_extreme_alpha_up(self, alpha_up):
+        # below z = 2^-53, W0(z) = z to double precision; e^{-alpha_star}
+        # overflows past -alpha_star = 709.78, where T* falls to subnormals and 0
+        from scipy.special import lambertw
+
+        ap, am = 1.1, 0.9
+        a_opt, t_max = optimize_alpha(alpha_up, ap, am)
+        w = lambertw(ap * np.exp(alpha_up - 1.0) / am).real
+        assert a_opt == alpha_up - 1.0 - w
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = Decimal(alpha_up) - Decimal(a_opt)
+            exact /= Decimal(ap) + Decimal(am) * Decimal(-a_opt).exp()
+        assert t_max == pytest.approx(float(exact), rel=1e-12, abs=1e-320)
 
     def test_no_interior_maximum(self):
         with pytest.raises(NoInteriorMaximumError):

@@ -25,7 +25,7 @@ from .errors import InvalidParameterError, PreconditionError, SLMError
 from .kernels import domination_theta
 
 
-CSV_BLOCK_ROWS = 4096  # rows formatted at a time, which bounds the writer's memory
+CSV_BLOCK_ROWS = 1024  # rows per block of a written table, which bounds the memory of writing it
 
 
 def _cells(col):
@@ -37,15 +37,29 @@ def _cells(col):
     return np.array([str(v) for v in bits.view(col.dtype).tolist()], dtype=object)[inverse]
 
 
-def _write_csv(path, header, columns):
+def _blocks(groups):
+    """Each group of equal-length columns in turn, in blocks of at most
+    CSV_BLOCK_ROWS rows; a scalar column repeats its value on every row of
+    its group."""
+    for columns in groups:
+        columns = [np.asarray(col) for col in columns]
+        rows = min((len(col) for col in columns if col.ndim), default=0)
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, rows)
+            yield [col[start:stop] if col.ndim else np.full(stop - start, col) for col in columns]
+
+
+def _write_csv(path, header, blocks):
+    """The header, then the rows of each block of equal-length columns;
+    the cells of one block are formatted at a time."""
     # str of a Python int or float is its shortest round-trip form: reruns are byte-identical
-    columns = [np.asarray(col) for col in columns]
-    rows = min(map(len, columns), default=0)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, rows, CSV_BLOCK_ROWS):
-            cells = [_cells(col[start : start + CSV_BLOCK_ROWS]) for col in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for columns in blocks:
+            columns = [np.asarray(col) for col in columns]
+            if min(map(len, columns), default=0):
+                fh.write("\n".join(map(",".join, zip(*map(_cells, columns)))))
+                fh.write("\n")
 
 
 def _write_json(path, data):
@@ -55,7 +69,7 @@ def _write_json(path, data):
 
 
 def _write_outputs(out, command, cfg, tables):
-    """resolved.cfg, each table (a dict as JSON, a (header, columns) pair
+    """resolved.cfg, each table (a dict as JSON, a (header, blocks) pair
     as CSV) and the manifest listing the tables."""
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "resolved.cfg"), "w") as fh:
@@ -76,12 +90,19 @@ def _axes(grid):
 
 def _field_table(grid, times, fields, name):
     """t, cell index, cell-centre coordinates and value of every cell of
-    each field, cells in C order."""
-    n = grid.size
+    each field, cells in C order; the per-cell columns are built once."""
+    cells = np.arange(grid.size)
     coords = grid.centers()[np.indices(grid.shape).reshape(grid.dim, -1)]
-    columns = [np.repeat(times, n), np.tile(np.arange(n), len(times)), *np.tile(coords, len(times))]
-    columns.append(np.ravel([f.values for f in fields]))
-    return ["t", "cell_index"] + _axes(grid) + [name], columns
+    groups = ((t, cells, *coords, f.values.ravel()) for t, f in zip(times, fields))
+    return ["t", "cell_index"] + _axes(grid) + [name], _blocks(groups)
+
+
+def _event_groups(log, dim):
+    """time, kind and position of each event, CSV_BLOCK_ROWS events at a time."""
+    for start in range(0, len(log), CSV_BLOCK_ROWS):
+        events = log[start : start + CSV_BLOCK_ROWS]
+        pos = np.reshape([e.position for e in events], (-1, dim))
+        yield [e.time for e in events], [e.kind for e in events], *pos.T
 
 
 # -- simulate ------------------------------------------------------------
@@ -101,33 +122,31 @@ def cmd_simulate(args, cfg):
         population_cap=cfg.population_cap,
         keep_events=args.events,
     )
-    runs = [r for r, traj in enumerate(trajectories) for _ in traj.times]
-    times = [t for traj in trajectories for t in traj.times]
-    snaps = [pts for traj in trajectories for pts in traj.snapshots]
-    counts = [len(pts) for pts in snaps]
-    pts = np.concatenate(snaps or [np.empty((0, cfg.grid.dim))])
     tables = {
         "snapshots.csv": (
             ["run", "t"] + _axes(cfg.grid),
-            [np.repeat(runs, counts), np.repeat(times, counts), *pts.T],
+            _blocks((r, t, *pts.T) for r, traj in enumerate(trajectories)
+                    for t, pts in zip(traj.times, traj.snapshots)),
         ),
-        "summary.csv": (["run", "t", "N"], [runs, times, counts]),
+        "summary.csv": (
+            ["run", "t", "N"],
+            _blocks((r, traj.times, [len(pts) for pts in traj.snapshots])
+                    for r, traj in enumerate(trajectories)),
+        ),
         "runs.csv": (
             ["run", "n0", "n_end", "peak_n", "events", "proposals", "births", "natural_deaths",
              "competition_deaths", "absorbed", "max_audit_drift"],
-            zip(*[(r, tr.n0, tr.n_end, tr.peak_n, tr.events, tr.proposals, tr.births,
-                   tr.deaths - tr.competition_deaths, tr.competition_deaths, int(tr.absorbed),
-                   tr.max_audit_drift)
-                  for r, tr in enumerate(trajectories)]),
+            _blocks([zip(*[(r, tr.n0, tr.n_end, tr.peak_n, tr.events, tr.proposals, tr.births,
+                            tr.deaths - tr.competition_deaths, tr.competition_deaths,
+                            int(tr.absorbed), tr.max_audit_drift)
+                           for r, tr in enumerate(trajectories)])]),
         ),
     }
     if args.events:
         for r, traj in enumerate(trajectories):
-            log = traj.event_log
-            pos = np.reshape([e.position for e in log], (-1, cfg.grid.dim))
             tables[f"events_run{r:04d}.csv"] = (
                 ["time", "kind"] + _axes(cfg.grid),
-                [[e.time for e in log], [e.kind for e in log], *pos.T],
+                _blocks(_event_groups(traj.event_log, cfg.grid.dim)),
             )
     return tables
 
@@ -148,7 +167,9 @@ def cmd_kinetic(args, cfg):
     ]
     return {
         "fields.csv": _field_table(cfg.grid, times, snaps, "rho"),
-        "summary.csv": (["t", "min_rho", "max_rho", "mean_rho", "sup_error_vs_q"], zip(*summary)),
+        "summary.csv": (
+            ["t", "min_rho", "max_rho", "mean_rho", "sup_error_vs_q"], _blocks([zip(*summary)])
+        ),
     }
 
 
@@ -174,7 +195,7 @@ def cmd_hierarchy(args, cfg):
     print(f"max symmetry drift per step: {diag['max_symmetry_drift']:.3e}")
     return {
         "k1.csv": _field_table(cfg.grid, cfg.snapshot_times, [st.k1 for st in snaps], "k1"),
-        "k2_slice.csv": (["t", "r", "value"], zip(*slices)),
+        "k2_slice.csv": (["t", "r", "value"], _blocks([zip(*slices)])),
     }
 
 
@@ -204,7 +225,7 @@ def cmd_stats(args, cfg):
         cfg.pair_bins,
     )
     r_mid = 0.5 * (edges[:-1] + edges[1:])
-    n = cfg.grid.size
+    cells = np.arange(cfg.grid.size)
     density, pairs, diagnostic = [], [], []
     for t in sorted(set(index[:, 1].tolist())):
         rows = index[index[:, 1] == t]
@@ -217,15 +238,15 @@ def cmd_stats(args, cfg):
             raise SLMError(f"snapshots.csv and summary.csv disagree at t={t}")
         est = estimate_correlations(ensemble, cfg.grid, edges)
         k1 = est.k1_hat
-        density.append((np.full(n, t), np.arange(n), k1.mean.ravel(), k1.se.ravel()))
-        pairs.append((np.full(len(r_mid), t), r_mid, est.pair_g, est.pair_se))
+        density.append((t, cells, k1.mean.ravel(), k1.se.ravel()))
+        pairs.append((t, r_mid, est.pair_g, est.pair_se))
         report = subpoisson_diagnostic(est, max(est.mean_density * 1.5, 1e-12))
         flags = len(report.flagged_cells) + len(report.flagged_bins)
         diagnostic.append((t, report.minimal_C, flags))
     return {
-        "density.csv": (["t", "cell", "k1_hat", "se"], map(np.concatenate, zip(*density))),
-        "pairs.csv": (["t", "r_mid", "g_hat", "se"], map(np.concatenate, zip(*pairs))),
-        "diagnostic.csv": (["t", "minimal_C", "flags"], zip(*diagnostic)),
+        "density.csv": (["t", "cell", "k1_hat", "se"], _blocks(density)),
+        "pairs.csv": (["t", "r_mid", "g_hat", "se"], _blocks(pairs)),
+        "diagnostic.csv": (["t", "minimal_C", "flags"], _blocks([zip(*diagnostic)])),
     }
 
 
@@ -252,7 +273,7 @@ def cmd_scaling(args, cfg):
     return {
         source: (
             ["eps", "sup_error", "mc_se", "runs"],
-            [report.epsilons, report.errors, report.mc_se, [runs] * len(report.epsilons)],
+            _blocks([(report.epsilons, report.errors, report.mc_se, runs)]),
         ),
         "plot_manifest.json": {
             "note": "order-1 sup-norm truncation surrogate of the hierarchy norm",
@@ -296,7 +317,7 @@ def cmd_analyze(args, cfg):
     return {
         "analysis.csv": (
             ["theta", "alpha_up", "alpha_star_opt", "T_star"],
-            [[theta], [alpha_up], [alpha_star], [t_star]],
+            _blocks([([theta], [alpha_up], [alpha_star], [t_star])]),
         )
     }
 
@@ -359,7 +380,10 @@ def main(argv=None) -> int:
         tables = args.func(args, cfg)
         if args.out:
             out = os.path.join(os.environ.get("SLM_OUT_ROOT", ""), args.out)
-            _write_outputs(out, args.command, cfg, tables)
+            try:
+                _write_outputs(out, args.command, cfg, tables)
+            except OSError as exc:
+                raise SLMError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from None
     except SLMError as exc:
         print(f"error-category: {exc.category}: {exc}", file=sys.stderr)
         return 2

@@ -191,6 +191,9 @@ def parse_config(path, overrides=None) -> RunConfig:
     if horizon < 0:
         raise ConfigError("[run] horizon must be nonnegative")
     snapshot_times = sorted(get("run", "snapshot_times"))
+    repeated = [a for a, b in zip(snapshot_times, snapshot_times[1:]) if a == b]
+    if repeated:
+        raise ConfigError(f"[run] snapshot_times: {repeated[0]!r} is repeated")
     if snapshot_times and (snapshot_times[0] < 0 or snapshot_times[-1] > horizon):
         raise ConfigError("[run] snapshot_times must lie within [0, horizon]")
     seed = get("run", "seed")

@@ -36,7 +36,7 @@ class CorrelationEstimate:
 
 
 def default_pair_edges(side: float, kernel_radius: float, nbins: int = 24) -> np.ndarray:
-    """24 uniform bins on (0, min(L/2, 4 * max kernel radius))."""
+    """``nbins`` uniform bins on (0, min(L/2, 4 * max kernel radius))."""
     rmax = 0.5 * side if kernel_radius <= 0 else min(0.5 * side, 4.0 * kernel_radius)
     return np.linspace(0.0, rmax, nbins + 1)
 

@@ -1,4 +1,5 @@
 import configparser
+import errno
 import importlib
 import io
 import json
@@ -9,7 +10,6 @@ import sys
 import tempfile
 import tracemalloc
 from functools import partial
-from unittest import mock
 
 import numpy as np
 import oracles
@@ -181,6 +181,7 @@ class TestConfig:
         [
             ("run", "seed", "-1", "[run] seed must be >= 0"),
             ("scaling", "eps_list", "", "[scaling] eps_list must not be empty"),
+            ("run", "snapshot_times", "1.0 0.5 1", "[run] snapshot_times: 1.0 is repeated"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, section, key, value, message):
@@ -329,6 +330,29 @@ class TestCommands:
         summary = np.loadtxt(os.path.join(out, "summary.csv"), delimiter=",", skiprows=1)
         assert np.all(np.abs(summary[:, 1:4] - 0.7) < 1e-12)
         assert np.all(summary[:, 4] < 1e-12)
+
+    def test_kinetic_writer_memory_does_not_grow_with_the_table(self, tmp_path):
+        # fields.csv holds 32^3 rows per snapshot, many blocks; the solver must
+        # hold each snapshot (0.25 MiB), but the writer only one block at a time
+        cfg = BASE_CFG.replace("dimension = 1", "dimension = 3")
+        cfg = cfg.replace("grid_cells = 50", "grid_cells = 32")
+        cfg = with_key(with_key(cfg, "run", "horizon", "0.2"), "run", "dt", "0.05")
+        peaks = []
+        for times in ("0.2", "0.05 0.1 0.15 0.2"):
+            p = tmp_path / "run.cfg"
+            p.write_text(with_key(cfg, "run", "snapshot_times", times))
+            out = str(tmp_path / f"o{len(peaks)}")
+            tracemalloc.start()
+            try:
+                assert main(["kinetic", "--config", str(p), "--out", out]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * 32**3 * 8
+        fields = os.path.join(out, "fields.csv")
+        t, cell = np.loadtxt(fields, delimiter=",", skiprows=1, usecols=(0, 1)).T
+        assert t.tolist() == np.repeat([0.05, 0.1, 0.15, 0.2], 32**3).tolist()
+        assert cell.tolist() == np.tile(np.arange(32**3), 4).tolist()
 
     def test_hierarchy_outputs(self, cfg_path, tmp_path):
         out = str(tmp_path / "hier")
@@ -578,9 +602,9 @@ CELL_VALUES = {
 
 @st.composite
 def csv_tables(draw):
-    """(header, columns, as_rows, block): each column repeats values from a
+    """(header, columns, as_rows, cuts): each column repeats values from a
     small pool; as_rows passes the columns as tuples from zip(*rows), and
-    block is the writer's block size."""
+    the rows between consecutive cuts form one block of the writer."""
     n = draw(st.integers(0, 30))
     kinds = draw(st.lists(st.sampled_from(sorted(CELL_VALUES)), max_size=4))
     columns = []
@@ -589,7 +613,8 @@ def csv_tables(draw):
         picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
         values = [pool[i] for i in picks]
         columns.append(values if kind == "str" else np.array(values, dtype=f"{kind}64"))
-    return [f"c{i}" for i in range(len(kinds))], columns, draw(st.booleans()), draw(st.integers(1, 8))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    return [f"c{i}" for i in range(len(kinds))], columns, draw(st.booleans()), cuts
 
 
 @settings(max_examples=150, deadline=None)
@@ -598,16 +623,21 @@ def csv_tables(draw):
     ["zeros", "specials", "ints"],
     [np.array([0.0, -0.0, 0.0]), SPECIAL_FLOATS[:3], np.array([-(2**63), 2**63 - 1, -(2**63)])],
     False,
-    4096,
+    [],
 ))
 def test_write_csv_matches_every_cell_oracle(table):
-    header, columns, as_rows, block = table
+    # the writer takes the table in blocks of drawn, unequal sizes; the oracle takes whole columns
+    header, columns, as_rows, cuts = table
     rows = list(zip(*(np.asarray(col).tolist() for col in columns)))
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CSV_BLOCK_ROWS", block):
+    if as_rows:
+        columns = list(zip(*rows))
+    bounds = zip([0, *cuts], [*cuts, len(rows)])
+    blocks = [[col[start:stop] for col in columns] for start, stop in bounds]
+    with tempfile.TemporaryDirectory() as tmp:
         written = []
-        for write in (cli._write_csv, oracles.write_csv):
+        for write, data in ((cli._write_csv, blocks), (oracles.write_csv, columns)):
             path = os.path.join(tmp, f"{len(written)}.csv")
-            write(path, header, zip(*rows) if as_rows else columns)
+            write(path, header, data)
             with open(path, "rb") as fh:
                 written.append(fh.read())
     assert written[0] == written[1]
@@ -820,6 +850,23 @@ class TestFailures:
         category = "error" if case.startswith("stats") else "config"
         assert len(err) == 1 and err[0].startswith(f"error-category: {category}: cannot read ")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("case", ["existing-file", "below-a-file", "table-is-a-directory"])
+    def test_unwritable_out_is_an_error_category(self, cfg_path, tmp_path, capsys, case):
+        # the error names the path that could not be written
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out, failed, code = {
+            "existing-file": (blocker, blocker, errno.EEXIST),
+            "below-a-file": (blocker / "o", blocker / "o", errno.ENOTDIR),
+            "table-is-a-directory": (tmp_path / "o", tmp_path / "o" / "fields.csv", errno.EISDIR),
+        }[case]
+        if code == errno.EISDIR:
+            failed.mkdir(parents=True)
+        assert main(["kinetic", "--config", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error-category: error: cannot write {failed}: {os.strerror(code)}\n"
+        )
 
     def test_kinetic_dt_guard_category(self, tmp_path, capsys):
         cfg = BASE_CFG.replace("dt = 0.02", "dt = 5.0")

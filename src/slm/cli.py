@@ -336,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="exact stochastic ensemble")
     common(p)
-    p.add_argument("--runs", type=int, dest="run:runs")
-    p.add_argument("--seed", type=int, dest="run:seed")
+    p.add_argument("--runs", dest="run:runs")
+    p.add_argument("--seed", dest="run:seed")
     p.add_argument("--events", action="store_true", help="write per-run event logs")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_simulate)
@@ -348,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hierarchy", help="truncated correlation dynamics")
     common(p)
-    p.add_argument("--closure", choices=["mean-field", "kirkwood"], dest="hierarchy:closure")
-    p.add_argument("--epsilon", type=float, dest="model:epsilon")
+    p.add_argument("--closure", dest="hierarchy:closure")
+    p.add_argument("--epsilon", dest="model:epsilon")
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("stats", help="ensemble estimators over simulate output")
@@ -372,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # a flag with dest "section:key" overrides that config key; resolved.cfg records the value
-    overrides = {tuple(dest.split(":")): str(value) for dest, value in vars(args).items()
-                 if ":" in dest and value is not None}
+    # a flag with dest "section:key" overrides that key with its text, read as the file's is
+    overrides = {tuple(dest.split(":")): text for dest, text in vars(args).items()
+                 if ":" in dest and text is not None}
     try:
         cfg = parse_config(args.config, overrides)
         tables = args.func(args, cfg)

@@ -1,7 +1,10 @@
 """Run configuration: plain-text sectioned key/value files.
 
 Every run directory gets a copy of the fully resolved config (defaults
-echoed) for provenance.  Unknown sections or keys are hard errors.
+echoed) for provenance.  Each key's type, default and accepted values live
+in one table, ``_KEYS``, which checks every value, from the file or from an
+override flag.  Unknown sections or keys are hard errors; a malformed or
+unaccepted value is reported as ``[section] key: not <phrase>: '<text>'``.
 """
 from __future__ import annotations
 
@@ -22,26 +25,35 @@ from .kernels import (
     make_zero_kernel,
 )
 from .kinetic import Field
-from .model import DEFAULT_POPULATION_CAP, ModelParams
+from .model import CLOSURES, DEFAULT_POPULATION_CAP, ModelParams
 
-_KERNEL_KEYS = {"shape": (str, "indicator"), "height": (float, None), "radius": (float, None),
-                "sigma": (float, None), "cutoff": (float, None), "file": (str, None)}
+# accepted values: a tuple of words, or a test of the value and the phrase that names it
+_POSITIVE = (lambda v: v > 0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 
-# section -> key -> (type, default text); a default of None makes the key
-# required, or leaves it out when it is read as optional
+_KERNEL_KEYS = {"shape": (str, "indicator", ("indicator", "gaussian", "tabulated", "zero")),
+                "height": (float, None), "radius": (float, None), "sigma": (float, None),
+                "cutoff": (float, None), "file": (str, None)}
+
+# section -> key -> (type, default text[, accepted values]); a default of
+# None makes the key required, or leaves it out when it is read as optional
 _KEYS = {
     "model": {"dimension": (int, None), "torus_side": (float, None), "grid_cells": (int, None),
               "mortality": (float, None), "epsilon": (float, "1.0")},
     "kernel.dispersal": _KERNEL_KEYS,
     "kernel.competition": _KERNEL_KEYS,
-    "initial": {"kind": (str, "constant"), "density": (float, None), "file": (str, None)},
-    "run": {"horizon": (float, None), "dt": (float, None), "snapshot_times": (list, None),
-            "seed": (int, "0"), "runs": (int, "100"),
-            "population_cap": (int, str(DEFAULT_POPULATION_CAP))},
+    "initial": {"kind": (str, "constant", ("constant", "table")), "density": (float, None),
+                "file": (str, None)},
+    "run": {"horizon": (float, None, _NONNEGATIVE), "dt": (float, None, _POSITIVE),
+            "snapshot_times": (list, None), "seed": (int, "0", _NONNEGATIVE),
+            "runs": (int, "100", _AT_LEAST_1),
+            "population_cap": (int, str(DEFAULT_POPULATION_CAP), _AT_LEAST_1)},
     "theory": {"alpha_up": (float, None)},
-    "stats": {"pair_bins": (int, "24")},
-    "scaling": {"eps_list": (list, "1 0.5 0.25 0.1"), "scaling_runs": (int, "200")},
-    "hierarchy": {"closure": (str, "mean-field"), "slice_offsets": (list, "")},
+    "stats": {"pair_bins": (int, "24", _AT_LEAST_1)},
+    "scaling": {"eps_list": (list, "1 0.5 0.25 0.1", (bool, "at least one number")),
+                "scaling_runs": (int, "200")},
+    "hierarchy": {"closure": (str, "mean-field", CLOSURES), "slice_offsets": (list, "")},
 }
 
 _NOT = {int: "an integer", float: "a number", list: "numbers"}
@@ -79,6 +91,23 @@ class RunConfig:
         return "\n".join(lines)
 
 
+def _value(section, key, text):
+    """``text`` converted by the type of ``[section] key`` in the table and
+    checked against the values the key accepts."""
+    kind, _, *accepts = _KEYS[section][key]
+    try:
+        value = text if kind is str else [float(s) for s in text.split()] if kind is list else kind(text)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: not {_NOT[kind]}: {text!r}")
+    if kind in (float, list) and not np.all(np.isfinite(value)):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {text!r}")
+    for rule in accepts:
+        test, phrase = (rule.__contains__, "one of " + ", ".join(rule)) if kind is str else rule
+        if not test(value):
+            raise ConfigError(f"[{section}] {key}: not {phrase}: {text!r}")
+    return value
+
+
 def read_table(path, error=ConfigError, **kwargs) -> np.ndarray:
     """Comma-separated numbers, none for a file without rows; an unreadable
     file or cell raises ``error``."""
@@ -108,9 +137,7 @@ def _build_kernel(get, section, grid, base_dir) -> Kernel:
         if data.shape[1] != 2:
             raise InvalidParameterError(f"{path}: expected two columns (offset, value)")
         return make_tabulated_kernel(data[:, 0], data[:, 1], grid.dim, grid)
-    if shape == "zero":
-        return make_zero_kernel(grid)
-    raise ConfigError(f"[{section}] unknown kernel shape {shape!r}")
+    return make_zero_kernel(grid)  # the one shape left in the table
 
 
 def parse_config(path, overrides=None) -> RunConfig:
@@ -139,24 +166,15 @@ def parse_config(path, overrides=None) -> RunConfig:
     resolved: dict = {}
 
     def get(section, key, optional=False):
-        """The value of ``key``, converted by its type in the table and
+        """The value of ``key``, converted and checked by the table and
         recorded for resolved.cfg; None if it is optional and absent."""
-        kind, default = _KEYS[section][key]
-        text = raw.get(section, {}).get(key, default)
+        text = raw.get(section, {}).get(key, _KEYS[section][key][1])
         if text is None:
             if optional:
                 return None
             raise ConfigError(f"missing required key [{section}] {key}")
         resolved[(section, key)] = text
-        if kind is str:
-            return text
-        try:
-            value = [float(s) for s in text.split()] if kind is list else kind(text)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not {_NOT[kind]}: {text!r}")
-        if kind is not int and not np.all(np.isfinite(value)):
-            raise ConfigError(f"[{section}] {key}: not a finite number: {text!r}")
-        return value
+        return _value(section, key, text)
 
     base_dir = os.path.dirname(os.path.abspath(path))
     grid = Grid(get("model", "dimension"), get("model", "torus_side"), get("model", "grid_cells"))
@@ -169,53 +187,26 @@ def parse_config(path, overrides=None) -> RunConfig:
     except SLMError as exc:
         raise ConfigError(str(exc))
 
-    kind = get("initial", "kind")
-    if kind == "constant":
+    if get("initial", "kind") == "constant":
         rho0 = Field.constant(grid, get("initial", "density"))
-    elif kind == "table":
+    else:
         vals = read_table(os.path.join(base_dir, get("initial", "file")))
         if vals.size != grid.size:
             raise ConfigError(f"initial table has {vals.size} values, grid needs {grid.size}")
         if not np.all(np.isfinite(vals)):
             raise ConfigError("initial table has a non-finite value")
         rho0 = Field(grid, vals.reshape(grid.shape))
-    else:
-        raise ConfigError(f"[initial] unknown kind {kind!r}")
     if rho0.min < 0:
         raise ConfigError("initial density must be nonnegative")
 
-    horizon = get("run", "horizon")
-    dt = get("run", "dt")
-    if dt <= 0:
-        raise ConfigError("[run] dt must be positive")
-    if horizon < 0:
-        raise ConfigError("[run] horizon must be nonnegative")
-    snapshot_times = sorted(get("run", "snapshot_times"))
-    repeated = [a for a, b in zip(snapshot_times, snapshot_times[1:]) if a == b]
+    # the plain keys are read in table order, which decides the fault
+    # reported first; [theory] alpha_up is the one optional among them
+    plain = {key: get(section, key, optional=section == "theory")
+             for section in ("run", "theory", "stats", "scaling", "hierarchy") for key in _KEYS[section]}
+    times = plain["snapshot_times"] = sorted(plain["snapshot_times"])
+    repeated = [a for a, b in zip(times, times[1:]) if a == b]
     if repeated:
         raise ConfigError(f"[run] snapshot_times: {repeated[0]!r} is repeated")
-    if snapshot_times and (snapshot_times[0] < 0 or snapshot_times[-1] > horizon):
+    if times and (times[0] < 0 or times[-1] > plain["horizon"]):
         raise ConfigError("[run] snapshot_times must lie within [0, horizon]")
-    seed = get("run", "seed")
-    runs = get("run", "runs")
-    population_cap = get("run", "population_cap")
-    if runs < 1:
-        raise ConfigError("[run] runs must be >= 1")
-    if population_cap < 1:
-        raise ConfigError(f"[run] population_cap: not at least 1: {population_cap}")
-    if seed < 0:
-        raise ConfigError("[run] seed must be >= 0")
-
-    # the read order decides which fault is reported first; the remaining
-    # keys are read in the order of RunConfig's fields
-    cfg = RunConfig(
-        grid, params, rho0, horizon, dt, snapshot_times, seed, runs, population_cap,
-        get("theory", "alpha_up", optional=True), get("stats", "pair_bins"),
-        get("scaling", "eps_list"), get("scaling", "scaling_runs"), get("hierarchy", "closure"),
-        get("hierarchy", "slice_offsets"), resolved,
-    )
-    if cfg.pair_bins < 1:
-        raise ConfigError("[stats] pair_bins must be >= 1")
-    if not cfg.eps_list:
-        raise ConfigError("[scaling] eps_list must not be empty")
-    return cfg
+    return RunConfig(grid, params, rho0, **plain, resolved=resolved)

@@ -34,9 +34,8 @@ from .errors import ClosureSingularityError, InvalidParameterError
 from .grid import Grid, require_same_grid
 from .kernels import Kernel, convolve_spectra, spectral_work
 from .kinetic import Field, integrate_rk4, stability_dt
-from .model import ModelParams
+from .model import CLOSURES, ModelParams
 
-CLOSURES = ("mean-field", "kirkwood")
 KIRKWOOD_FLOOR_FACTOR = 1e-8
 
 

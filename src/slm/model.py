@@ -12,6 +12,8 @@ from .kernels import Kernel
 
 # a simulation whose population exceeds this stops with BlowUpError
 DEFAULT_POPULATION_CAP = 1_000_000
+# the closures for k3 of the truncated hierarchy
+CLOSURES = ("mean-field", "kirkwood")
 
 
 @dataclass(frozen=True)

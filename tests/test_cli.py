@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import slm
 from slm import cli
 from slm.cli import main
-from slm.config import parse_config
+from slm.config import _KEYS, _NOT, _value, parse_config
 from slm.errors import ConfigError
 from slm.stats import default_pair_edges, estimate_correlations, pair_correlation, subpoisson_diagnostic
 
@@ -179,9 +179,17 @@ class TestConfig:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
-            ("run", "seed", "-1", "[run] seed must be >= 0"),
-            ("scaling", "eps_list", "", "[scaling] eps_list must not be empty"),
+            ("run", "seed", "-1", "[run] seed: not nonnegative: '-1'"),
+            ("scaling", "eps_list", "", "[scaling] eps_list: not at least one number: ''"),
             ("run", "snapshot_times", "1.0 0.5 1", "[run] snapshot_times: 1.0 is repeated"),
+            ("run", "dt", "0", "[run] dt: not positive: '0'"),
+            ("run", "horizon", "-1", "[run] horizon: not nonnegative: '-1'"),
+            ("run", "runs", "0", "[run] runs: not at least 1: '0'"),
+            ("kernel.dispersal", "shape", "gausian",
+             "[kernel.dispersal] shape: not one of indicator, gaussian, tabulated, zero: 'gausian'"),
+            ("initial", "kind", "tabel", "[initial] kind: not one of constant, table: 'tabel'"),
+            ("hierarchy", "closure", "kirkwod",
+             "[hierarchy] closure: not one of mean-field, kirkwood: 'kirkwod'"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, section, key, value, message):
@@ -193,7 +201,7 @@ class TestConfig:
     def test_negative_seed_override_is_config_error(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "sim")
         assert main(["simulate", "--config", cfg_path, "--out", out, "--seed", "-1"]) == 2
-        assert "error-category: config: [run] seed must be >= 0" in capsys.readouterr().err
+        assert "error-category: config: [run] seed: not nonnegative: '-1'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("value", ["0", "-1"])
@@ -201,7 +209,36 @@ class TestConfig:
         p = tmp_path / "bad.cfg"
         p.write_text(with_key(BASE_CFG, "stats", "pair_bins", value))
         assert main(["analyze", "--config", str(p)]) == 2
-        assert "error-category: config: [stats] pair_bins must be >= 1" in capsys.readouterr().err
+        assert f"error-category: config: [stats] pair_bins: not at least 1: '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "closure, argv",
+        [
+            ("kirkwod", ["kinetic"]),
+            ("kirkwod", ["hierarchy"]),
+            ("mean-field", ["hierarchy", "--closure", "kirkwod"]),
+            ("mean-field", ["simulate", "--runs", "2.5"]),
+        ],
+        ids=["kinetic-file", "hierarchy-file", "hierarchy-flag", "simulate-flag"],
+    )
+    def test_misspelled_closure_or_flag_is_config_error(self, tmp_path, capsys, closure, argv):
+        # every command checks the file's closure, and a flag's text is checked as the file's is
+        p = tmp_path / "bad.cfg"
+        p.write_text(with_key(BASE_CFG, "hierarchy", "closure", closure))
+        out = str(tmp_path / "o")
+        assert main([argv[0], "--config", str(p), "--out", out, *argv[1:]]) == 2
+        message = ("[run] runs: not an integer: '2.5'" if "--runs" in argv
+                   else "[hierarchy] closure: not one of mean-field, kirkwood: 'kirkwod'")
+        assert capsys.readouterr().err == f"error-category: config: {message}\n"
+        assert not os.path.exists(out)
+
+    def test_every_default_is_an_accepted_value(self):
+        # a bad table entry fails here, not in a user's run
+        for section, keys in _KEYS.items():
+            for key, (kind, default, *_) in keys.items():
+                assert kind is str or kind in _NOT, (section, key)
+                if default is not None:
+                    _value(section, key, default)
 
     def test_table_initial(self, tmp_path):
         vals = 0.2 + 0.1 * np.arange(50) / 50.0

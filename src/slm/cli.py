@@ -325,8 +325,17 @@ def cmd_analyze(args, cfg):
 # -- entry point ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors end, as every other failure
+    does, in one ``error-category`` line; subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"error-category: usage: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="slm", description=__doc__)
+    parser = _Parser(prog="slm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"slm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

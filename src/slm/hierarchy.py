@@ -21,7 +21,8 @@ of k2.  A closure never builds the M^3 tensor
 k3: it returns its contraction with a-, so one right-hand side needs
 O(M^2) memory and M >= 1024 is feasible.  The only M x M kernel table
 is the gather a(x_i - x_j) for the pointwise terms.  A solve computes
-every right-hand side in the buffers of :func:`rhs_k2_work`, allocated
+every right-hand side in its output and the buffers of
+:func:`rhs_k2_work` (the spectral work and one M x M array), allocated
 once, so a step makes no fresh M x M array.
 """
 from __future__ import annotations
@@ -156,10 +157,11 @@ def rhs_k1(state: TruncatedState, params: ModelParams, out: np.ndarray | None = 
 
 
 def rhs_k2_work(params: ModelParams) -> tuple:
-    """The buffers :func:`rhs_k2` computes in: the :func:`spectral_work`
-    of both kernels on a pair function and three M x M arrays."""
+    """The buffers :func:`rhs_k2` computes in besides its output: the
+    :func:`spectral_work` of both kernels on a pair function and one
+    M x M array."""
     shape = (params.grid.cells, params.grid.cells)
-    return (spectral_work(params.spectra, params.grid, shape), *(np.empty(shape) for _ in range(3)))
+    return spectral_work(params.spectra, params.grid, shape), np.empty(shape)
 
 
 def rhs_k2(
@@ -170,31 +172,39 @@ def rhs_k2(
     work: tuple | None = None,
 ) -> Field2:
     """Second truncated equation with the chosen closure for k3, written
-    to ``out`` and computed in ``work`` (from :func:`rhs_k2_work`), each
-    allocated when not given.
+    to ``out`` and computed in ``out`` and ``work`` (from
+    :func:`rhs_k2_work`), each allocated when not given.  ``out`` serves
+    as scratch before it takes the result, so it must not overlap the
+    state or ``work``.
 
     The output is exactly symmetric in floating point: every asymmetric
     intermediate enters as (T + T.T).
     """
     require_same_grid(state.grid, params.grid)
-    spectral, w1, w2, w3 = work or rhs_k2_work(params)
-    if state.k2.symmetry_defect(w1) > 0:
-        raise InvalidParameterError("k2 must be symmetric")
+    spectral, w1 = work or rhs_k2_work(params)
     k1 = state.k1.values
     k2 = state.k2.values
+    if out is None:
+        out = np.empty_like(k2)
+    elif any(np.may_share_memory(out, a) for a in (k1, k2, w1, *spectral)):
+        raise InvalidParameterError("rhs_k2 output must not overlap the state or the work buffers")
+    if state.k2.symmetry_defect(w1) > 0:
+        raise InvalidParameterError("k2 must be symmetric")
+    fhat, _, conv = spectral
     # int a+(x_i - w) k2(w, x_j) dw; mean-field also takes a- * k2 from the same transform
     if closure_rule == "mean-field":
         competition_k2, s1 = convolve_spectra(params.spectra, params.grid, k2, spectral)
     else:
-        # a+ alone, in the a+ rows of the buffers
-        fhat, prod, conv = spectral
+        # a+ alone, its product in place in fhat and its result in the a+ row
         competition_k2 = None
-        s1 = convolve_spectra(params.spectra[1:], params.grid, k2, (fhat, prod[1:], conv[1:]))[0]
+        s1 = convolve_spectra(params.spectra[1:], params.grid, k2, (fhat, fhat[None], conv[1:]))[0]
     # int a-(z - x_i) k3(x_i, x_j, z) dz
-    t1 = closure_contraction(closure_rule, state, params.competition, competition_k2, (w1, w2))
+    t1 = closure_contraction(closure_rule, state, params.competition, competition_k2, (w1, out))
 
+    # the closure has read the a- row (kirkwood never writes it): scratch from here on
+    w3 = conv[0]
     # vpart = -2 m k2 - (t1 + t1.T) + (s1 + s1.T)
-    vpart = np.multiply(-2.0 * params.mortality, k2, out=w2)
+    vpart = np.multiply(-2.0 * params.mortality, k2, out=out)
     np.subtract(vpart, np.add(t1, t1.T, out=w3), out=vpart)
     np.add(vpart, np.add(s1, s1.T, out=w3), out=vpart)
     # bpart = -2 a-(x_i - x_j) k2 + a+(x_i - x_j) (k1(x_i) + k1(x_j))

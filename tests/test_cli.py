@@ -794,6 +794,33 @@ class TestFailures:
         assert main(["simulate", "--config", str(p), "--out", out]) == 2
         assert "error-category: config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+            (["scaling", "--mode", "foo"], "argument --mode: invalid choice: 'foo'"),
+            (["hierarchy"], "the following arguments are required: --config"),
+        ],
+        ids=["bad-int", "bad-choice", "missing-config"],
+    )
+    def test_usage_error_category(self, cfg_path, tmp_path, capsys, argv, message):
+        # an option argparse rejects ends in an error-category line, as every other failure does
+        out = tmp_path / "o"
+        config = [] if "--config" in message else ["--config", cfg_path]
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *config, "--out", str(out), *argv[1:]])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error-category: usage: slm {argv[0]}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["hierarchy", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
+
     def test_blow_up_category(self, tmp_path, capsys):
         cfg = BASE_CFG.replace("height = 1.0\nradius = 0.5\n\n[kernel.competition]",
                                "height = 8.0\nradius = 0.5\n\n[kernel.competition]")

@@ -124,6 +124,24 @@ class TestContraction:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("rule", CLOSURES)
+    def test_solve_holds_at_most_13_pair_arrays(self, rule):
+        # the RK4 state, its three stage buffers and the two snapshots are
+        # six M x M arrays, and rhs_k2's spectral work and scratch array six
+        # more; the bound leaves one array for the rest
+        grid = Grid(1, 32.0, 256)
+        params = ModelParams(0.2, unit_mass_indicator(grid, 0.8), unit_mass_indicator(grid, 0.6))
+        st = random_state(grid, 11)
+        args = (TruncatedState(st.k1, st.k2, 0.5), rule, params, 0.03, 0.015, [0.015, 0.03])
+        solve_hierarchy(*args)  # fill the kernel caches outside the trace
+        tracemalloc.start()
+        try:
+            solve_hierarchy(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * st.k2.values.nbytes
+
 
 class TestSharedTransform:
     """rhs_k1 and rhs_k2 against separate Kernel.convolve calls."""
@@ -324,6 +342,18 @@ class TestSolver:
             assert rhs_k2(st, rule, params, k2, work).values is k2
             assert np.array_equal(k1, rhs_k1(st, params).values)
             assert np.array_equal(k2, oracles.fused_rhs_k2(st, rule, params))
+
+    @pytest.mark.parametrize("rule", CLOSURES)
+    def test_rhs_k2_output_overlapping_its_inputs_is_rejected(self, rule, grid, params):
+        # rhs_k2 computes in out before the result goes there, so an out
+        # that is the state or a work buffer would give a wrong derivative
+        st = random_state(grid, 8)
+        k2 = st.k2.values.copy()
+        spectral, w1 = work = rhs_k2_work(params)
+        for out in (st.k2.values, st.k2.values.T, w1, spectral[2][0], spectral[2][1]):
+            with pytest.raises(InvalidParameterError, match="must not overlap"):
+                rhs_k2(st, rule, params, out, work)
+        assert np.array_equal(st.k2.values, k2)
 
     def test_pure_death_exponential(self, grid):
         params = ModelParams(0.5, make_zero_kernel(grid), make_zero_kernel(grid))

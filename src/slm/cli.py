@@ -12,6 +12,7 @@ command runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -49,39 +50,55 @@ def _blocks(groups):
             yield [col[start:stop] if col.ndim else np.full(stop - start, col) for col in columns]
 
 
-def _write_csv(path, header, blocks):
+def _write_csv(fh, header, blocks):
     """The header, then the rows of each block of equal-length columns;
     the cells of one block are formatted at a time."""
     # str of a Python int or float is its shortest round-trip form: reruns are byte-identical
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            columns = [np.asarray(col) for col in columns]
-            if min(map(len, columns), default=0):
-                fh.write("\n".join(map(",".join, zip(*map(_cells, columns)))))
-                fh.write("\n")
+    fh.write(",".join(header) + "\n")
+    for columns in blocks:
+        columns = [np.asarray(col) for col in columns]
+        if min(map(len, columns), default=0):
+            fh.write("\n".join(map(",".join, zip(*map(_cells, columns)))))
+            fh.write("\n")
 
 
-def _write_json(path, data):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(fh, data):
+    json.dump(data, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _write_outputs(out, command, cfg, tables):
     """resolved.cfg, each table (a dict as JSON, a (header, blocks) pair
-    as CSV) and the manifest listing the tables."""
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "resolved.cfg"), "w") as fh:
-        fh.write(cfg.resolved_text())
-    for name, table in tables.items():
-        if isinstance(table, dict):
-            _write_json(os.path.join(out, name), table)
-        else:
-            _write_csv(os.path.join(out, name), *table)
+    as CSV) and the manifest listing the tables.  A failed write removes
+    every file this call opened and every directory it made before the
+    error propagates, so a failed command leaves nothing behind."""
     manifest = {"tool": "slm", "version": __version__, "command": command,
                 "config": "resolved.cfg", "files": sorted(tables)}
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    files = {"resolved.cfg": cfg.resolved_text(), **tables, "manifest.json": manifest}
+    made, path = [], os.path.abspath(out)
+    while not os.path.lexists(path):
+        made.append(path)  # deepest first
+        path = os.path.dirname(path)
+    opened = []
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name, content in files.items():
+            with open(os.path.join(out, name), "w") as fh:
+                opened.append(fh.name)
+                if isinstance(content, str):
+                    fh.write(content)
+                elif isinstance(content, dict):
+                    _write_json(fh, content)
+                else:
+                    _write_csv(fh, *content)
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 def _axes(grid):
@@ -187,8 +204,10 @@ def cmd_hierarchy(args, cfg):
     # each row is labelled with the distance of the grid offset it reads
     shifts = grid.offset_index(cfg.slice_offsets).tolist() or range(0, min(9, grid.cells // 2), 2)
     radii = np.abs(grid.axis_offsets()).tolist()
+    cells = np.arange(grid.cells)
+    # the k-th wrapped superdiagonal k2[i, i + k], read without copying k2
     slices = [
-        (t, radii[k], float(np.diagonal(np.roll(st.k2.values, -k, axis=1)).mean()))
+        (t, radii[k], float(st.k2.values[cells, (cells + k) % grid.cells].mean()))
         for t, st in zip(cfg.snapshot_times, snaps)
         for k in shifts
     ]
@@ -345,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="exact stochastic ensemble")
     common(p)
-    p.add_argument("--runs", dest="run:runs")
-    p.add_argument("--seed", dest="run:seed")
+    p.add_argument("--runs", dest="run:runs", metavar="RUNS")
+    p.add_argument("--seed", dest="run:seed", metavar="SEED")
     p.add_argument("--events", action="store_true", help="write per-run event logs")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_simulate)
@@ -357,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hierarchy", help="truncated correlation dynamics")
     common(p)
-    p.add_argument("--closure", dest="hierarchy:closure")
-    p.add_argument("--epsilon", dest="model:epsilon")
+    p.add_argument("--closure", dest="hierarchy:closure", metavar="CLOSURE")
+    p.add_argument("--epsilon", dest="model:epsilon", metavar="EPSILON")
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("stats", help="ensemble estimators over simulate output")

@@ -23,7 +23,9 @@ O(M^2) memory and M >= 1024 is feasible.  The only M x M kernel table
 is the gather a(x_i - x_j) for the pointwise terms.  A solve computes
 every right-hand side in its output and the buffers of
 :func:`rhs_k2_work` (the spectral work and one M x M array), allocated
-once, so a step makes no fresh M x M array.
+once, so a step makes no fresh M x M array: the late scratch of
+:func:`rhs_k2` lives in the spent a+ spectrum.  With the RK4 state and
+stages, a two-snapshot solve holds ten M x M arrays.
 """
 from __future__ import annotations
 
@@ -158,8 +160,9 @@ def rhs_k1(state: TruncatedState, params: ModelParams, out: np.ndarray | None = 
 
 def rhs_k2_work(params: ModelParams) -> tuple:
     """The buffers :func:`rhs_k2` computes in besides its output: the
-    :func:`spectral_work` of both kernels on a pair function and one
-    M x M array."""
+    :func:`spectral_work` of both kernels on a pair function (two
+    half-spectrum rows and two result rows) and one M x M array.
+    Kirkwood touches only the a+ rows."""
     shape = (params.grid.cells, params.grid.cells)
     return spectral_work(params.spectra, params.grid, shape), np.empty(shape)
 
@@ -190,19 +193,19 @@ def rhs_k2(
         raise InvalidParameterError("rhs_k2 output must not overlap the state or the work buffers")
     if state.k2.symmetry_defect(w1) > 0:
         raise InvalidParameterError("k2 must be symmetric")
-    fhat, _, conv = spectral
+    spec, conv = spectral
     # int a+(x_i - w) k2(w, x_j) dw; mean-field also takes a- * k2 from the same transform
     if closure_rule == "mean-field":
         competition_k2, s1 = convolve_spectra(params.spectra, params.grid, k2, spectral)
     else:
-        # a+ alone, its product in place in fhat and its result in the a+ row
+        # a+ alone, in the a+ rows; kirkwood never touches the a- rows
         competition_k2 = None
-        s1 = convolve_spectra(params.spectra[1:], params.grid, k2, (fhat, fhat[None], conv[1:]))[0]
+        s1 = convolve_spectra(params.spectra[1:], params.grid, k2, (spec[1:], conv[1:]))[0]
     # int a-(z - x_i) k3(x_i, x_j, z) dz
     t1 = closure_contraction(closure_rule, state, params.competition, competition_k2, (w1, out))
 
-    # the closure has read the a- row (kirkwood never writes it): scratch from here on
-    w3 = conv[0]
+    # the spent a+ spectrum, (M/2 + 1) M complex values, holds an M x M scratch array
+    w3 = spec[1].reshape(-1).view(float)[: k2.size].reshape(k2.shape)
     # vpart = -2 m k2 - (t1 + t1.T) + (s1 + s1.T)
     vpart = np.multiply(-2.0 * params.mortality, k2, out=out)
     np.subtract(vpart, np.add(t1, t1.T, out=w3), out=vpart)

@@ -146,13 +146,15 @@ class Kernel:
 
 
 def spectral_work(spectra: np.ndarray, grid: Grid, shape: tuple) -> tuple:
-    """(fhat, prod, out): the buffers :func:`convolve_spectra` computes in
-    for the kernels stacked in ``spectra`` and arrays of ``shape``, which
-    is ``grid.shape`` plus any trailing axes.  A solver allocates them
-    once and passes them to every call."""
+    """(spec, out): the buffers :func:`convolve_spectra` computes in for
+    the kernels stacked in ``spectra`` and arrays of ``shape``, which is
+    ``grid.shape`` plus any trailing axes: one half-spectrum row and one
+    result row per kernel.  The transform of the input is formed in the
+    last row of ``spec``, so there is no separate transform buffer.  A
+    solver allocates them once and passes them to every call."""
     half = shape[: grid.dim - 1] + (grid.cells // 2 + 1,) + shape[grid.dim :]
     count = spectra.shape[:1]
-    return np.empty(half, complex), np.empty(count + half, complex), np.empty(count + shape)
+    return np.empty(count + half, complex), np.empty(count + shape)
 
 
 def convolve_spectra(
@@ -163,25 +165,32 @@ def convolve_spectra(
     does for one kernel: one forward transform of ``f`` serves every
     kernel, and one inverse transform is batched over the kernels.  The
     passes run in ``work`` from :func:`spectral_work`, allocated when not
-    given, and the result is its ``out``, overwritten by the next call.
+    given, and the result is its ``out``, overwritten by the next call;
+    the rows of its ``spec`` are spent after the call.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[: grid.dim] != grid.shape:
         raise IncompatibleGridsError(
             f"array shape {f.shape} does not start with grid shape {grid.shape}"
         )
-    fhat, prod, out = work or spectral_work(spectra, grid, f.shape)
+    spec, out = work or spectral_work(spectra, grid, f.shape)
     # rfftn over the grid axes of f and irfftn over those of the product,
     # pass by pass in numpy's order, every pass into a buffer of work: a
     # fresh large temporary costs page faults, and on small grids the n-d
     # wrappers' argument handling costs as much as the transforms
+    fhat = spec[-1]
     np.fft.rfft(f, axis=grid.dim - 1, out=fhat)
     for ax in reversed(range(grid.dim - 1)):
         np.fft.fft(fhat, axis=ax, out=fhat)
-    np.multiply(spectra.reshape(spectra.shape + (1,) * (f.ndim - grid.dim)), fhat, out=prod)
+    spectra = spectra.reshape(spectra.shape + (1,) * (f.ndim - grid.dim))
+    for k in range(len(spec) - 1):
+        np.multiply(spectra[k], fhat, out=spec[k])
+    # the last product overwrites the transform through the very view it
+    # reads, which the ufunc's overlap check accepts without a copy
+    np.multiply(spectra[-1], fhat, out=fhat)
     for ax in range(1, grid.dim):
-        np.fft.ifft(prod, axis=ax, out=prod)
-    return np.fft.irfft(prod, n=grid.cells, axis=grid.dim, out=out)
+        np.fft.ifft(spec, axis=ax, out=spec)
+    return np.fft.irfft(spec, n=grid.cells, axis=grid.dim, out=out)
 
 
 # -- constructors --------------------------------------------------------

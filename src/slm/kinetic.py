@@ -173,12 +173,13 @@ def _clip_negatives(values, t, scale):
 
 def integrate_rk4(y: tuple, rhs, horizon: float, dt: float, snapshot_times, guard) -> list:
     """Classical RK4 for dy/dt = rhs(y), with y a tuple of nonnegative
-    arrays; returns a copy of y at each sorted snapshot time.
+    arrays; returns the state at each sorted snapshot time.
 
     ``rhs(y, out)`` writes the derivative at y into the tuple of arrays
     ``out``.  The state is stepped in a copy of y, and every stage in
     buffers allocated once per call, so the stepper itself makes no array
-    of y's size.
+    of y's size.  Each snapshot but the last is a copy of the state; the
+    last is the stepped state itself, as no step follows it.
 
     Segments between snapshots are covered by round(segment/dt) equal
     steps so snapshots land exactly on requested times.  Before each step
@@ -199,7 +200,7 @@ def integrate_rk4(y: tuple, rhs, horizon: float, dt: float, snapshot_times, guar
     scales = [max(p, 1e-300) for p in peaks]
     out = []
     t = 0.0
-    for target in times:
+    for n, target in enumerate(times, 1):
         seg = target - t
         if seg > 1e-12:
             nsteps = max(1, round(seg / dt))
@@ -217,7 +218,7 @@ def integrate_rk4(y: tuple, rhs, horizon: float, dt: float, snapshot_times, guar
                 peaks = [float(v.max()) for v in y]
                 scales = [max(s, p) for s, p in zip(scales, peaks)]
             t = target
-        out.append(tuple(v.copy() for v in y))
+        out.append(y if n == len(times) else tuple(v.copy() for v in y))
     return out
 
 

@@ -280,12 +280,11 @@ def poisson_field_positions(rho0, rng):
     return np.concatenate(positions)
 
 
-def write_csv(path, header, columns):
+def write_csv(fh, header, columns):
     """A header line, then str of every cell of the columns, row by row."""
     cells = [map(str, np.asarray(col).tolist()) for col in columns]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    fh.write(",".join(header) + "\n")
+    fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def is_even(kernel, tol=0.0):

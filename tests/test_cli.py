@@ -689,7 +689,8 @@ def test_write_csv_matches_every_cell_oracle(table):
         written = []
         for write, data in ((cli._write_csv, blocks), (oracles.write_csv, columns)):
             path = os.path.join(tmp, f"{len(written)}.csv")
-            write(path, header, data)
+            with open(path, "w") as fh:
+                write(fh, header, data)
             with open(path, "rb") as fh:
                 written.append(fh.read())
     assert written[0] == written[1]
@@ -813,6 +814,16 @@ class TestFailures:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"error-category: usage: slm {argv[0]}: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", "[--runs RUNS] [--seed SEED]"),
+        ("hierarchy", "[--closure CLOSURE] [--epsilon EPSILON]"),
+    ], ids=["simulate", "hierarchy"])
+    def test_usage_names_override_flags_by_their_value(self, capsys, command, flags):
+        # the flags store under "section:key", which the usage line must not show
+        with pytest.raises(SystemExit):
+            main([command, "--no-such-flag"])
+        assert flags in " ".join(capsys.readouterr().err.split())
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["hierarchy", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
@@ -946,6 +957,28 @@ class TestFailures:
         assert capsys.readouterr().err == (
             f"error-category: error: cannot write {failed}: {os.strerror(code)}\n"
         )
+
+    def test_failed_write_leaves_nothing_behind(self, cfg_path, tmp_path, capsys):
+        # fields.csv is a directory, so the write fails after resolved.cfg:
+        # the directory keeps only what it held before the command
+        out = tmp_path / "partial"
+        (out / "fields.csv").mkdir(parents=True)
+        assert main(["kinetic", "--config", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error-category: error: cannot write ")
+        assert os.listdir(out) == ["fields.csv"]
+
+    def test_failed_write_removes_the_directories_it_made(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # a disk that fills midway through fields.csv, below two directories the command makes
+        def full(col):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_cells", full)
+        out = tmp_path / "made" / "o"
+        assert main(["kinetic", "--config", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error-category: error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+        )
+        assert not (tmp_path / "made").exists()
 
     def test_kinetic_dt_guard_category(self, tmp_path, capsys):
         cfg = BASE_CFG.replace("dt = 0.02", "dt = 5.0")

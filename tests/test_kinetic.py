@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -203,13 +204,33 @@ class TestWorkBuffers:
     def test_convolve_spectra_into_reused_work(self, dim, cells, batch):
         params = self.model(dim, cells)
         g = params.grid
-        work = spectral_work(params.spectra, g, g.shape + batch)
+        work = spec, out = spectral_work(params.spectra, g, g.shape + batch)
         rng = np.random.default_rng(cells)
         for _ in range(2):  # the second call runs in buffers the first filled
             f = rng.random(g.shape + batch)
             got = convolve_spectra(params.spectra, g, f, work)
-            assert got is work[2]
+            assert got is out
             assert np.array_equal(got, oracles.convolve_spectra(params.spectra, g, f))
+            # the last kernel alone in the last rows, as the kirkwood closure calls it
+            got = convolve_spectra(params.spectra[1:], g, f, (spec[1:], out[1:]))
+            assert np.shares_memory(got, out[1])
+            assert np.array_equal(got, oracles.convolve_spectra(params.spectra[1:], g, f))
+
+    def test_one_kernel_product_needs_no_copy_of_the_transform(self):
+        # the product forms in place over the transform; were the two views
+        # unequal, numpy would copy the (M/2 + 1) x M complex transform first
+        g = Grid(1, 32.0, 256)
+        spectra = make_indicator_kernel(1.0, 1.0, 1, g).spectrum[None]
+        f = np.random.default_rng(0).random((256, 256))
+        work = spectral_work(spectra, g, f.shape)
+        convolve_spectra(spectra, g, f, work)  # fill numpy's FFT caches outside the trace
+        tracemalloc.start()
+        try:
+            convolve_spectra(spectra, g, f, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < work[0][0].nbytes
 
     def test_kinetic_rhs_into_out(self, grid, params):
         f = Field(grid, np.random.default_rng(5).random(grid.shape))

@@ -12,8 +12,7 @@ _EXPORTS = {
     "grid": ("Grid",),
     "kernels": ("Kernel", "check_homogenization", "domination_theta", "make_gaussian_kernel",
                 "make_indicator_kernel", "make_tabulated_kernel", "make_zero_kernel"),
-    "kinetic": ("BernoulliParams", "Field", "bernoulli_q", "bernoulli_solution",
-                "convolve_periodic", "kinetic_rhs", "solve_kinetic"),
+    "kinetic": ("Field", "bernoulli_solution", "convolve_periodic", "kinetic_rhs", "solve_kinetic"),
     "model": ("ModelParams",),
     "microsim": ("Configuration", "init_poisson", "init_poisson_field", "run", "run_rng"),
     "theory": ("NormedHierarchyState", "check_initial_space", "horizon_T", "knorm_alpha",

@@ -176,9 +176,8 @@ def cmd_kinetic(args, cfg):
 
     times = cfg.snapshot_times
     snaps = solve_kinetic(cfg.rho0, cfg.params, cfg.horizon, cfg.dt, times)
-    # the kinetic equation has no epsilon, so neither has its carrying capacity
-    p = cfg.params
-    q = (p.dispersal.mass - p.mortality) / p.competition.mass if p.competition.mass > 0 else math.nan
+    # without competition there is no carrying capacity to compare with
+    q = cfg.params.carrying_capacity if cfg.params.competition.mass > 0 else math.nan
     summary = [
         (t, f.min, f.max, f.mean, float(np.max(np.abs(f.values - q)))) for t, f in zip(times, snaps)
     ]

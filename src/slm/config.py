@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, SLMError
+from .errors import ConfigError, InvalidParameterError
 from .grid import Grid
 from .kernels import (
     Kernel,
@@ -39,8 +39,11 @@ _KERNEL_KEYS = {"shape": (str, "indicator", ("indicator", "gaussian", "tabulated
 # section -> key -> (type, default text[, accepted values]); a default of
 # None makes the key required, or leaves it out when it is read as optional
 _KEYS = {
-    "model": {"dimension": (int, None), "torus_side": (float, None), "grid_cells": (int, None),
-              "mortality": (float, None), "epsilon": (float, "1.0")},
+    "model": {"dimension": (int, None, (lambda v: v in (1, 2, 3), "1, 2 or 3")),
+              "torus_side": (float, None, _POSITIVE),
+              "grid_cells": (int, None, (lambda v: v >= 2, "at least 2")),
+              "mortality": (float, None, _NONNEGATIVE),
+              "epsilon": (float, "1.0", (lambda v: 0 <= v <= 1, "in [0, 1]"))},
     "kernel.dispersal": _KERNEL_KEYS,
     "kernel.competition": _KERNEL_KEYS,
     "initial": {"kind": (str, "constant", ("constant", "table")), "density": (float, None),
@@ -182,10 +185,7 @@ def parse_config(path, overrides=None) -> RunConfig:
     epsilon = get("model", "epsilon")
     dispersal = _build_kernel(get, "kernel.dispersal", grid, base_dir)
     competition = _build_kernel(get, "kernel.competition", grid, base_dir)
-    try:
-        params = ModelParams(mortality, dispersal, competition, epsilon)
-    except SLMError as exc:
-        raise ConfigError(str(exc))
+    params = ModelParams(mortality, dispersal, competition, epsilon)
 
     if get("initial", "kind") == "constant":
         rho0 = Field.constant(grid, get("initial", "density"))
@@ -203,6 +203,10 @@ def parse_config(path, overrides=None) -> RunConfig:
     # reported first; [theory] alpha_up is the one optional among them
     plain = {key: get(section, key, optional=section == "theory")
              for section in ("run", "theory", "stats", "scaling", "hierarchy") for key in _KEYS[section]}
+    # every value is read now, and a key the run did not read has no effect
+    unused = sorted(f"[{s}] {k}" for s, entries in raw.items() for k in entries if (s, k) not in resolved)
+    if unused:
+        raise ConfigError("unused config keys: " + ", ".join(unused))
     times = plain["snapshot_times"] = sorted(plain["snapshot_times"])
     repeated = [a for a, b in zip(times, times[1:]) if a == b]
     if repeated:

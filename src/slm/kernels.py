@@ -284,16 +284,16 @@ def domination_theta(aplus: Kernel, aminus: Kernel) -> float | None:
     return float(np.max(aplus.values[pos] / aminus.values[pos]))
 
 
-def check_homogenization(aplus: Kernel, aminus: Kernel, m: float) -> bool:
-    """Pointwise criterion for long-time flattening of the kinetic density:
-    a+(x)/<a+> >= (1 - m/<a+>) * a-(x)/<a-> at every grid cell.
+def check_homogenization(params) -> bool:
+    """Pointwise criterion for long-time flattening of the model's kinetic
+    density: a+(x)/<a+> >= (1 - m/<a+>) * a-(x)/<a-> at every grid cell.
 
     Requires a positive carrying capacity q = (<a+> - m)/<a->.
     """
-    require_same_grid(aplus.grid, aminus.grid)
+    aplus, aminus, m = params.dispersal, params.competition, params.mortality
     if aminus.mass <= 0:
         raise PreconditionError("competition kernel must have positive mass")
-    q = (aplus.mass - m) / aminus.mass
+    q = params.carrying_capacity
     if q <= 0:
         raise PreconditionError(f"carrying capacity must be positive, got q={q:.6g}")
     lhs = aplus.values / aplus.mass

@@ -4,9 +4,9 @@ analytic oracle.
 
     d rho/dt = -m rho - rho (a- * rho) + (a+ * rho)
 
-with * the circular convolution on the torus.  Carrying capacities and
-equilibria are always computed from the *discrete* kernel masses so that
-``kinetic_rhs`` vanishes at the discrete equilibrium to round-off.
+with * the circular convolution on the torus.  The Bernoulli law and its
+carrying capacity are read from the model's *discrete* kernel masses, so
+``kinetic_rhs`` vanishes at ``ModelParams.carrying_capacity`` to round-off.
 """
 from __future__ import annotations
 
@@ -55,26 +55,8 @@ class Field:
 # -- homogeneous (Bernoulli) dynamics ------------------------------------
 
 
-@dataclass(frozen=True)
-class BernoulliParams:
-    mortality: float
-    aplus_mass: float
-    aminus_mass: float
-
-    def __post_init__(self):
-        if min(self.mortality, self.aplus_mass, self.aminus_mass) < 0:
-            raise InvalidParameterError("Bernoulli coefficients must be nonnegative")
-
-
-def bernoulli_q(p: BernoulliParams) -> float:
-    """Carrying capacity (<a+> - m)/<a->; may be <= 0, caller checks."""
-    if p.aminus_mass <= 0:
-        raise InvalidParameterError("carrying capacity undefined for <a-> = 0")
-    return (p.aplus_mass - p.mortality) / p.aminus_mass
-
-
-def bernoulli_solution(u0: float, t, p: BernoulliParams):
-    """Closed-form solution of du/dt = (<a+> - m) u - <a-> u^2.
+def bernoulli_solution(u0: float, t, params: ModelParams):
+    """Closed-form solution of du/dt = (<a+> - m) u - <a-> u^2 for the model.
 
     Supercritical (m < <a+>): logistic relaxation to q.  Critical
     (m = <a+>): algebraic decay u0/(1 + <a-> u0 t).  Subcritical: the same
@@ -84,14 +66,15 @@ def bernoulli_solution(u0: float, t, p: BernoulliParams):
     if u0 < 0:
         raise InvalidParameterError("u0 must be nonnegative")
     t = np.asarray(t, dtype=float)
-    r = p.aplus_mass - p.mortality
-    if p.aminus_mass == 0:
+    r = params.dispersal.mass - params.mortality
+    c = params.competition.mass
+    if c == 0:
         out = u0 * np.exp(r * t)
     elif r == 0:
-        out = u0 / (1.0 + p.aminus_mass * u0 * t)
+        out = u0 / (1.0 + c * u0 * t)
     else:
-        q = bernoulli_q(p)
-        out = u0 * q / (u0 + (q - u0) * np.exp(-q * p.aminus_mass * t))
+        q = params.carrying_capacity
+        out = u0 * q / (u0 + (q - u0) * np.exp(-q * c * t))
     return out if out.ndim else float(out)
 
 

@@ -38,6 +38,14 @@ class ModelParams:
     def grid(self):
         return self.dispersal.grid
 
+    @property
+    def carrying_capacity(self) -> float:
+        """q = (<a+> - m)/<a->, the constant steady state of the kinetic
+        equation, which has no epsilon; may be <= 0, the caller checks."""
+        if self.competition.mass <= 0:
+            raise InvalidParameterError("carrying capacity undefined for <a-> = 0")
+        return (self.dispersal.mass - self.mortality) / self.competition.mass
+
     @cached_property
     def spectra(self) -> np.ndarray:
         """The (a-, a+) spectra stacked along axis 0."""

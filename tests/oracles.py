@@ -20,8 +20,8 @@ The simulator's thinned proposal loop is kept as it was before it became
 one loop over block draws, ``thinned_run`` with one ``_propose`` call per
 proposal, reading either the same block draws as ``microsim.run`` or one
 Generator call per value, as before block draws.  ``is_even``,
-``witness_C``, ``bernoulli_params`` and ``unit_mass_indicator`` are
-helpers that only tests call.
+``witness_C`` and ``unit_mass_indicator`` are helpers that only tests
+call.
 """
 import numpy as np
 
@@ -34,7 +34,6 @@ from slm.errors import (
 )
 from slm.hierarchy import CLOSURES, KIRKWOOD_FLOOR_FACTOR, witness
 from slm.kernels import make_indicator_kernel
-from slm.kinetic import BernoulliParams
 from slm.microsim import (
     AUDIT_TOLERANCE,
     DEFAULT_POPULATION_CAP,
@@ -305,14 +304,6 @@ def unit_mass_indicator(grid, radius):
     """Indicator kernel rescaled so its tabulated mass is exactly 1."""
     k = make_indicator_kernel(1.0, radius, grid.dim, grid)
     return make_indicator_kernel(1.0 / k.mass, radius, grid.dim, grid)
-
-
-def bernoulli_params(params):
-    """The Bernoulli coefficients of a model: its masses, with competition
-    scaled by epsilon."""
-    return BernoulliParams(
-        params.mortality, params.dispersal.mass, params.epsilon * params.competition.mass
-    )
 
 
 def rel_err(value, reference):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-import oracles
 from oracles import unit_mass_indicator
 from slm import microsim
 from slm.grid import Grid
@@ -20,13 +19,7 @@ from slm.kernels import (
     make_tabulated_kernel,
     make_zero_kernel,
 )
-from slm.kinetic import (
-    Field,
-    bernoulli_q,
-    bernoulli_solution,
-    solve_kinetic,
-    stability_dt,
-)
+from slm.kinetic import Field, bernoulli_solution, solve_kinetic, stability_dt
 from slm.microsim import Configuration, init_poisson, run, run_ensemble, run_rng, step_event
 from slm.model import ModelParams
 from slm.scaling import scaled_params, vlasov_error
@@ -48,15 +41,14 @@ def announce(capfd):
 def test_criterion_01_logistic_oracle_agreement(announce):
     grid = Grid(1, 10.0, 100)
     params = ModelParams(0.2, unit_mass_indicator(grid, 0.5), unit_mass_indicator(grid, 0.4))
-    bp = oracles.bernoulli_params(params)
-    assert bp.aplus_mass == pytest.approx(1.0, abs=1e-12)
-    assert bp.aminus_mass == pytest.approx(1.0, abs=1e-12)
-    assert bernoulli_q(bp) == pytest.approx(0.8, abs=1e-12)
+    assert params.dispersal.mass == pytest.approx(1.0, abs=1e-12)
+    assert params.competition.mass == pytest.approx(1.0, abs=1e-12)
+    assert params.carrying_capacity == pytest.approx(0.8, abs=1e-12)
     times = [1.0, 2.0, 5.0, 10.0]
     snaps = solve_kinetic(Field.constant(grid, 0.1), params, 10.0, 1e-3, times)
     worst = max(
-        float(np.max(np.abs(f.values - bernoulli_solution(0.1, t, bp))))
-        / bernoulli_solution(0.1, t, bp)
+        float(np.max(np.abs(f.values - bernoulli_solution(0.1, t, params))))
+        / bernoulli_solution(0.1, t, params)
         for t, f in zip(times, snaps)
     )
     ok = worst <= 1e-6
@@ -87,17 +79,16 @@ def test_criterion_03_bound_preservation_and_flattening(announce):
     aminus = unit_mass_indicator(grid, 0.5)  # r = 0.5
     m = 0.6  # 1 - m/<a+> = 0.4 <= (r/R)^d = 0.5
     params = ModelParams(m, aplus, aminus)
-    assert check_homogenization(aplus, aminus, m)
-    q = bernoulli_q(oracles.bernoulli_params(params))
+    assert check_homogenization(params)
+    q = params.carrying_capacity
     x = grid.centers()
     rho0 = Field(grid, 0.2 + 0.1 * np.sin(2 * np.pi * x / grid.side))
     delta = rho0.min
     assert 0 < delta and rho0.max < q
     times = [1.0, 5.0, 10.0, 20.0, 50.0]
     snaps = solve_kinetic(rho0, params, 50.0, 0.01, times)
-    bp = oracles.bernoulli_params(params)
     bounded = all(
-        bernoulli_solution(delta, t, bp) <= f.min and f.max < q
+        bernoulli_solution(delta, t, params) <= f.min and f.max < q
         for t, f in zip(times, snaps)
     )
     final_dist = float(np.max(np.abs(snaps[-1].values - q)))
@@ -279,8 +270,7 @@ def test_criterion_08_simulator_micro_checks(announce, monkeypatch):
 def test_criterion_09_integrator_order_and_positivity(announce):
     grid = Grid(1, 10.0, 128)
     params = ModelParams(0.2, unit_mass_indicator(grid, 0.8), unit_mass_indicator(grid, 0.6))
-    bp = oracles.bernoulli_params(params)
-    exact = bernoulli_solution(0.1, 2.0, bp)
+    exact = bernoulli_solution(0.1, 2.0, params)
     errs = [
         abs(solve_kinetic(Field.constant(grid, 0.1), params, 2.0, dt, [2.0])[0].mean - exact)
         for dt in (0.04, 0.02)
@@ -336,7 +326,7 @@ def test_criterion_10_theory_utilities(announce):
             continue
         aplus = make_indicator_kernel(mass_plus / ball_volume(1, R), R, 1, g)
         aminus = make_indicator_kernel(rng.uniform(0.5, 2.0), r, 1, g)
-        agree += check_homogenization(aplus, aminus, m) == (gap > 0)
+        agree += check_homogenization(ModelParams(m, aplus, aminus)) == (gap > 0)
         checked += 1
     homog_ok = agree == 100
 

@@ -86,6 +86,10 @@ GAUSSIAN_CFG = BASE_CFG.replace(
     "[kernel.competition]\nshape = gaussian\nsigma = 0.3",
 )
 TABLE_CFG = BASE_CFG.replace("kind = constant\ndensity = 0.5", "kind = table\nfile = rho0.csv")
+ZERO_CFG = BASE_CFG.replace(
+    "[kernel.competition]\nshape = indicator\nheight = 1.0\nradius = 0.5",
+    "[kernel.competition]\nshape = zero",
+)
 
 
 class TestConfig:
@@ -190,6 +194,11 @@ class TestConfig:
             ("initial", "kind", "tabel", "[initial] kind: not one of constant, table: 'tabel'"),
             ("hierarchy", "closure", "kirkwod",
              "[hierarchy] closure: not one of mean-field, kirkwood: 'kirkwod'"),
+            ("model", "dimension", "4", "[model] dimension: not 1, 2 or 3: '4'"),
+            ("model", "torus_side", "-1", "[model] torus_side: not positive: '-1'"),
+            ("model", "grid_cells", "1", "[model] grid_cells: not at least 2: '1'"),
+            ("model", "mortality", "-1", "[model] mortality: not nonnegative: '-1'"),
+            ("model", "epsilon", "1.5", "[model] epsilon: not in [0, 1]: '1.5'"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, section, key, value, message):
@@ -230,6 +239,27 @@ class TestConfig:
         message = ("[run] runs: not an integer: '2.5'" if "--runs" in argv
                    else "[hierarchy] closure: not one of mean-field, kirkwood: 'kirkwod'")
         assert capsys.readouterr().err == f"error-category: config: {message}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "text, section, key",
+        [
+            (GAUSSIAN_CFG.replace("sigma = 0.3", "sigma = 0.3\nradius = 1.0"), "kernel.competition", "radius"),
+            (BASE_CFG.replace("radius = 0.5", "radius = 0.5\nsigma = 0.3", 1), "kernel.dispersal", "sigma"),
+            (ZERO_CFG.replace("shape = zero", "shape = zero\nheight = 1.0"), "kernel.competition", "height"),
+            (BASE_CFG.replace("density = 0.5", "density = 0.5\nfile = rho0.csv"), "initial", "file"),
+            (TABLE_CFG.replace("file = rho0.csv", "file = rho0.csv\ndensity = 0.5"), "initial", "density"),
+        ],
+        ids=["gaussian-radius", "indicator-sigma", "zero-height", "constant-file", "table-density"],
+    )
+    def test_unused_key_is_config_error(self, tmp_path, capsys, text, section, key):
+        # a key the run does not read would have no effect and no line in resolved.cfg
+        np.savetxt(tmp_path / "rho0.csv", np.full(50, 0.5), delimiter=",")
+        p = tmp_path / "unused.cfg"
+        p.write_text(text)
+        out = str(tmp_path / "o")
+        assert main(["kinetic", "--config", str(p), "--out", out]) == 2
+        assert capsys.readouterr().err == f"error-category: config: unused config keys: [{section}] {key}\n"
         assert not os.path.exists(out)
 
     def test_every_default_is_an_accepted_value(self):
@@ -367,6 +397,15 @@ class TestCommands:
         summary = np.loadtxt(os.path.join(out, "summary.csv"), delimiter=",", skiprows=1)
         assert np.all(np.abs(summary[:, 1:4] - 0.7) < 1e-12)
         assert np.all(summary[:, 4] < 1e-12)
+
+    def test_kinetic_without_competition_has_no_q(self, tmp_path):
+        # <a-> = 0 leaves q undefined, so the distance to it is nan, not an error
+        p = tmp_path / "zero.cfg"
+        p.write_text(ZERO_CFG)
+        out = str(tmp_path / "kin")
+        assert main(["kinetic", "--config", str(p), "--out", out]) == 0
+        summary = np.loadtxt(os.path.join(out, "summary.csv"), delimiter=",", skiprows=1)
+        assert np.all(np.isnan(summary[:, 4])) and np.all(np.isfinite(summary[:, :4]))
 
     def test_kinetic_writer_memory_does_not_grow_with_the_table(self, tmp_path, monkeypatch):
         # fields.csv holds 32^3 rows per snapshot, many blocks; the solver must

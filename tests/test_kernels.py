@@ -149,23 +149,29 @@ class TestHomogenization:
         aminus = make_indicator_kernel(0.5, 0.8, 1, grid)
         aplus = make_indicator_kernel(1.5, 0.8, 1, grid)  # 3 * aminus
         for m in (0.0, 0.3, 0.9 * aplus.mass):
-            assert check_homogenization(aplus, aminus, m)
+            assert check_homogenization(ModelParams(m, aplus, aminus))
 
     def test_equal_kernels_zero_mortality(self, grid):
         k = make_indicator_kernel(1.0, 0.5, 1, grid)
-        assert check_homogenization(k, k, 0.0)
+        assert check_homogenization(ModelParams(0.0, k, k))
 
     def test_indicator_threshold(self, grid):
         # R = 1, r = 0.5, <a+> = 1: flattening iff 1 - m <= r/R = 0.5
         aplus = unit_mass_indicator(grid, 1.0)
         aminus = make_indicator_kernel(1.0, 0.5, 1, grid)
-        assert check_homogenization(aplus, aminus, 0.6)
-        assert not check_homogenization(aplus, aminus, 0.4)
+        assert check_homogenization(ModelParams(0.6, aplus, aminus))
+        assert not check_homogenization(ModelParams(0.4, aplus, aminus))
 
     def test_nonpositive_q_rejected(self, grid):
         k = unit_mass_indicator(grid, 0.5)
         with pytest.raises(PreconditionError):
-            check_homogenization(k, k, 2.0)
+            check_homogenization(ModelParams(2.0, k, k))
+
+    def test_zero_competition_rejected(self, grid):
+        # a precondition of the criterion, not the model's undefined q
+        k = unit_mass_indicator(grid, 0.5)
+        with pytest.raises(PreconditionError, match="positive mass"):
+            check_homogenization(ModelParams(0.5, k, make_zero_kernel(grid)))
 
     def test_closed_form_agreement_random_indicators(self):
         # discrete criterion vs the (r/R)^d closed form; draws keep a
@@ -185,7 +191,7 @@ class TestHomogenization:
                 continue
             aplus = make_indicator_kernel(hplus, R, 1, g)
             aminus = make_indicator_kernel(hminus, r, 1, g)
-            assert check_homogenization(aplus, aminus, m) == (gap > 0)
+            assert check_homogenization(ModelParams(m, aplus, aminus)) == (gap > 0)
             checked += 1
 
 

@@ -17,9 +17,7 @@ from slm.kernels import (
     spectral_work,
 )
 from slm.kinetic import (
-    BernoulliParams,
     Field,
-    bernoulli_q,
     bernoulli_solution,
     convolve_periodic,
     kinetic_rhs,
@@ -39,31 +37,38 @@ def params(grid):
     return ModelParams(0.2, unit_mass_indicator(grid, 0.5), unit_mass_indicator(grid, 0.4))
 
 
+def model(mortality, aplus_mass, aminus_mass):
+    """A model whose kernel masses are exactly the given numbers: a kernel
+    of one nonzero cell, on a grid of spacing 1, has the mass of its value."""
+    grid = Grid(1, 2.0, 2)
+    return ModelParams(mortality, Kernel(grid, [aplus_mass, 0.0]), Kernel(grid, [aminus_mass, 0.0]))
+
+
 class TestBernoulli:
     def test_q_examples(self):
-        assert bernoulli_q(BernoulliParams(0.2, 1.0, 1.0)) == pytest.approx(0.8)
-        assert bernoulli_q(BernoulliParams(1.0, 1.0, 2.0)) == 0.0
-        assert bernoulli_q(BernoulliParams(0.0, 3.0, 1.5)) == pytest.approx(2.0)
+        assert model(0.2, 1.0, 1.0).carrying_capacity == pytest.approx(0.8)
+        assert model(1.0, 1.0, 2.0).carrying_capacity == 0.0
+        assert model(0.0, 3.0, 1.5).carrying_capacity == pytest.approx(2.0)
 
     def test_q_undefined(self):
         with pytest.raises(InvalidParameterError):
-            bernoulli_q(BernoulliParams(0.2, 1.0, 0.0))
+            model(0.2, 1.0, 0.0).carrying_capacity
 
     def test_fixed_point(self):
-        p = BernoulliParams(0.2, 1.0, 1.0)
-        q = bernoulli_q(p)
+        p = model(0.2, 1.0, 1.0)
+        q = p.carrying_capacity
         for t in (0.0, 1.0, 17.0):
             assert bernoulli_solution(q, t, p) == pytest.approx(q, rel=1e-14)
 
     def test_critical_case(self):
-        p = BernoulliParams(1.0, 1.0, 1.0)
+        p = model(1.0, 1.0, 1.0)
         assert bernoulli_solution(1.0, 1.0, p) == pytest.approx(0.5)
 
     def test_against_rk4_integration(self):
         # independent oracle: RK4 on the scalar ODE at dt = 1e-5
-        p = BernoulliParams(0.2, 1.0, 1.0)
+        p = model(0.2, 1.0, 1.0)
         u, dt = 0.1, 1e-5
-        r, c = p.aplus_mass - p.mortality, p.aminus_mass
+        r, c = p.dispersal.mass - p.mortality, p.competition.mass
         f = lambda v: r * v - c * v * v
         for _ in range(int(round(5.0 / dt))):
             k1 = f(u)
@@ -74,11 +79,11 @@ class TestBernoulli:
         assert bernoulli_solution(0.1, 5.0, p) == pytest.approx(u, abs=1e-8)
 
     def test_subcritical_decay(self):
-        p = BernoulliParams(2.0, 1.0, 1.0)
+        p = model(2.0, 1.0, 1.0)
         assert bernoulli_solution(0.5, 50.0, p) < 1e-10
 
     def test_no_competition_exponential(self):
-        p = BernoulliParams(0.5, 1.5, 0.0)
+        p = model(0.5, 1.5, 0.0)
         assert bernoulli_solution(0.3, 2.0, p) == pytest.approx(0.3 * np.exp(2.0))
 
 
@@ -142,7 +147,7 @@ class TestConvolution:
 
 class TestRhs:
     def test_equilibrium(self, grid, params):
-        q = bernoulli_q(oracles.bernoulli_params(params))
+        q = params.carrying_capacity
         out = kinetic_rhs(Field.constant(grid, q), params)
         assert np.max(np.abs(out.values)) < 1e-14
 
@@ -261,9 +266,8 @@ class TestSolver:
     def test_constant_matches_bernoulli(self, grid, params):
         times = [1.0, 2.0, 5.0, 10.0]
         snaps = solve_kinetic(Field.constant(grid, 0.1), params, 10.0, 1e-3, times)
-        bp = oracles.bernoulli_params(params)
         for t, f in zip(times, snaps):
-            u = bernoulli_solution(0.1, t, bp)
+            u = bernoulli_solution(0.1, t, params)
             assert np.max(np.abs(f.values - u)) / u < 1e-6
             assert np.ptp(f.values) < 1e-12 * u  # stays spatially constant
 

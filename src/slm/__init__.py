@@ -9,10 +9,10 @@ import importlib
 # module -> the public names it exports, each imported on first use
 # (PEP 562), so that a command loads only the modules it needs
 _EXPORTS = {
-    "grid": ("Grid",),
+    "grid": ("Field", "Grid"),
     "kernels": ("Kernel", "check_homogenization", "domination_theta", "make_gaussian_kernel",
                 "make_indicator_kernel", "make_tabulated_kernel", "make_zero_kernel"),
-    "kinetic": ("Field", "bernoulli_solution", "convolve_periodic", "kinetic_rhs", "solve_kinetic"),
+    "kinetic": ("bernoulli_solution", "convolve_periodic", "kinetic_rhs", "solve_kinetic"),
     "model": ("ModelParams",),
     "microsim": ("Configuration", "init_poisson", "init_poisson_field", "run", "run_rng"),
     "theory": ("NormedHierarchyState", "check_initial_space", "horizon_T", "knorm_alpha",

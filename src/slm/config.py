@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .grid import Grid
+from .grid import Field, Grid
 from .kernels import (
     Kernel,
     make_gaussian_kernel,
@@ -24,7 +24,6 @@ from .kernels import (
     make_tabulated_kernel,
     make_zero_kernel,
 )
-from .kinetic import Field
 from .model import CLOSURES, DEFAULT_POPULATION_CAP, ModelParams
 
 # accepted values: a tuple of words, or a test of the value and the phrase that names it
@@ -32,9 +31,11 @@ _POSITIVE = (lambda v: v > 0, "positive")
 _NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 
+# cutoff = 0 is a valid one-cell kernel; a negative cutoff would zero every cell
 _KERNEL_KEYS = {"shape": (str, "indicator", ("indicator", "gaussian", "tabulated", "zero")),
-                "height": (float, None), "radius": (float, None), "sigma": (float, None),
-                "cutoff": (float, None), "file": (str, None)}
+                "height": (float, None, _POSITIVE), "radius": (float, None, _POSITIVE),
+                "sigma": (float, None, _POSITIVE), "cutoff": (float, None, _NONNEGATIVE),
+                "file": (str, None)}
 
 # section -> key -> (type, default text[, accepted values]); a default of
 # None makes the key required, or leaves it out when it is read as optional
@@ -46,8 +47,8 @@ _KEYS = {
               "epsilon": (float, "1.0", (lambda v: 0 <= v <= 1, "in [0, 1]"))},
     "kernel.dispersal": _KERNEL_KEYS,
     "kernel.competition": _KERNEL_KEYS,
-    "initial": {"kind": (str, "constant", ("constant", "table")), "density": (float, None),
-                "file": (str, None)},
+    "initial": {"kind": (str, "constant", ("constant", "table")),
+                "density": (float, None, _NONNEGATIVE), "file": (str, None)},
     "run": {"horizon": (float, None, _NONNEGATIVE), "dt": (float, None, _POSITIVE),
             "snapshot_times": (list, None), "seed": (int, "0", _NONNEGATIVE),
             "runs": (int, "100", _AT_LEAST_1),
@@ -196,8 +197,8 @@ def parse_config(path, overrides=None) -> RunConfig:
         if not np.all(np.isfinite(vals)):
             raise ConfigError("initial table has a non-finite value")
         rho0 = Field(grid, vals.reshape(grid.shape))
-    if rho0.min < 0:
-        raise ConfigError("initial density must be nonnegative")
+        if rho0.min < 0:
+            raise ConfigError("initial density must be nonnegative")
 
     # the plain keys are read in table order, which decides the fault
     # reported first; [theory] alpha_up is the one optional among them

@@ -49,12 +49,6 @@ class AuditDriftError(SLMError):
     category = "audit-drift"
 
 
-class AbsorbedStateError(SLMError):
-    """Total event rate is zero; the process can never move again."""
-
-    category = "absorbed-state"
-
-
 class InstabilityError(SLMError):
     category = "instability"
 

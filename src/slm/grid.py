@@ -1,4 +1,5 @@
-"""Uniform periodic grid on a d-dimensional torus, and its pair search.
+"""Uniform periodic grid on a d-dimensional torus, the density field
+sampled on it, and its pair search.
 
 The same grid underlies tabulated kernels, density fields and pair
 functions, so that discrete conservation identities close exactly.
@@ -75,6 +76,38 @@ class Grid:
         """Offset cell of each coordinate of dx, rint(dx / h) mod cells: even
         in the sign of dx, and the same for every periodic image of dx."""
         return np.rint(np.asarray(dx) / self.spacing).astype(np.intp) % self.cells
+
+
+@dataclass
+class Field:
+    """Grid-sampled density (one value per cell, nonnegative)."""
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if v.shape != self.grid.shape:
+            raise InvalidParameterError(
+                f"field shape {v.shape} does not match grid shape {self.grid.shape}"
+            )
+        self.values = v
+
+    @classmethod
+    def constant(cls, grid: Grid, value: float) -> "Field":
+        return cls(grid, np.full(grid.shape, float(value)))
+
+    @property
+    def max(self) -> float:
+        return float(self.values.max())
+
+    @property
+    def min(self) -> float:
+        return float(self.values.min())
+
+    @property
+    def mean(self) -> float:
+        return float(self.values.mean())
 
 
 def require_same_grid(*grids: Grid) -> Grid:

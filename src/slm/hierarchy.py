@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosureSingularityError, InvalidParameterError
-from .grid import Grid, require_same_grid
+from .grid import Field, Grid, require_same_grid
 from .kernels import Kernel, convolve_spectra, spectral_work
-from .kinetic import Field, integrate_rk4, stability_dt
+from .kinetic import integrate_rk4, stability_dt
 from .model import CLOSURES, ModelParams
 
 KIRKWOOD_FLOOR_FACTOR = 1e-8

@@ -10,46 +10,12 @@ carrying capacity are read from the model's *discrete* kernel masses, so
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InstabilityError, InvalidParameterError
-from .grid import Grid, require_same_grid
+from .grid import Field, require_same_grid
 from .kernels import Kernel, convolve_spectra, spectral_work
 from .model import ModelParams
-
-
-@dataclass
-class Field:
-    """Grid-sampled density (one value per cell, nonnegative)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise InvalidParameterError(
-                f"field shape {v.shape} does not match grid shape {self.grid.shape}"
-            )
-        self.values = v
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @property
-    def max(self) -> float:
-        return float(self.values.max())
-
-    @property
-    def min(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
 
 
 # -- homogeneous (Bernoulli) dynamics ------------------------------------

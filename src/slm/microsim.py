@@ -16,25 +16,19 @@ cell list shares.
 
 A run draws its randomness from three streams of its Generator, one per
 kind of draw (:class:`Draws`), in blocks of Python numbers, so a proposal
-costs no Generator call; the one proposal loop serves :func:`run` and
-:func:`step_event`.  A seed gives the same events whatever the block
-sizes, and whichever worker process runs it.
+costs no Generator call; :func:`run` is the one proposal loop.  A seed
+gives the same events whatever the block sizes, and whichever worker
+process runs it.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .errors import (
-    AbsorbedStateError,
-    AuditDriftError,
-    BlowUpError,
-    InvalidParameterError,
-)
+from .errors import AuditDriftError, BlowUpError, InvalidParameterError
 from .grid import pair_blocks, require_same_grid, sort_by_cell, wrap
 from .kernels import Kernel
 from .model import DEFAULT_POPULATION_CAP, ModelParams
@@ -326,23 +320,6 @@ def init_poisson_field(rho0, competition: Kernel, rng: np.random.Generator) -> C
     return Configuration(pts, competition)
 
 
-def step_event(
-    config: Configuration, params: ModelParams, rng: np.random.Generator, t: float = 0.0
-) -> Event:
-    """Advance the configuration by exactly one jump; mutates config in
-    place and returns the realized event (its time is t plus the waiting
-    times of the proposals up to and including the first real one).  The
-    proposals are those of :func:`run`, drawn from a :class:`Draws` of
-    ``rng``.
-    """
-    _require_kernel(config, params)
-    traj = Trajectory(times=[], snapshots=[])
-    _propose_until(config, params, Draws(rng), traj, t, math.inf, math.inf, stop=1)
-    if traj.absorbed:
-        raise AbsorbedStateError("total event rate is zero")
-    return traj.event_log[0]
-
-
 @dataclass
 class Trajectory:
     times: list
@@ -374,6 +351,12 @@ def run(
     counters count every event up to the horizon, also after the last
     snapshot.
 
+    The proposals are thinned against B = <a+> + m + eps * crate_bound.
+    After as many null proposals as particles the bound is tightened,
+    which is O(1) per proposal and ends the nulls once every c_i has
+    dropped to zero.  A snapshot is taken at each time as the first
+    proposal after it comes.
+
     Mutates ``config``.  Raises BlowUpError when the population cap is
     exceeded, and AuditDriftError when an audit, every AUDIT_INTERVAL
     events, finds the incremental competitive rates more than
@@ -384,50 +367,20 @@ def run(
     times = sorted(float(s) for s in snapshot_times)
     if times and times[-1] > horizon + 1e-12:
         raise InvalidParameterError("snapshot times must not exceed the horizon")
-    traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
-    _propose_until(config, params, Draws(rng), traj, 0.0, horizon, population_cap, keep_events)
-    while len(traj.snapshots) < len(times):
-        traj.snapshots.append(config.positions())
-    traj.n_end = config.n
-    return traj
-
-
-def _require_kernel(config, params):
-    """The rates of ``config`` are those of ``params.competition``: the same
-    kernel, or one on the same grid with equal values (a deep copy)."""
-    ours, theirs = config.competition, params.competition
-    if ours is not theirs and (
-        ours.grid != theirs.grid or not np.array_equal(ours.values, theirs.values)
-    ):
-        raise InvalidParameterError("the configuration's competition kernel is not the model's")
-
-
-def _propose_until(
-    config, params, draws, traj, t, horizon, population_cap, keep_events=True, stop=0
-):
-    """The thinned proposals from time t until the first one after both
-    ``horizon`` and the last of ``traj.times``, or until the ``stop``-th
-    event (0: no such stop), added to ``traj``'s counters; a snapshot is
-    taken at each time as the first proposal after it comes.
-
-    Each proposal comes after a wait at rate N B, for the bound
-    B = <a+> + m + eps * crate_bound of every particle's total rate, and
-    picks a uniform particle i and a uniform level u on [0, B): a birth
-    from i, its natural or competitive death, or nothing.  After as many
-    null proposals as particles the bound is tightened, which is O(1) per
-    proposal and ends the nulls once every c_i has dropped to zero.
-    """
+    traj = Trajectory(times=times, snapshots=[], n0=config.n)
+    draws = Draws(rng)
     exponential, word, uniform = draws.exponential, draws.word, draws.random
     birth = params.dispersal.mass
     natural = birth + params.mortality
     eps = params.epsilon
     sample = params.dispersal.sample_displacement
     log = traj.event_log if keep_events else None
-    times, snapshots = traj.times, traj.snapshots
+    snapshots = traj.snapshots
     last, end = len(times), max([horizon, *times])
     audit_interval = AUDIT_INTERVAL
+    t = 0.0
     next_snap = proposals = events = births = competition = 0
-    peak = traj.peak_n
+    peak = config.n
     while True:
         n = config.n
         bound = natural + eps * config.crate_bound
@@ -477,14 +430,26 @@ def _propose_until(
                     f"rate drift {drift:.3g} above {AUDIT_TOLERANCE:g} at t={t:.6g}"
                 )
             config.tighten()
-        if events == stop:
-            break
-    traj.proposals += proposals
-    traj.events += events
-    traj.births += births
-    traj.deaths += events - births
-    traj.competition_deaths += competition
+    while len(snapshots) < last:
+        snapshots.append(config.positions())
+    traj.n_end = config.n
     traj.peak_n = peak
+    traj.proposals = proposals
+    traj.events = events
+    traj.births = births
+    traj.deaths = events - births
+    traj.competition_deaths = competition
+    return traj
+
+
+def _require_kernel(config, params):
+    """The rates of ``config`` are those of ``params.competition``: the same
+    kernel, or one on the same grid with equal values (a deep copy)."""
+    ours, theirs = config.competition, params.competition
+    if ours is not theirs and (
+        ours.grid != theirs.grid or not np.array_equal(ours.values, theirs.values)
+    ):
+        raise InvalidParameterError("the configuration's competition kernel is not the model's")
 
 
 def _ensemble_member(rho0, params, horizon, snapshot_times, seed, cap, keep_events, run_index):

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
+from .grid import Field
 from .hierarchy import TruncatedState, require_pair_grid, solve_hierarchy
-from .kinetic import Field, solve_kinetic, stability_dt
+from .kinetic import solve_kinetic, stability_dt
 from .microsim import DEFAULT_POPULATION_CAP, run_ensemble
 from .model import ModelParams
 from .stats import density_estimate

@@ -19,9 +19,10 @@ the bit.
 The simulator's thinned proposal loop is kept as it was before it became
 one loop over block draws, ``thinned_run`` with one ``_propose`` call per
 proposal, reading either the same block draws as ``microsim.run`` or one
-Generator call per value, as before block draws.  ``is_even``,
-``witness_C`` and ``unit_mass_indicator`` are helpers that only tests
-call.
+Generator call per value, as before block draws; ``step_event`` makes
+those proposals until the first real one, for tests of a single jump.
+``is_even``, ``witness_C`` and ``unit_mass_indicator`` are helpers that
+only tests call.
 """
 import numpy as np
 
@@ -398,6 +399,21 @@ def thinned_run(
         traj.snapshots.append(config.positions())
     traj.n_end = config.n
     return traj
+
+
+def step_event(config, params, rng, t=0.0):
+    """Exactly one jump by microsim.run's proposals from time t, drawn from
+    a BlockDraws of ``rng``: mutates config and returns the Event, or None
+    if the state is absorbed (no rate at all)."""
+    _require_kernel(config, params)
+    draws, log = BlockDraws(rng), []
+    while not log:
+        bound = params.dispersal.mass + params.mortality + params.epsilon * config.crate_bound
+        if config.n * bound <= 0:
+            return None
+        t = t + draws.wait(config.n * bound)
+        _propose(config, params, draws, t, bound, log)
+    return log[0]
 
 
 def _propose(config, params, draws, t, bound, log):

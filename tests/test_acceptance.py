@@ -4,6 +4,8 @@ Each criterion computes its verdict first, announces it on the real
 stdout (bypassing capture so the line lands in piped logs), and only
 then asserts, so every run prints a complete scoreboard.
 """
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -20,7 +22,7 @@ from slm.kernels import (
     make_zero_kernel,
 )
 from slm.kinetic import Field, bernoulli_solution, solve_kinetic, stability_dt
-from slm.microsim import Configuration, init_poisson, run, run_ensemble, run_rng, step_event
+from slm.microsim import Configuration, init_poisson, run, run_ensemble, run_rng
 from slm.model import ModelParams
 from slm.scaling import scaled_params, vlasov_error
 from slm.stats import default_pair_edges, estimate_correlations, subpoisson_diagnostic
@@ -232,7 +234,7 @@ def test_criterion_08_simulator_micro_checks(announce, monkeypatch):
     for s in range(waits.size):
         rng = run_rng(41, s)
         config = Configuration([[5.0]], dead.competition)
-        waits[s] = step_event(config, dead, rng).time
+        waits[s] = run(config, dead, math.inf, [], rng, keep_events=True).event_log[0].time
     se = waits.std(ddof=1) / np.sqrt(waits.size)
     clock_ok = abs(waits.mean() - 1.0 / m) <= 3.0 * se
 

@@ -145,6 +145,11 @@ class TestConfig:
         assert "cutoff = 1.0\nheight = 2.0\nshape = gaussian\nsigma = 0.3\n" in text
         assert "[theory]\nalpha_up = 0.5\n" in text
 
+    def test_zero_cutoff_is_a_one_cell_kernel(self, tmp_path):
+        p = tmp_path / "gauss.cfg"
+        p.write_text(GAUSSIAN_CFG.replace("sigma = 0.3", "sigma = 0.3\ncutoff = 0"))
+        assert np.count_nonzero(parse_config(str(p)).params.competition.values) == 1
+
     def test_snapshot_beyond_horizon(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text(BASE_CFG.replace("snapshot_times = 0.5 1.0", "snapshot_times = 2.0"))
@@ -199,11 +204,19 @@ class TestConfig:
             ("model", "grid_cells", "1", "[model] grid_cells: not at least 2: '1'"),
             ("model", "mortality", "-1", "[model] mortality: not nonnegative: '-1'"),
             ("model", "epsilon", "1.5", "[model] epsilon: not in [0, 1]: '1.5'"),
+            ("kernel.dispersal", "radius", "0", "[kernel.dispersal] radius: not positive: '0'"),
+            ("kernel.dispersal", "height", "-1", "[kernel.dispersal] height: not positive: '-1'"),
+            ("kernel.competition", "sigma", "0", "[kernel.competition] sigma: not positive: '0'"),
+            ("kernel.competition", "height", "0", "[kernel.competition] height: not positive: '0'"),
+            ("kernel.competition", "cutoff", "-1", "[kernel.competition] cutoff: not nonnegative: '-1'"),
+            ("initial", "density", "-1", "[initial] density: not nonnegative: '-1'"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, section, key, value, message):
+        # the competition kernel's rows are those of a gaussian
+        text = GAUSSIAN_CFG if section == "kernel.competition" else BASE_CFG
         p = tmp_path / "bad.cfg"
-        p.write_text(with_key(BASE_CFG, section, key, value))
+        p.write_text(with_key(text, section, key, value))
         assert main(["analyze", "--config", str(p)]) == 2
         assert f"error-category: config: {message}" in capsys.readouterr().err
 
@@ -775,40 +788,49 @@ def test_k2_slice_rows_name_the_offsets_read(tmp_path):
 
 
 def test_cli_import_loads_no_scipy(cfg_path, tmp_path):
-    # scipy is a test dependency only: every command runs in one fresh
-    # process, which must end with no scipy module loaded.  Each command
-    # imports its own solver, so `import slm.cli` loads none of the solver
-    # modules below, and `slm kinetic`, run first, none of the first three.
-    commands = [
-        ["kinetic"],
+    # scipy is a test dependency only: the commands run in fresh
+    # processes, which must end with no scipy module loaded.  Each command
+    # imports its own solver, so `import slm.cli` and a parsed config load
+    # none of the solver modules below; `slm simulate`, `slm stats` and
+    # `slm analyze`, run first, load no kinetic solver, and `slm kinetic`,
+    # run in its own process, none of the first three.
+    def loaded_after(commands):
+        code = (
+            "import json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in ('slm', 'scipy'))\n"
+            "from slm.cli import main\n"
+            "from slm.config import parse_config\n"
+            "cfg, out, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
+            "parse_config(cfg)\n"
+            "codes, steps = [], [loaded()]\n"
+            "for cmd, *flags in commands:\n"
+            "    codes.append(main([cmd, '--config', cfg, '--out', f'{out}/{cmd}', *flags]))\n"
+            "    steps.append(loaded())\n"
+            "print(json.dumps([codes, steps]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["slm"].__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-c", code, cfg_path, str(tmp_path), json.dumps(commands)]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        codes, steps = json.loads(out.stdout.splitlines()[-1])
+        assert codes == [0] * len(commands)
+        return steps
+
+    steps = loaded_after([
         ["simulate"],
         ["stats", "--snapshots", str(tmp_path / "simulate")],
+        ["analyze"],
+        ["kinetic"],
         ["hierarchy"],
         ["scaling", "--mode", "hierarchy"],
-        ["analyze"],
-    ]
-    code = (
-        "import json, sys\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('slm', 'scipy'))\n"
-        "from slm.cli import main\n"
-        "cfg, out, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
-        "codes, steps = [], [loaded()]\n"
-        "for cmd, *flags in commands:\n"
-        "    codes.append(main([cmd, '--config', cfg, '--out', f'{out}/{cmd}', *flags]))\n"
-        "    steps.append(loaded())\n"
-        "print(json.dumps([codes, steps]))\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["slm"].__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-c", code, cfg_path, str(tmp_path), json.dumps(commands)]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    codes, steps = json.loads(out.stdout.splitlines()[-1])
-    assert codes == [0] * len(commands)
-    solvers = ["slm.microsim", "slm.stats", "slm.hierarchy", "slm.scaling", "slm.theory"]
+    ])
+    solvers = ["slm.microsim", "slm.stats", "slm.hierarchy", "slm.kinetic", "slm.scaling", "slm.theory"]
     assert set(steps[0]).isdisjoint(solvers)
-    assert set(steps[1]).isdisjoint(solvers[:3])
+    assert all("slm.kinetic" not in step for step in steps[1:4])
+    assert "slm.kinetic" in steps[4]
     assert [m for m in steps[-1] if m.startswith("scipy")] == []
+    assert set(loaded_after([["kinetic"]])[1]).isdisjoint(solvers[:3])
 
 
 def test_package_loads_each_public_name_from_its_module_on_first_use():

@@ -13,16 +13,9 @@ from scipy import stats as sps
 import oracles
 from oracles import unit_mass_indicator
 from slm import microsim
-from slm.errors import (
-    AbsorbedStateError,
-    AuditDriftError,
-    BlowUpError,
-    IncompatibleGridsError,
-    InvalidParameterError,
-)
-from slm.grid import Grid, cell_keys
+from slm.errors import AuditDriftError, BlowUpError, IncompatibleGridsError, InvalidParameterError
+from slm.grid import Field, Grid, cell_keys
 from slm.kernels import make_gaussian_kernel, make_indicator_kernel, make_zero_kernel
-from slm.kinetic import Field
 from slm.microsim import (
     Configuration,
     Draws,
@@ -31,7 +24,6 @@ from slm.microsim import (
     run,
     run_ensemble,
     run_rng,
-    step_event,
     uniform_index,
 )
 from slm.model import ModelParams
@@ -51,8 +43,8 @@ class TestRates:
     def test_empty_configuration(self, grid, params):
         config = Configuration(np.zeros((0, 1)), params.competition)
         assert oracles.total_rates(config, params) == (0.0, 0.0)
-        with pytest.raises(AbsorbedStateError):
-            step_event(config, params, run_rng(0, 0))
+        traj = run(config, params, 1.0, [1.0], run_rng(0, 0), keep_events=True)
+        assert traj.absorbed and traj.proposals == 0 and traj.event_log == []
 
     def test_single_particle(self, grid, params):
         config = Configuration([[5.0]], params.competition)
@@ -86,7 +78,7 @@ class TestRates:
         for _ in range(300):
             if config.n == 0:
                 break
-            step_event(config, params, rng)
+            oracles.step_event(config, params, rng)
         assert config.audit() < 1e-12
 
 
@@ -712,7 +704,7 @@ def equivalence_case(dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_thinned_step_has_the_direct_law(dim):
-    # one step_event on a fresh copy, 10 000 times, against the exact rates
+    # one jump of the proposals on a fresh copy, 10 000 times, against the exact rates
     config, params = equivalence_case(dim)
     n = config.n
     crate = config.crate[:n]
@@ -724,7 +716,7 @@ def test_thinned_step_has_the_direct_law(dim):
     rng = run_rng(99, dim)
     kinds, dying, waits = [], [], np.empty(draws)
     for k in range(draws):
-        ev = step_event(copy.deepcopy(config), params, rng)
+        ev = oracles.step_event(copy.deepcopy(config), params, rng)
         kinds.append(ev.kind)
         waits[k] = ev.time
         if ev.kind != "birth":
@@ -766,7 +758,7 @@ def test_bound_covers_every_rate_after_every_event(dim, radius, mortality, epsil
     for _ in range(60):
         if config.n == 0:
             break
-        t = step_event(config, params, rng, t).time
+        t = oracles.step_event(config, params, rng, t).time
         assert bound_holds(config, params)
     assert config.audit() < 1e-12
 
@@ -801,22 +793,25 @@ def test_no_births_and_no_mortality_is_absorbed_once_isolated(grid):
     aminus = make_indicator_kernel(1.0, 0.5, 1, grid)
     params = ModelParams(0.0, make_zero_kernel(grid), aminus)
     pts = [[5.0], [5.1], [5.2], [8.0]]
-    traj = run(Configuration(pts, aminus), params, 50.0, [1.0, 50.0], run_rng(14, 0))
+    config = Configuration(pts, aminus)
+    traj = run(config, params, 50.0, [1.0, 50.0], run_rng(14, 0), keep_events=True)
     assert traj.absorbed and traj.births == 0
     assert traj.events == traj.competition_deaths == 2 and traj.n_end == 2
+    # no event after the second death: the nulls that follow it tighten the bound
+    assert [e.kind for e in traj.event_log] == ["death-competition"] * 2
+    assert traj.proposals > traj.events and config.crate_bound == 0.0
     assert all(len(s) == 2 for s in traj.snapshots)
     config = Configuration(pts, aminus)
     rng = run_rng(14, 1)
-    step_event(config, params, rng)
-    step_event(config, params, rng)
+    oracles.step_event(config, params, rng)
+    oracles.step_event(config, params, rng)
     assert config.crate_bound > 0.0 == config.crate[: config.n].max()
-    with pytest.raises(AbsorbedStateError):
-        step_event(config, params, rng)
+    assert oracles.step_event(config, params, rng) is None
     # and with no rate at all from the start
     config = Configuration([[1.0], [6.0]], aminus)
     assert config.crate_bound == 0.0
-    with pytest.raises(AbsorbedStateError):
-        step_event(config, params, rng)
+    traj = run(config, params, 50.0, [50.0], rng, keep_events=True)
+    assert traj.absorbed and traj.proposals == 0 and traj.event_log == []
 
 
 def test_rates_of_another_kernel_are_rejected(grid, params):
@@ -830,13 +825,11 @@ def test_rates_of_another_kernel_are_rejected(grid, params):
     for other in others:
         model = ModelParams(0.3, make_zero_kernel(other.grid), other)
         with pytest.raises(InvalidParameterError):
-            step_event(config, model, run_rng(0, 0))
-        with pytest.raises(InvalidParameterError):
             run(config, model, 1.0, [1.0], run_rng(0, 0))
     assert config.n == 2 and config.audit() == 0.0
     # an equal tabulation on an equal grid is the same kernel
     twin = unit_mass_indicator(Grid(1, 10.0, 100), 0.5)
-    step_event(copy.deepcopy(config), ModelParams(0.3, params.dispersal, twin), run_rng(0, 0))
+    run(copy.deepcopy(config), ModelParams(0.3, params.dispersal, twin), 1.0, [1.0], run_rng(0, 0))
 
 
 def test_step_event_returns_a_real_event_after_null_proposals(grid):
@@ -846,7 +839,7 @@ def test_step_event_returns_a_real_event_after_null_proposals(grid):
     # 6e-10, so the first n are null for all but about 1e-8 of seeds
     loose = config.crate_bound = 1e9 * config.crate_bound
     rng = run_rng(15, 0)
-    ev = step_event(config, params, rng, t=2.0)
+    ev = oracles.step_event(config, params, rng, t=2.0)
     assert ev.kind in KINDS and ev.time > 2.0
     assert config.n == n + (1 if ev.kind == "birth" else -1)
     # only n null proposals tighten the bound, so at least n happened

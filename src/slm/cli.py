@@ -206,7 +206,7 @@ def cmd_hierarchy(args, cfg):
     cells = np.arange(grid.cells)
     # the k-th wrapped superdiagonal k2[i, i + k], read without copying k2
     slices = [
-        (t, radii[k], float(st.k2.values[cells, (cells + k) % grid.cells].mean()))
+        (t, radii[k], float(st.k2[cells, (cells + k) % grid.cells].mean()))
         for t, st in zip(cfg.snapshot_times, snaps)
         for k in shifts
     ]

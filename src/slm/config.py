@@ -30,6 +30,7 @@ from .model import CLOSURES, DEFAULT_POPULATION_CAP, ModelParams
 _POSITIVE = (lambda v: v > 0, "positive")
 _NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
 
 # cutoff = 0 is a valid one-cell kernel; a negative cutoff would zero every cell
 _KERNEL_KEYS = {"shape": (str, "indicator", ("indicator", "gaussian", "tabulated", "zero")),
@@ -42,7 +43,7 @@ _KERNEL_KEYS = {"shape": (str, "indicator", ("indicator", "gaussian", "tabulated
 _KEYS = {
     "model": {"dimension": (int, None, (lambda v: v in (1, 2, 3), "1, 2 or 3")),
               "torus_side": (float, None, _POSITIVE),
-              "grid_cells": (int, None, (lambda v: v >= 2, "at least 2")),
+              "grid_cells": (int, None, _AT_LEAST_2),
               "mortality": (float, None, _NONNEGATIVE),
               "epsilon": (float, "1.0", (lambda v: 0 <= v <= 1, "in [0, 1]"))},
     "kernel.dispersal": _KERNEL_KEYS,
@@ -56,7 +57,7 @@ _KEYS = {
     "theory": {"alpha_up": (float, None)},
     "stats": {"pair_bins": (int, "24", _AT_LEAST_1)},
     "scaling": {"eps_list": (list, "1 0.5 0.25 0.1", (bool, "at least one number")),
-                "scaling_runs": (int, "200")},
+                "scaling_runs": (int, "200", _AT_LEAST_2)},
     "hierarchy": {"closure": (str, "mean-field", CLOSURES), "slice_offsets": (list, "")},
 }
 

@@ -13,7 +13,8 @@ interaction part scaled by epsilon (V + eps*B):
 with k3 supplied by a pluggable closure.  At eps = 0 the system is the
 truncated Vlasov hierarchy: products k2 = k1 (x) k1 stay products and k1
 obeys the kinetic equation.  Pair functions are gridded, so this module
-is restricted to 1-d tori.
+is restricted to 1-d tori.  A :class:`TruncatedState` holds one grid,
+k1's: k2 is a plain M x M array on it, k2[i, j] = k2(x_i, x_j).
 
 The convolutions a+ * k1, a+ * k2 and a- * k2 (in the first argument of
 k2) use the kernels' cached FFTs; a+ * k2 and a- * k2 share one transform
@@ -49,45 +50,31 @@ def require_pair_grid(grid: Grid):
         raise InvalidParameterError("pair functions are gridded for 1-d tori only")
 
 
-@dataclass
-class Field2:
-    """Symmetric two-point function on the grid (1-d only)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        require_pair_grid(self.grid)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.cells, self.grid.cells):
-            raise InvalidParameterError(f"pair-function shape {v.shape} does not match grid")
-        self.values = v
-
-    @classmethod
-    def product(cls, k1: Field) -> "Field2":
-        return cls(k1.grid, np.outer(k1.values, k1.values))
-
-    def symmetry_defect(self, out: np.ndarray | None = None) -> float:
-        """max |k2 - k2.T|, computed in ``out`` (allocated when not given)."""
-        v = self.values
-        return float(np.abs(np.subtract(v, v.T, out=out), out=out).max())
+def symmetry_defect(k2: np.ndarray, out: np.ndarray | None = None) -> float:
+    """max |k2 - k2.T|, computed in ``out`` (allocated when not given)."""
+    return float(np.abs(np.subtract(k2, k2.T, out=out), out=out).max())
 
 
 @dataclass
 class TruncatedState:
-    """(k1, k2) with the interaction scaling epsilon."""
+    """(k1, k2) with the interaction scaling epsilon.  k2 is the symmetric
+    pair function on k1's grid (1-d only), an M x M float array held
+    without a copy."""
 
     k1: Field
-    k2: Field2
+    k2: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        require_same_grid(self.k1.grid, self.k2.grid)
+        require_pair_grid(self.grid)
+        self.k2 = np.asarray(self.k2, dtype=float)
+        if self.k2.shape != (self.grid.cells, self.grid.cells):
+            raise InvalidParameterError(f"pair-function shape {self.k2.shape} does not match grid")
 
     @classmethod
     def poisson_like(cls, k1: Field, epsilon: float) -> "TruncatedState":
         require_pair_grid(k1.grid)
-        return cls(k1, Field2.product(k1), epsilon)
+        return cls(k1, np.outer(k1.values, k1.values), epsilon)
 
     @property
     def grid(self) -> Grid:
@@ -122,7 +109,7 @@ def closure_contraction(
     if rule not in CLOSURES:
         raise InvalidParameterError(f"unknown closure {rule!r}; choose from {CLOSURES}")
     k1 = state.k1.values
-    k2 = state.k2.values
+    k2 = state.k2
     t1, w = work
     # each product and sum of the direct expressions, in their order
     cm = np.multiply(competition.grid.spacing, competition.pair_values, out=t1)
@@ -152,7 +139,7 @@ def rhs_k1(state: TruncatedState, params: ModelParams, out: np.ndarray | None = 
     """
     require_same_grid(state.grid, params.grid)
     k1 = state.k1.values
-    k2 = state.k2.values
+    k2 = state.k2
     pair_term = state.grid.spacing * np.einsum("ij,ij->i", params.competition.pair_values, k2)
     loss = -params.mortality * k1 - pair_term
     return Field(state.grid, np.add(loss, params.dispersal.convolve(k1), out=out))
@@ -173,12 +160,12 @@ def rhs_k2(
     params: ModelParams,
     out: np.ndarray | None = None,
     work: tuple | None = None,
-) -> Field2:
+) -> np.ndarray:
     """Second truncated equation with the chosen closure for k3, written
     to ``out`` and computed in ``out`` and ``work`` (from
-    :func:`rhs_k2_work`), each allocated when not given.  ``out`` serves
-    as scratch before it takes the result, so it must not overlap the
-    state or ``work``.
+    :func:`rhs_k2_work`), each allocated when not given; returns ``out``,
+    the M x M derivative of k2.  ``out`` serves as scratch before it
+    takes the result, so it must not overlap the state or ``work``.
 
     The output is exactly symmetric in floating point: every asymmetric
     intermediate enters as (T + T.T).
@@ -186,12 +173,12 @@ def rhs_k2(
     require_same_grid(state.grid, params.grid)
     spectral, w1 = work or rhs_k2_work(params)
     k1 = state.k1.values
-    k2 = state.k2.values
+    k2 = state.k2
     if out is None:
         out = np.empty_like(k2)
     elif any(np.may_share_memory(out, a) for a in (k1, k2, w1, *spectral)):
         raise InvalidParameterError("rhs_k2 output must not overlap the state or the work buffers")
-    if state.k2.symmetry_defect(w1) > 0:
+    if symmetry_defect(k2, w1) > 0:
         raise InvalidParameterError("k2 must be symmetric")
     spec, conv = spectral
     # int a+(x_i - w) k2(w, x_j) dw; mean-field also takes a- * k2 from the same transform
@@ -214,7 +201,7 @@ def rhs_k2(
     bpart = np.multiply(np.multiply(-2.0, params.competition.pair_values, out=w1), k2, out=w1)
     pair_sum = np.add(k1[:, None], k1[None, :], out=w3)
     np.add(bpart, np.multiply(params.dispersal.pair_values, pair_sum, out=w3), out=bpart)
-    return Field2(state.grid, np.add(vpart, np.multiply(state.epsilon, bpart, out=bpart), out=out))
+    return np.add(vpart, np.multiply(state.epsilon, bpart, out=bpart), out=out)
 
 
 # -- time stepping -------------------------------------------------------
@@ -243,7 +230,7 @@ def solve_hierarchy(
     grid = state0.grid
 
     def state(y):
-        return TruncatedState(Field(grid, y[0]), Field2(grid, y[1]), eps)
+        return TruncatedState(Field(grid, y[0]), y[1], eps)
 
     work = rhs_k2_work(params)
 
@@ -253,7 +240,7 @@ def solve_hierarchy(
         rhs_k2(st, closure_rule, params, out[1], work)
 
     values = integrate_rk4(
-        (state0.k1.values, state0.k2.values),
+        (state0.k1.values, state0.k2),
         rhs,
         horizon,
         dt,
@@ -261,5 +248,5 @@ def solve_hierarchy(
         lambda peaks: stability_dt(params, witness(*peaks)),
     )
     snaps = [state(y) for y in values]
-    drift = max((st.k2.symmetry_defect(work[1]) for st in snaps), default=0.0)
+    drift = max((symmetry_defect(st.k2, work[1]) for st in snaps), default=0.0)
     return snaps, {"max_symmetry_drift": drift}

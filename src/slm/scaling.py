@@ -60,10 +60,10 @@ def vlasov_error(
     density by eps, and take the sup over snapshot times of the max-cell
     discrepancy against the kinetic solution.
 
-    ``eps_list``, the model's epsilon, the grid (hierarchy mode) and
-    ``runs`` (microsim mode, at least 2; hierarchy mode ignores it) are
-    checked before the kinetic reference is solved.  T is not checked
-    against the theory's existence horizon T*.
+    ``eps_list``, the model's epsilon, the horizon T (positive), the grid
+    (hierarchy mode) and ``runs`` (microsim mode, at least 2; hierarchy
+    mode ignores it) are checked before the kinetic reference is solved.
+    T is not checked against the theory's existence horizon T*.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -78,6 +78,9 @@ def vlasov_error(
             f"scaling compares against the eps -> 0 limit of the model at epsilon = 1, "
             f"got epsilon = {params.epsilon}"
         )
+    if not T > 0:
+        # the step dt <= T / 20 would be 0
+        raise InvalidParameterError(f"scaling needs a positive horizon, got horizon = {T}")
     if mode == "hierarchy":
         require_pair_grid(rho0.grid)
     elif runs < 2:

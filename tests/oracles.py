@@ -73,7 +73,7 @@ def closure_tensor(rule, state):
     if rule not in CLOSURES:
         raise InvalidParameterError(f"unknown closure {rule!r}; choose from {CLOSURES}")
     k1 = state.k1.values
-    k2 = state.k2.values
+    k2 = state.k2
     if rule == "mean-field":
         return (
             k2[:, :, None] * k1[None, None, :]
@@ -116,7 +116,7 @@ def fused_kinetic_rhs(rho, params):
 def fused_contraction(rule, state, competition, competition_k2):
     """hierarchy.closure_contraction in fresh arrays."""
     k1 = state.k1.values
-    k2 = state.k2.values
+    k2 = state.k2
     cm = competition.grid.spacing * competition.pair_values
     if rule == "mean-field":
         own = np.einsum("ij,ij->i", cm, k2)
@@ -132,7 +132,7 @@ def fused_rhs_k2(state, rule, params):
     """hierarchy.rhs_k2 in fresh arrays: mean-field takes a- * k2 and
     a+ * k2 from one transform of k2."""
     k1 = state.k1.values
-    k2 = state.k2.values
+    k2 = state.k2
     if rule == "mean-field":
         competition_k2, s1 = convolve_spectra(params.spectra, params.grid, k2)
     else:
@@ -190,7 +190,7 @@ def kinetic_rhs(f, params):
 def rhs_k1(state, params):
     """-m k1 - h sum_j a-(x_i - x_j) k2(x_i, x_j) + (a+ * k1)."""
     k1 = state.k1.values
-    pair_term = np.einsum("ij,ij->i", circulant(params.competition), state.k2.values)
+    pair_term = np.einsum("ij,ij->i", circulant(params.competition), state.k2)
     return -params.mortality * k1 - pair_term + params.dispersal.convolve(k1)
 
 
@@ -198,7 +198,7 @@ def rhs_k2(state, rule, params):
     """Second truncated equation: a- * k1, a- * k2 (mean-field) and a+ * k2
     each by its own Kernel.convolve call; Kirkwood through the dense k3."""
     k1 = state.k1.values
-    k2 = state.k2.values
+    k2 = state.k2
     aminus = params.competition
     if rule == "mean-field":
         own = np.einsum("ij,ij->i", circulant(aminus), k2)
@@ -298,7 +298,7 @@ def is_even(kernel, tol=0.0):
 
 def witness_C(state):
     """The witness C of a TruncatedState's k1 and k2."""
-    return witness(state.k1.max, float(state.k2.values.max()))
+    return witness(state.k1.max, float(state.k2.max()))
 
 
 def unit_mass_indicator(grid, radius):

@@ -210,6 +210,9 @@ class TestConfig:
             ("kernel.competition", "height", "0", "[kernel.competition] height: not positive: '0'"),
             ("kernel.competition", "cutoff", "-1", "[kernel.competition] cutoff: not nonnegative: '-1'"),
             ("initial", "density", "-1", "[initial] density: not nonnegative: '-1'"),
+            ("scaling", "scaling_runs", "-3", "[scaling] scaling_runs: not at least 2: '-3'"),
+            ("scaling", "scaling_runs", "0", "[scaling] scaling_runs: not at least 2: '0'"),
+            ("scaling", "scaling_runs", "1", "[scaling] scaling_runs: not at least 2: '1'"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, section, key, value, message):
@@ -292,27 +295,38 @@ class TestConfig:
         assert np.allclose(cfg.rho0.values, vals)
 
     def test_non_finite_table_cell_is_config_error(self, tmp_path, capsys):
-        vals = np.full(50, 0.5)
-        vals[7] = np.nan
-        np.savetxt(tmp_path / "rho0.csv", vals, delimiter=",")
+        # and the other faults of an initial table: a wrong length, a negative cell
         p = tmp_path / "table.cfg"
         p.write_text(TABLE_CFG)
         out = str(tmp_path / "o")
-        assert main(["kinetic", "--config", str(p), "--out", out]) == 2
-        assert "error-category: config: initial table has a non-finite value" in capsys.readouterr().err
-        assert not os.path.exists(out)
+        for size, cell, message in [
+            (50, np.nan, "initial table has a non-finite value"),
+            (49, 0.5, "initial table has 49 values, grid needs 50"),
+            (50, -0.5, "initial density must be nonnegative"),
+        ]:
+            vals = np.full(size, 0.5)
+            vals[7] = cell
+            np.savetxt(tmp_path / "rho0.csv", vals, delimiter=",")
+            assert main(["kinetic", "--config", str(p), "--out", out]) == 2
+            assert f"error-category: config: {message}" in capsys.readouterr().err
+            assert not os.path.exists(out)
 
     def test_non_finite_kernel_file_is_rejected(self, tmp_path, capsys):
-        (tmp_path / "a.csv").write_text("0.0,1.0\n0.25,nan\n0.5,1.0\n")
+        # and a file without two columns
         p = tmp_path / "tab.cfg"
         p.write_text(BASE_CFG.replace(
             "[kernel.dispersal]\nshape = indicator\nheight = 1.0\nradius = 0.5",
             "[kernel.dispersal]\nshape = tabulated\nfile = a.csv",
         ))
         out = str(tmp_path / "o")
-        assert main(["kinetic", "--config", str(p), "--out", out]) == 2
-        assert "error-category: invalid-parameter: tabulated values must be finite" in capsys.readouterr().err
-        assert not os.path.exists(out)
+        for table, message in [
+            ("0.0,1.0\n0.25,nan\n0.5,1.0\n", "tabulated values must be finite"),
+            ("0.0,1.0,1.0\n0.5,1.0,1.0\n", f"{tmp_path / 'a.csv'}: expected two columns (offset, value)"),
+        ]:
+            (tmp_path / "a.csv").write_text(table)
+            assert main(["kinetic", "--config", str(p), "--out", out]) == 2
+            assert f"error-category: invalid-parameter: {message}" in capsys.readouterr().err
+            assert not os.path.exists(out)
 
 
 class TestCommands:

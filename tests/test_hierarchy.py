@@ -11,13 +11,13 @@ from slm.errors import ClosureSingularityError, InvalidParameterError
 from slm.grid import Grid
 from slm.hierarchy import (
     CLOSURES,
-    Field2,
     TruncatedState,
     closure_contraction,
     rhs_k1,
     rhs_k2,
     rhs_k2_work,
     solve_hierarchy,
+    symmetry_defect,
 )
 from slm.kernels import (
     Kernel,
@@ -45,10 +45,25 @@ def wavy_field(grid, base=0.5, amp=0.2):
     return Field(grid, base + amp * np.sin(2 * np.pi * x / grid.side))
 
 
+class TestState:
+    def test_k2_is_held_without_a_copy(self, grid):
+        k2 = np.ones((64, 64))
+        assert TruncatedState(Field.constant(grid, 1.0), k2, 1.0).k2 is k2
+
+    def test_wrong_shape_and_2d_grid_are_rejected(self, grid):
+        with pytest.raises(InvalidParameterError, match="pair-function shape"):
+            TruncatedState(Field.constant(grid, 1.0), np.ones((64, 63)), 1.0)
+        plane = Grid(2, 10.0, 8)
+        with pytest.raises(InvalidParameterError, match="1-d tori only"):
+            TruncatedState(Field.constant(plane, 1.0), np.ones((8, 8)), 1.0)
+        with pytest.raises(InvalidParameterError, match="1-d tori only"):
+            TruncatedState.poisson_like(Field.constant(plane, 1.0), 1.0)
+
+
 class TestClosures:
     def test_constant_examples(self, grid):
         # k1 = 1, k2 = 2 everywhere: kirkwood gives 8, mean-field gives 2
-        st = TruncatedState(Field.constant(grid, 1.0), Field2(grid, np.full((64, 64), 2.0)), 1.0)
+        st = TruncatedState(Field.constant(grid, 1.0), np.full((64, 64), 2.0), 1.0)
         assert np.allclose(closure_tensor("kirkwood", st), 8.0)
         assert np.allclose(closure_tensor("mean-field", st), 2.0)
 
@@ -65,7 +80,7 @@ class TestClosures:
         rng = np.random.default_rng(3)
         sym = rng.random((64, 64))
         sym = 0.5 * (sym + sym.T) + 1.0
-        st = TruncatedState(Field(grid, rng.random(64) + 0.5), Field2(grid, sym), 1.0)
+        st = TruncatedState(Field(grid, rng.random(64) + 0.5), sym, 1.0)
         for rule in ("mean-field", "kirkwood"):
             k3 = closure_tensor(rule, st)
             for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
@@ -74,7 +89,7 @@ class TestClosures:
     def test_kirkwood_floor_error(self, grid, params):
         v = np.full(64, 1.0)
         v[5] = 0.0
-        st = TruncatedState(Field(grid, v), Field2(grid, np.ones((64, 64))), 1.0)
+        st = TruncatedState(Field(grid, v), np.ones((64, 64)), 1.0)
         with pytest.raises(ClosureSingularityError):
             closure_tensor("kirkwood", st)
         with pytest.raises(ClosureSingularityError):
@@ -93,7 +108,7 @@ def random_state(grid, seed):
     m = grid.cells
     sym = rng.random((m, m))
     sym = 0.5 * (sym + sym.T) + 0.5
-    return TruncatedState(Field(grid, rng.random(m) + 0.5), Field2(grid, sym), 1.0)
+    return TruncatedState(Field(grid, rng.random(m) + 0.5), sym, 1.0)
 
 
 class TestContraction:
@@ -106,7 +121,7 @@ class TestContraction:
         aminus = make_gaussian_kernel(0.5, 1, grid)
         st = random_state(grid, cells)
         work = (np.empty((cells, cells)), np.empty((cells, cells)))
-        got = closure_contraction(rule, st, aminus, aminus.convolve(st.k2.values), work)
+        got = closure_contraction(rule, st, aminus, aminus.convolve(st.k2), work)
         assert rel_err(got, dense_contraction(rule, st, aminus)) <= 1e-13
 
     @pytest.mark.parametrize("rule", ["mean-field", "kirkwood"])
@@ -141,7 +156,7 @@ class TestContraction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * st.k2.values.nbytes
+        assert peak <= 11 * st.k2.nbytes
 
 
 class TestSharedTransform:
@@ -160,7 +175,7 @@ class TestSharedTransform:
         grid = Grid(1, 10.0, cells)
         params = ModelParams(0.3, make_gaussian_kernel(0.7, 1, grid), make_gaussian_kernel(0.5, 1, grid))
         st = random_state(grid, cells)
-        assert rel_err(rhs_k2(st, rule, params).values, oracles.rhs_k2(st, rule, params)) <= 1e-13
+        assert rel_err(rhs_k2(st, rule, params), oracles.rhs_k2(st, rule, params)) <= 1e-13
 
     @pytest.mark.parametrize("rule,forward,inverse", [("mean-field", 2, 3), ("kirkwood", 1, 1)])
     def test_transforms_per_rhs_k2(self, rule, forward, inverse, grid, params, monkeypatch):
@@ -197,14 +212,14 @@ class TestRhsK2:
         rng = np.random.default_rng(11)
         sym = rng.random((64, 64))
         sym = 0.5 * (sym + sym.T) + 0.5
-        st = TruncatedState(Field(grid, rng.random(64) + 0.5), Field2(grid, sym), 0.7)
+        st = TruncatedState(Field(grid, rng.random(64) + 0.5), sym, 0.7)
         out = rhs_k2(st, "mean-field", params)
-        assert out.symmetry_defect() == 0.0
+        assert symmetry_defect(out) == 0.0
 
     def test_asymmetric_input_rejected(self, grid, params):
         bad = np.ones((64, 64))
         bad[0, 1] = 2.0
-        st = TruncatedState(Field.constant(grid, 1.0), Field2(grid, bad), 1.0)
+        st = TruncatedState(Field.constant(grid, 1.0), bad, 1.0)
         with pytest.raises(InvalidParameterError):
             rhs_k2(st, "mean-field", params)
 
@@ -215,17 +230,17 @@ class TestRhsK2:
         k1 = Field(grid, rng.random(64) + 0.5)
         outs = {}
         for eps in (0.0, 0.5, 1.0):
-            st = TruncatedState(k1, Field2(grid, sym.copy()), eps)
-            outs[eps] = rhs_k2(st, "mean-field", params).values
+            st = TruncatedState(k1, sym.copy(), eps)
+            outs[eps] = rhs_k2(st, "mean-field", params)
         interp = 0.5 * (outs[0.0] + outs[1.0])
         assert np.max(np.abs(outs[0.5] - interp)) < 1e-12
 
     def test_pure_death_decoupling(self, grid):
         params = ModelParams(0.7, make_zero_kernel(grid), make_zero_kernel(grid))
         sym = np.full((64, 64), 3.0)
-        st = TruncatedState(Field.constant(grid, 1.0), Field2(grid, sym), 1.0)
+        st = TruncatedState(Field.constant(grid, 1.0), sym, 1.0)
         out = rhs_k2(st, "mean-field", params)
-        assert np.allclose(out.values, -2 * 0.7 * sym, rtol=1e-14)
+        assert np.allclose(out, -2 * 0.7 * sym, rtol=1e-14)
 
     def test_flat_kernel_hand_derivation(self, grid):
         # Constant-everything hand check.  With flat kernels of heights
@@ -238,9 +253,7 @@ class TestRhsK2:
         flat_plus = Kernel(grid, np.full(grid.shape, alpha))
         flat_minus = Kernel(grid, np.full(grid.shape, beta))
         params = ModelParams(m, flat_plus, flat_minus)
-        st = TruncatedState(
-            Field.constant(grid, c), Field2(grid, np.full((64, 64), c * c)), eps
-        )
+        st = TruncatedState(Field.constant(grid, c), np.full((64, 64), c * c), eps)
         expected = (
             -2 * m * c**2
             - 2 * beta * L * c**3
@@ -249,7 +262,7 @@ class TestRhsK2:
         )
         for rule in ("mean-field", "kirkwood"):
             out = rhs_k2(st, rule, params)
-            assert np.allclose(out.values, expected, rtol=1e-12)
+            assert np.allclose(out, expected, rtol=1e-12)
 
 
 class TestSolver:
@@ -263,7 +276,7 @@ class TestSolver:
         kin = solve_kinetic(k1, params, 1.0, 0.01, times)
         for s, f in zip(snaps, kin):
             assert np.max(np.abs(s.k1.values - f.values)) < 1e-9
-            defect = s.k2.values - np.outer(s.k1.values, s.k1.values)
+            defect = s.k2 - np.outer(s.k1.values, s.k1.values)
             assert np.max(np.abs(defect)) < 1e-9
         assert diag["max_symmetry_drift"] < 1e-14
 
@@ -273,26 +286,26 @@ class TestSolver:
         # arrays to the bit (tolerance 0)
         st = random_state(grid, 4)
         st = TruncatedState(st.k1, st.k2, 0.5)
-        initial = st.k1.values.copy(), st.k2.values.copy()
+        initial = st.k1.values.copy(), st.k2.copy()
         times = [0.0, 0.2, 0.4]
         snaps, diag = solve_hierarchy(st, rule, params, 0.4, 0.02, times)
         drift = [0.0]
 
         def rhs(y):
-            s = TruncatedState(Field(grid, y[0]), Field2(grid, y[1]), st.epsilon)
+            s = TruncatedState(Field(grid, y[0]), y[1], st.epsilon)
             return rhs_k1(s, params).values, oracles.fused_rhs_k2(s, rule, params)
 
         def symmetrize(y):
             drift[0] = max(drift[0], float(np.max(np.abs(y[1] - y[1].T))))
             return y[0], 0.5 * (y[1] + y[1].T)
 
-        want = oracles.integrate_rk4((st.k1.values, st.k2.values), rhs, times, 0.02, symmetrize)
+        want = oracles.integrate_rk4((st.k1.values, st.k2), rhs, times, 0.02, symmetrize)
         for s, (k1, k2) in zip(snaps, want):
-            assert np.array_equal(s.k1.values, k1) and np.array_equal(s.k2.values, k2)
+            assert np.array_equal(s.k1.values, k1) and np.array_equal(s.k2, k2)
         assert diag["max_symmetry_drift"] == drift[0]
-        assert all(np.array_equal(a, b) for a, b in zip((st.k1.values, st.k2.values), initial))
+        assert all(np.array_equal(a, b) for a, b in zip((st.k1.values, st.k2), initial))
         # each snapshot is its own array, which later steps did not overwrite
-        arrays = [st.k1.values, st.k2.values] + [v for s in snaps for v in (s.k1.values, s.k2.values)]
+        arrays = [st.k1.values, st.k2] + [v for s in snaps for v in (s.k1.values, s.k2)]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
     EVEN_KERNELS = {
@@ -315,7 +328,7 @@ class TestSolver:
         st = TruncatedState(st.k1, st.k2, eps)
         times = [0.1, 0.2, 0.3, 0.4, 0.5]
         snaps, diag = solve_hierarchy(st, rule, params, 0.5, 0.01, times)
-        assert all(np.array_equal(s.k2.values, s.k2.values.T) for s in snaps)
+        assert all(np.array_equal(s.k2, s.k2.T) for s in snaps)
         assert diag["max_symmetry_drift"] == 0.0
 
     @pytest.mark.parametrize("rule", CLOSURES)
@@ -330,7 +343,7 @@ class TestSolver:
         with pytest.raises(InvalidParameterError, match="k2 must be symmetric"):
             solve_hierarchy(TruncatedState(st.k1, st.k2, 0.5), rule, params, 0.01, 0.01, [0.01])
         snaps, diag = solve_hierarchy(TruncatedState(st.k1, st.k2, 0.0), rule, params, 0.1, 0.01, [0.1])
-        assert np.array_equal(snaps[0].k2.values, snaps[0].k2.values.T)
+        assert np.array_equal(snaps[0].k2, snaps[0].k2.T)
         assert diag["max_symmetry_drift"] == 0.0
 
     @pytest.mark.parametrize("rule", CLOSURES)
@@ -340,7 +353,7 @@ class TestSolver:
         for seed in (6, 7):  # the second call runs in buffers the first filled
             st = random_state(grid, seed)
             assert rhs_k1(st, params, k1).values is k1
-            assert rhs_k2(st, rule, params, k2, work).values is k2
+            assert rhs_k2(st, rule, params, k2, work) is k2
             assert np.array_equal(k1, rhs_k1(st, params).values)
             assert np.array_equal(k2, oracles.fused_rhs_k2(st, rule, params))
 
@@ -349,21 +362,21 @@ class TestSolver:
         # rhs_k2 computes in out before the result goes there, so an out
         # that is the state or a work buffer would give a wrong derivative
         st = random_state(grid, 8)
-        k2 = st.k2.values.copy()
+        k2 = st.k2.copy()
         (spec, conv), w1 = work = rhs_k2_work(params)
         # the late scratch of rhs_k2 is this real view over the a+ spectrum row
         scratch = spec[1].reshape(-1).view(float)[: k2.size].reshape(k2.shape)
-        for out in (st.k2.values, st.k2.values.T, w1, conv[0], conv[1], scratch, spec[0].real):
+        for out in (st.k2, st.k2.T, w1, conv[0], conv[1], scratch, spec[0].real):
             with pytest.raises(InvalidParameterError, match="must not overlap"):
                 rhs_k2(st, rule, params, out, work)
-        assert np.array_equal(st.k2.values, k2)
+        assert np.array_equal(st.k2, k2)
 
     def test_pure_death_exponential(self, grid):
         params = ModelParams(0.5, make_zero_kernel(grid), make_zero_kernel(grid))
         st = TruncatedState.poisson_like(Field.constant(grid, 1.0), 1.0)
         snaps, _ = solve_hierarchy(st, "kirkwood", params, 2.0, 0.05, [2.0])
         assert np.allclose(snaps[0].k1.values, np.exp(-0.5 * 2.0), rtol=1e-6)
-        assert np.allclose(snaps[0].k2.values, np.exp(-2 * 0.5 * 2.0), rtol=1e-6)
+        assert np.allclose(snaps[0].k2, np.exp(-2 * 0.5 * 2.0), rtol=1e-6)
 
     def test_epsilon_continuity(self, grid, params):
         # snapshots converge as eps -> 0 to the eps = 0 solution

@@ -108,6 +108,16 @@ class TestVlasovError:
                 [1.0, 0.5], rho0, params.with_epsilon(0.5), T=1.0, runs=2, seed=0, mode=mode
             )
 
+    @pytest.mark.parametrize("mode", ["hierarchy", "microsim"])
+    def test_horizon_checked_before_the_reference(self, params, rho0, monkeypatch, mode):
+        def solve(*args):
+            raise AssertionError("kinetic reference solved before the horizon was checked")
+
+        monkeypatch.setattr(slm.scaling, "solve_kinetic", solve)
+        for T in (0.0, -1.0):
+            with pytest.raises(InvalidParameterError, match=f"positive horizon, got horizon = {T}"):
+                vlasov_error([1.0, 0.5], rho0, params, T=T, runs=2, seed=0, mode=mode)
+
     @pytest.mark.parametrize("runs", [1, 0, -5])
     def test_microsim_runs_checked_before_the_reference(self, params, rho0, monkeypatch, runs):
         def solve(*args):

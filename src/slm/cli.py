@@ -38,27 +38,20 @@ def _cells(col):
     return np.array([str(v) for v in bits.view(col.dtype).tolist()], dtype=object)[inverse]
 
 
-def _blocks(groups):
-    """Each group of equal-length columns in turn, in blocks of at most
-    CSV_BLOCK_ROWS rows; a scalar column repeats its value on every row of
-    its group."""
+def _write_csv(fh, header, groups):
+    """The header, then the rows of each group of equal-length columns; a
+    scalar column repeats its value on every row of its group.  Each group
+    is cut into blocks of at most CSV_BLOCK_ROWS rows, and the cells of one
+    block are formatted at a time."""
+    # str of a Python int or float is its shortest round-trip form: reruns are byte-identical
+    fh.write(",".join(header) + "\n")
     for columns in groups:
         columns = [np.asarray(col) for col in columns]
         rows = min((len(col) for col in columns if col.ndim), default=0)
         for start in range(0, rows, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, rows)
-            yield [col[start:stop] if col.ndim else np.full(stop - start, col) for col in columns]
-
-
-def _write_csv(fh, header, blocks):
-    """The header, then the rows of each block of equal-length columns;
-    the cells of one block are formatted at a time."""
-    # str of a Python int or float is its shortest round-trip form: reruns are byte-identical
-    fh.write(",".join(header) + "\n")
-    for columns in blocks:
-        columns = [np.asarray(col) for col in columns]
-        if min(map(len, columns), default=0):
-            fh.write("\n".join(map(",".join, zip(*map(_cells, columns)))))
+            block = [col[start:stop] if col.ndim else np.full(stop - start, col) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*map(_cells, block)))))
             fh.write("\n")
 
 
@@ -68,7 +61,7 @@ def _write_json(fh, data):
 
 
 def _write_outputs(out, command, cfg, tables):
-    """resolved.cfg, each table (a dict as JSON, a (header, blocks) pair
+    """resolved.cfg, each table (a dict as JSON, a (header, groups) pair
     as CSV) and the manifest listing the tables.  A failed write removes
     every file this call opened and every directory it made before the
     error propagates, so a failed command leaves nothing behind."""
@@ -111,15 +104,7 @@ def _field_table(grid, times, fields, name):
     cells = np.arange(grid.size)
     coords = grid.centers()[np.indices(grid.shape).reshape(grid.dim, -1)]
     groups = ((t, cells, *coords, f.values.ravel()) for t, f in zip(times, fields))
-    return ["t", "cell_index"] + _axes(grid) + [name], _blocks(groups)
-
-
-def _event_groups(log, dim):
-    """time, kind and position of each event, CSV_BLOCK_ROWS events at a time."""
-    for start in range(0, len(log), CSV_BLOCK_ROWS):
-        events = log[start : start + CSV_BLOCK_ROWS]
-        pos = np.reshape([e.position for e in events], (-1, dim))
-        yield [e.time for e in events], [e.kind for e in events], *pos.T
+    return ["t", "cell_index"] + _axes(grid) + [name], groups
 
 
 # -- simulate ------------------------------------------------------------
@@ -142,28 +127,30 @@ def cmd_simulate(args, cfg):
     tables = {
         "snapshots.csv": (
             ["run", "t"] + _axes(cfg.grid),
-            _blocks((r, t, *pts.T) for r, traj in enumerate(trajectories)
-                    for t, pts in zip(traj.times, traj.snapshots)),
+            ((r, t, *pts.T) for r, traj in enumerate(trajectories)
+             for t, pts in zip(traj.times, traj.snapshots)),
         ),
         "summary.csv": (
             ["run", "t", "N"],
-            _blocks((r, traj.times, [len(pts) for pts in traj.snapshots])
-                    for r, traj in enumerate(trajectories)),
+            ((r, traj.times, [len(pts) for pts in traj.snapshots])
+             for r, traj in enumerate(trajectories)),
         ),
         "runs.csv": (
             ["run", "n0", "n_end", "peak_n", "events", "proposals", "births", "natural_deaths",
              "competition_deaths", "absorbed", "max_audit_drift"],
-            _blocks([zip(*[(r, tr.n0, tr.n_end, tr.peak_n, tr.events, tr.proposals, tr.births,
-                            tr.deaths - tr.competition_deaths, tr.competition_deaths,
-                            int(tr.absorbed), tr.max_audit_drift)
-                           for r, tr in enumerate(trajectories)])]),
+            [zip(*[(r, tr.n0, tr.n_end, tr.peak_n, tr.events, tr.proposals, tr.births,
+                    tr.deaths - tr.competition_deaths, tr.competition_deaths,
+                    int(tr.absorbed), tr.max_audit_drift)
+                   for r, tr in enumerate(trajectories)])],
         ),
     }
     if args.events:
         for r, traj in enumerate(trajectories):
             tables[f"events_run{r:04d}.csv"] = (
                 ["time", "kind"] + _axes(cfg.grid),
-                _blocks(_event_groups(traj.event_log, cfg.grid.dim)),
+                # the log's rows, transposed a block at a time; the first for binds this run's log
+                (zip(*log[start : start + CSV_BLOCK_ROWS]) for log in [traj.event_log]
+                 for start in range(0, len(log), CSV_BLOCK_ROWS)),
             )
     return tables
 
@@ -184,7 +171,7 @@ def cmd_kinetic(args, cfg):
     return {
         "fields.csv": _field_table(cfg.grid, times, snaps, "rho"),
         "summary.csv": (
-            ["t", "min_rho", "max_rho", "mean_rho", "sup_error_vs_q"], _blocks([zip(*summary)])
+            ["t", "min_rho", "max_rho", "mean_rho", "sup_error_vs_q"], [zip(*summary)]
         ),
     }
 
@@ -213,7 +200,7 @@ def cmd_hierarchy(args, cfg):
     print(f"max symmetry drift per step: {diag['max_symmetry_drift']:.3e}")
     return {
         "k1.csv": _field_table(cfg.grid, cfg.snapshot_times, [st.k1 for st in snaps], "k1"),
-        "k2_slice.csv": (["t", "r", "value"], _blocks([zip(*slices)])),
+        "k2_slice.csv": (["t", "r", "value"], [zip(*slices)]),
     }
 
 
@@ -230,6 +217,8 @@ def cmd_stats(args, cfg):
         raise SLMError(f"no summary rows in {sum_path}")
     if index.shape[1] != 3:
         raise SLMError(f"{sum_path} has {index.shape[1]} columns, but (run, t, N) needs 3")
+    if not np.isfinite(index).all():
+        raise SLMError(f"{sum_path} has a non-finite value")
     data = np.empty((0, 2 + cfg.grid.dim))
     if index[:, 2].any():
         snap_path = os.path.join(args.snapshots, "snapshots.csv")
@@ -237,6 +226,8 @@ def cmd_stats(args, cfg):
         if data.shape[1] != 2 + cfg.grid.dim:
             raise SLMError(f"{snap_path} has {data.shape[1]} columns, "
                            f"but a {cfg.grid.dim}-d model needs {2 + cfg.grid.dim}")
+        if not np.isfinite(data).all():
+            raise SLMError(f"{snap_path} has a non-finite value")
     edges = default_pair_edges(
         cfg.grid.side,
         max(cfg.params.dispersal.support_radius, cfg.params.competition.support_radius),
@@ -261,10 +252,14 @@ def cmd_stats(args, cfg):
         report = subpoisson_diagnostic(est, max(est.mean_density * 1.5, 1e-12))
         flags = len(report.flagged_cells) + len(report.flagged_bins)
         diagnostic.append((t, report.minimal_C, flags))
+    # each (run, t) of summary.csv matched its count; rows at no (run, t) of it show here
+    if len(data) != index[:, 2].sum():
+        raise SLMError(f"snapshots.csv and summary.csv disagree: {len(data)} rows, "
+                       f"but summary.csv counts {index[:, 2].sum():g}")
     return {
-        "density.csv": (["t", "cell", "k1_hat", "se"], _blocks(density)),
-        "pairs.csv": (["t", "r_mid", "g_hat", "se"], _blocks(pairs)),
-        "diagnostic.csv": (["t", "minimal_C", "flags"], _blocks([zip(*diagnostic)])),
+        "density.csv": (["t", "cell", "k1_hat", "se"], density),
+        "pairs.csv": (["t", "r_mid", "g_hat", "se"], pairs),
+        "diagnostic.csv": (["t", "minimal_C", "flags"], [zip(*diagnostic)]),
     }
 
 
@@ -291,7 +286,7 @@ def cmd_scaling(args, cfg):
     return {
         source: (
             ["eps", "sup_error", "mc_se", "runs"],
-            _blocks([(report.epsilons, report.errors, report.mc_se, runs)]),
+            [(report.epsilons, report.errors, report.mc_se, runs)],
         ),
         "plot_manifest.json": {
             "note": "order-1 sup-norm truncation surrogate of the hierarchy norm",
@@ -335,7 +330,7 @@ def cmd_analyze(args, cfg):
     return {
         "analysis.csv": (
             ["theta", "alpha_up", "alpha_star_opt", "T_star"],
-            _blocks([([theta], [alpha_up], [alpha_star], [t_star])]),
+            [([theta], [alpha_up], [alpha_star], [t_star])],
         )
     }
 

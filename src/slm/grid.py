@@ -74,8 +74,10 @@ class Grid:
 
     def offset_index(self, dx: np.ndarray) -> np.ndarray:
         """Offset cell of each coordinate of dx, rint(dx / h) mod cells: even
-        in the sign of dx, and the same for every periodic image of dx."""
-        return np.rint(np.asarray(dx) / self.spacing).astype(np.intp) % self.cells
+        in the sign of dx, and the same for every periodic image of dx.  The
+        mod is taken on the float, where it is exact, so no finite dx
+        overflows the integer cast."""
+        return (np.rint(np.asarray(dx) / self.spacing) % self.cells).astype(np.intp)
 
 
 @dataclass

@@ -18,7 +18,9 @@ A run draws its randomness from three streams of its Generator, one per
 kind of draw (:class:`Draws`), in blocks of Python numbers, so a proposal
 costs no Generator call; :func:`run` is the one proposal loop.  A seed
 gives the same events whatever the block sizes, and whichever worker
-process runs it.
+process runs it.  With ``keep_events`` a run logs each event as the
+tuple (time, kind, x0, ..., x_{d-1}) that ``slm simulate --events``
+writes as its row.
 """
 from __future__ import annotations
 
@@ -167,13 +169,6 @@ class CellList:
         c, s = self.cell_of[old], self.slot_of[old]
         self.members[c, s] = new
         self.cell_of[new], self.slot_of[new] = c, s
-
-
-@dataclass
-class Event:
-    kind: str  # birth | death-natural | death-competition
-    position: np.ndarray
-    time: float
 
 
 class Configuration:
@@ -334,6 +329,8 @@ class Trajectory:
     proposals: int = 0  # events plus null proposals
     absorbed: bool = False
     max_audit_drift: float = 0.0
+    # with keep_events, one row (time, kind, x0, ..., x_{d-1}) per event, as
+    # events_runNNNN.csv writes it; kind is birth, death-natural or death-competition
     event_log: list = field(default_factory=list)
 
 
@@ -356,6 +353,10 @@ def run(
     which is O(1) per proposal and ends the nulls once every c_i has
     dropped to zero.  A snapshot is taken at each time as the first
     proposal after it comes.
+
+    With ``keep_events``, ``traj.event_log`` gets the row (t, kind, *x)
+    of each event: its time, its kind and the position of the particle
+    born or removed.
 
     Mutates ``config``.  Raises BlowUpError when the population cap is
     exceeded, and AuditDriftError when an audit, every AUDIT_INTERVAL
@@ -401,7 +402,7 @@ def run(
             step = sample(draws, None)
             j = config.add_particle([x + d for x, d in zip(config.pos[i].tolist(), step)])
             if log is not None:
-                log.append(Event("birth", config.pos[j].copy(), t))
+                log.append((t, "birth", *config.pos[j].tolist()))
             births += 1
             if n >= peak:
                 peak = n + 1
@@ -417,7 +418,7 @@ def run(
                     config.tighten()
                 continue
             if log is not None:
-                log.append(Event(kind, config.pos[i].copy(), t))
+                log.append((t, kind, *config.pos[i].tolist()))
             config.remove_particle(i)
         events += 1
         if config.n > population_cap:

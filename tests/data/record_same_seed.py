@@ -30,7 +30,7 @@ def table(name, cases):
 
 
 def main():
-    times = {case: [e.time for e in guard_run(case)[1].event_log] for case in ("1d", "2d")}
+    times = {case: [t for t, *_ in guard_run(case)[1].event_log] for case in ("1d", "2d")}
     with open(os.path.join(HERE, "same_seed_event_times.json"), "w") as fh:
         json.dump(times, fh, indent=1)
         fh.write("\n")

@@ -39,7 +39,6 @@ from slm.microsim import (
     AUDIT_TOLERANCE,
     DEFAULT_POPULATION_CAP,
     Draws,
-    Event,
     Trajectory,
     _require_kernel,
     uniform_index,
@@ -403,8 +402,9 @@ def thinned_run(
 
 def step_event(config, params, rng, t=0.0):
     """Exactly one jump by microsim.run's proposals from time t, drawn from
-    a BlockDraws of ``rng``: mutates config and returns the Event, or None
-    if the state is absorbed (no rate at all)."""
+    a BlockDraws of ``rng``: mutates config and returns the event's log
+    row (t, kind, *position), or None if the state is absorbed (no rate
+    at all)."""
     _require_kernel(config, params)
     draws, log = BlockDraws(rng), []
     while not log:
@@ -428,7 +428,7 @@ def _propose(config, params, draws, t, bound, log):
         step = params.dispersal.sample_displacement(draws, None)
         j = config.add_particle([x + d for x, d in zip(config.pos[i].tolist(), step)])
         if log is not None:
-            log.append(Event("birth", config.pos[j].copy(), t))
+            log.append((t, "birth", *config.pos[j].tolist()))
         return "birth"
     if u < natural:
         kind = "death-natural"
@@ -440,6 +440,6 @@ def _propose(config, params, draws, t, bound, log):
             config.tighten()
         return None
     if log is not None:
-        log.append(Event(kind, config.pos[i].copy(), t))
+        log.append((t, kind, *config.pos[i].tolist()))
     config.remove_particle(i)
     return kind

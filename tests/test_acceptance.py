@@ -234,7 +234,8 @@ def test_criterion_08_simulator_micro_checks(announce, monkeypatch):
     for s in range(waits.size):
         rng = run_rng(41, s)
         config = Configuration([[5.0]], dead.competition)
-        waits[s] = run(config, dead, math.inf, [], rng, keep_events=True).event_log[0].time
+        # the first event's row: its time, then its kind and position
+        waits[s], *_ = run(config, dead, math.inf, [], rng, keep_events=True).event_log[0]
     se = waits.std(ddof=1) / np.sqrt(waits.size)
     clock_ok = abs(waits.mean() - 1.0 / m) <= 3.0 * se
 

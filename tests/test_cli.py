@@ -372,6 +372,34 @@ class TestCommands:
                 births, natural, competition
             ]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_simulate_event_logs_match_every_cell_oracle(self, tmp_path, dim):
+        # each events_runNNNN.csv is its own run's log, row for row and cell for cell;
+        # the 1-d runs log more events than one CSV_BLOCK_ROWS block holds
+        from slm.microsim import run_ensemble
+
+        cfg = with_key(BASE_CFG, "model", "dimension", str(dim))
+        side, cells, horizon = ("400.0", "2000", "20.0") if dim == 1 else ("10.0", "20", "1.0")
+        for section, key, value in [("model", "torus_side", side), ("model", "grid_cells", cells),
+                                    ("run", "horizon", horizon), ("run", "snapshot_times", horizon),
+                                    ("run", "runs", "3")]:
+            cfg = with_key(cfg, section, key, value)
+        p = tmp_path / "run.cfg"
+        p.write_text(cfg)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(p), "--out", str(out), "--events"]) == 0
+        c = parse_config(str(p))
+        trajectories = run_ensemble(c.rho0, c.params, c.horizon, c.snapshot_times, c.seed, c.runs,
+                                    population_cap=c.population_cap, keep_events=True)
+        header = ["time", "kind"] + [f"x{i}" for i in range(dim)]
+        for r, traj in enumerate(trajectories):
+            want = io.StringIO()
+            oracles.write_csv(want, header, zip(*traj.event_log))
+            assert read(out / f"events_run{r:04d}.csv") == want.getvalue()
+        lengths = [len(traj.event_log) for traj in trajectories]
+        assert len(set(lengths)) == len(lengths)  # another run's log would not match
+        assert max(lengths) > cli.CSV_BLOCK_ROWS if dim == 1 else min(lengths) > 0
+
     def test_simulate_counts_to_the_horizon(self, tmp_path):
         # runs.csv is the same whatever snapshots are taken before the horizon
         tables = []
@@ -736,30 +764,40 @@ def csv_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(csv_tables())
+@given(csv_tables(), st.integers(1, 8))
 @example((
     ["zeros", "specials", "ints"],
     [np.array([0.0, -0.0, 0.0]), SPECIAL_FLOATS[:3], np.array([-(2**63), 2**63 - 1, -(2**63)])],
     False,
     [],
-))
-def test_write_csv_matches_every_cell_oracle(table):
-    # the writer takes the table in blocks of drawn, unequal sizes; the oracle takes whole columns
+), 1024)
+def test_write_csv_matches_every_cell_oracle(table, block_rows):
+    # the writer takes the table in groups of drawn, unequal sizes and cuts each into
+    # blocks of at most block_rows rows; the oracle takes whole columns
     header, columns, as_rows, cuts = table
     rows = list(zip(*(np.asarray(col).tolist() for col in columns)))
     if as_rows:
         columns = list(zip(*rows))
     bounds = zip([0, *cuts], [*cuts, len(rows)])
-    blocks = [[col[start:stop] for col in columns] for start, stop in bounds]
-    with tempfile.TemporaryDirectory() as tmp:
+    groups = [[col[start:stop] for col in columns] for start, stop in bounds]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
         written = []
-        for write, data in ((cli._write_csv, blocks), (oracles.write_csv, columns)):
+        for write, data in ((cli._write_csv, groups), (oracles.write_csv, columns)):
             path = os.path.join(tmp, f"{len(written)}.csv")
             with open(path, "w") as fh:
                 write(fh, header, data)
             with open(path, "rb") as fh:
                 written.append(fh.read())
     assert written[0] == written[1]
+
+
+def test_write_csv_repeats_a_scalar_column_on_every_row_of_its_group():
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_BLOCK_ROWS", 2)
+        cli._write_csv(buf, ["t", "r", "n"], [(0.5, [1, 2, 3], 7), (1.5, [4], 8), (2.5, [], 9)])
+    assert buf.getvalue() == "t,r,n\n0.5,1,7\n0.5,2,7\n0.5,3,7\n1.5,4,8\n"
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -789,16 +827,21 @@ def test_readme_library_example_runs():
     assert rho_mean > 0 and density >= 0
 
 
+@pytest.mark.filterwarnings("error")
 def test_k2_slice_rows_name_the_offsets_read(tmp_path):
-    # k2 is read at round(r / h) mod M cells; each row names that grid offset at minimum image
+    # k2 is read at round(r / h) mod M cells; each row names that grid offset at minimum
+    # image.  Offsets far beyond the integer range read the cell of their exact residue
+    # (r / h = 1e301 is a multiple of the M = 100 cells, 3e301 is 72 above one), with no
+    # overflow in a cast
     (block,) = re.findall(r"```ini\n(.*?)```", read(README), re.S)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(with_key(block, "hierarchy", "slice_offsets", "0.25 -0.3 7.5 100"))
-    out = str(tmp_path / "hier")
-    assert main(["hierarchy", "--config", str(cfg), "--out", out]) == 0
-    table = np.loadtxt(os.path.join(out, "k2_slice.csv"), delimiter=",", skiprows=1)
-    assert table[:, 0].tolist() == np.repeat([1.0, 2.5, 5.0], 4).tolist()
-    assert table[:, 1].tolist() == [k * 0.1 for k in (2, 3, 25, 0)] * 3
+    for offsets, cells in ("0.25 -0.3 7.5 100", (2, 3, 25, 0)), ("1e300 -1e300 3e300", (0, 0, 28)):
+        cfg.write_text(with_key(block, "hierarchy", "slice_offsets", offsets))
+        out = str(tmp_path / f"hier{len(cells)}")
+        assert main(["hierarchy", "--config", str(cfg), "--out", out]) == 0
+        table = np.loadtxt(os.path.join(out, "k2_slice.csv"), delimiter=",", skiprows=1)
+        assert table[:, 0].tolist() == np.repeat([1.0, 2.5, 5.0], len(cells)).tolist()
+        assert table[:, 1].tolist() == [k * 0.1 for k in cells] * 3
 
 
 def test_cli_import_loads_no_scipy(cfg_path, tmp_path):
@@ -938,15 +981,24 @@ class TestFailures:
     def test_stats_rejects_counts_that_disagree(self, cfg_path, tmp_path, capsys):
         sim, out = tmp_path / "sim", tmp_path / "o"
         assert main(["simulate", "--config", cfg_path, "--out", str(sim)]) == 0
-        header, first, *rest = read(sim / "summary.csv").splitlines()
+        summary, snapshots = read(sim / "summary.csv"), read(sim / "snapshots.csv")
+        header, first, *rest = summary.splitlines()
         run, t, n = first.split(",")
+        total = sum(int(row.split(",")[2]) for row in [first, *rest])
+        # a count one too high, then a point of a run that summary.csv does not list
         (sim / "summary.csv").write_text("\n".join([header, f"{run},{t},{int(n) + 1}", *rest]) + "\n")
-        capsys.readouterr()
-        assert main(["stats", "--config", cfg_path, "--out", str(out), "--snapshots", str(sim)]) == 2
-        assert capsys.readouterr().err == (
-            f"error-category: error: snapshots.csv and summary.csv disagree at t={float(t)}\n"
-        )
-        assert not out.exists()
+        edits = [
+            f"snapshots.csv and summary.csv disagree at t={float(t)}",
+            f"snapshots.csv and summary.csv disagree: {total + 1} rows, "
+            f"but summary.csv counts {total}",
+        ]
+        for err in edits:
+            capsys.readouterr()
+            assert main(["stats", "--config", cfg_path, "--out", str(out), "--snapshots", str(sim)]) == 2
+            assert capsys.readouterr().err == f"error-category: error: {err}\n"
+            assert not out.exists()
+            (sim / "summary.csv").write_text(summary)
+            (sim / "snapshots.csv").write_text(snapshots + f"99,{t},5.0\n")
 
     @pytest.mark.parametrize("header", ["run,t", "run,t,N,x"])
     def test_stats_rejects_a_summary_of_another_width(self, cfg_path, tmp_path, capsys, header):
@@ -985,7 +1037,7 @@ class TestFailures:
     @pytest.mark.parametrize(
         "case",
         ["initial-missing", "initial-text", "kernel-missing", "stats-no-dir",
-         "stats-no-snapshots", "stats-text"],
+         "stats-no-snapshots", "stats-text", "stats-nan", "stats-inf", "stats-summary-nan"],
     )
     def test_unreadable_data_file_is_an_error_category(self, tmp_path, capsys, case):
         cfg = TABLE_CFG if case.startswith("initial") else BASE_CFG
@@ -1003,17 +1055,28 @@ class TestFailures:
                 assert main(["simulate", "--config", str(p), "--out", str(sim)]) == 0
             if case == "stats-no-snapshots":
                 os.remove(sim / "snapshots.csv")
-            if case == "stats-text":
-                text = read(sim / "snapshots.csv").splitlines()
-                text[3] = text[3].replace(",", ",x", 1)
-                (sim / "snapshots.csv").write_text("\n".join(text) + "\n")
+            # one cell of a data row: a t that is not a number, or a coordinate or a
+            # count that no point or run can have
+            table, col, cell = {
+                "stats-text": ("snapshots.csv", 1, "x{}"), "stats-nan": ("snapshots.csv", 2, "nan"),
+                "stats-inf": ("snapshots.csv", 2, "-inf"), "stats-summary-nan": ("summary.csv", 2, "nan"),
+            }.get(case, (None, None, None))
+            if table:
+                text = read(sim / table).splitlines()
+                cells = text[3].split(",")
+                cells[col] = cell.format(cells[col])
+                text[3] = ",".join(cells)
+                (sim / table).write_text("\n".join(text) + "\n")
             argv = ["stats", "--snapshots", str(sim)]
         out = str(tmp_path / "o")
         capsys.readouterr()
         assert main([argv[0], "--config", str(p), "--out", out, *argv[1:]]) == 2
         err = capsys.readouterr().err.splitlines()
         category = "error" if case.startswith("stats") else "config"
-        assert len(err) == 1 and err[0].startswith(f"error-category: {category}: cannot read ")
+        reason = "cannot read "
+        if case in ("stats-nan", "stats-inf", "stats-summary-nan"):
+            reason = f"{sim / table} has a non-finite value"
+        assert len(err) == 1 and err[0].startswith(f"error-category: {category}: {reason}")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("case", ["existing-file", "below-a-file", "table-is-a-directory"])

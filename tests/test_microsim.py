@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -283,9 +284,9 @@ class TestRun:
         assert traj.events == traj.births + traj.deaths == len(traj.event_log)
         assert traj.proposals >= traj.events
         assert config.n == n0 + traj.births - traj.deaths
-        sizes = np.cumsum([n0] + [1 if e.kind == "birth" else -1 for e in traj.event_log])
+        sizes = np.cumsum([n0] + [1 if kind == "birth" else -1 for _, kind, *_ in traj.event_log])
         assert traj.peak_n == sizes.max() >= max(traj.n0, traj.n_end)
-        kinds = {e.kind for e in traj.event_log}
+        kinds = {kind for _, kind, *_ in traj.event_log}
         assert kinds <= {"birth", "death-natural", "death-competition"}
 
     def test_equilibrium_spatial_flatness(self, grid, params):
@@ -422,15 +423,16 @@ def guard_run(case, keep_events=True, simulate=run):
 def event_record(config, traj):
     """The counters and digests a guard holds."""
     log = traj.event_log
-    kinds = [e.kind for e in log]
+    times, kinds = [t for t, *_ in log], [kind for _, kind, *_ in log]
+    positions = [pos for _, _, *pos in log]
     assert traj.events == len(log) == traj.births + traj.deaths
     digest = hashlib.sha256("\n".join(kinds).encode())
-    digest.update(np.asarray([e.position for e in log], dtype="<f8").tobytes())
+    digest.update(np.asarray(positions, dtype="<f8").tobytes())
     return dict(
         events=traj.events, proposals=traj.proposals, births=kinds.count("birth"),
         natural=kinds.count("death-natural"), competition=kinds.count("death-competition"),
         n_end=config.n, peak_n=traj.peak_n, digest=digest.hexdigest(),
-        times=hashlib.sha256(np.asarray([e.time for e in log], dtype="<f8").tobytes()).hexdigest(),
+        times=hashlib.sha256(np.asarray(times, dtype="<f8").tobytes()).hexdigest(),
     )
 
 
@@ -439,7 +441,7 @@ def test_same_seed_same_events(case):
     config, traj = guard_run(case)
     assert event_record(config, traj) == SAME_SEED[case]
     with open(os.path.join(os.path.dirname(__file__), "data", "same_seed_event_times.json")) as fh:
-        assert [e.time for e in traj.event_log] == json.load(fh)[case]
+        assert [t for t, *_ in traj.event_log] == json.load(fh)[case]
 
 
 @pytest.mark.parametrize("case", ["3d", "2d-audited"])
@@ -468,13 +470,37 @@ def test_event_records_change_no_draw(case):
     assert [getattr(logged, k) for k in counters] == [getattr(bare, k) for k in counters]
 
 
+def test_a_logged_event_costs_one_row():
+    # the log of a 2-d run holds one tuple (t, kind, x0, x1) per event: a 72 B tuple, three
+    # 24 B floats and a list slot, 152 B.  An object per event with its own position array
+    # took 256 B.  The bound lies between the two, so an --events run's memory grows by the
+    # rows its tables write and by nothing more
+    g = Grid(2, 10.0, 40)
+    params = ModelParams(
+        0.4, make_indicator_kernel(0.5, 0.9, 2, g), make_gaussian_kernel(0.3, 2, g), 0.8
+    )
+    start = init_poisson(2.0, params.competition, run_rng(31, 0))
+    held, trajs = [], []
+    for keep_events in (False, True):
+        config = copy.deepcopy(start)
+        tracemalloc.start()
+        try:
+            trajs.append(run(config, params, 25.0, [], run_rng(31, 1), keep_events=keep_events))
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    bare, logged = trajs
+    assert bare.event_log == [] and len(logged.event_log) == logged.events == bare.events > 5000
+    assert (held[1] - held[0]) / logged.events < 200
+
+
 # -- the block draws and the loop that reads them ---------------------------
 
 
 def trajectory_record(config, traj):
     """Everything a run leaves: its event log bit for bit, its snapshots,
     the runs.csv counters and the configuration's rates and bound."""
-    events = [(e.kind, e.time, e.position.tolist()) for e in traj.event_log]
+    events = list(traj.event_log)
     counters = {k: v for k, v in vars(traj).items() if k not in ("snapshots", "event_log")}
     snapshots = [s.tolist() for s in traj.snapshots]
     return events, counters, snapshots, config.crate[: config.n].tolist(), config.crate_bound
@@ -716,11 +742,10 @@ def test_thinned_step_has_the_direct_law(dim):
     rng = run_rng(99, dim)
     kinds, dying, waits = [], [], np.empty(draws)
     for k in range(draws):
-        ev = oracles.step_event(copy.deepcopy(config), params, rng)
-        kinds.append(ev.kind)
-        waits[k] = ev.time
-        if ev.kind != "birth":
-            dying.append(index[tuple(ev.position.tolist())])
+        waits[k], kind, *pos = oracles.step_event(copy.deepcopy(config), params, rng)
+        kinds.append(kind)
+        if kind != "birth":
+            dying.append(index[tuple(pos)])
     counts = [kinds.count(kind) for kind in KINDS]
     expected = np.array([birth, natural, death - natural]) / (birth + death) * draws
     assert sps.chisquare(counts, expected).pvalue > 0.001
@@ -758,7 +783,7 @@ def test_bound_covers_every_rate_after_every_event(dim, radius, mortality, epsil
     for _ in range(60):
         if config.n == 0:
             break
-        t = oracles.step_event(config, params, rng, t).time
+        t, *_ = oracles.step_event(config, params, rng, t)
         assert bound_holds(config, params)
     assert config.audit() < 1e-12
 
@@ -798,7 +823,7 @@ def test_no_births_and_no_mortality_is_absorbed_once_isolated(grid):
     assert traj.absorbed and traj.births == 0
     assert traj.events == traj.competition_deaths == 2 and traj.n_end == 2
     # no event after the second death: the nulls that follow it tighten the bound
-    assert [e.kind for e in traj.event_log] == ["death-competition"] * 2
+    assert [kind for _, kind, *_ in traj.event_log] == ["death-competition"] * 2
     assert traj.proposals > traj.events and config.crate_bound == 0.0
     assert all(len(s) == 2 for s in traj.snapshots)
     config = Configuration(pts, aminus)
@@ -839,9 +864,9 @@ def test_step_event_returns_a_real_event_after_null_proposals(grid):
     # 6e-10, so the first n are null for all but about 1e-8 of seeds
     loose = config.crate_bound = 1e9 * config.crate_bound
     rng = run_rng(15, 0)
-    ev = oracles.step_event(config, params, rng, t=2.0)
-    assert ev.kind in KINDS and ev.time > 2.0
-    assert config.n == n + (1 if ev.kind == "birth" else -1)
+    t, kind, *_ = oracles.step_event(config, params, rng, t=2.0)
+    assert kind in KINDS and t > 2.0
+    assert config.n == n + (1 if kind == "birth" else -1)
     # only n null proposals tighten the bound, so at least n happened
     assert config.crate_bound < loose
     assert config.audit() < 1e-12

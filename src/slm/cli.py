@@ -274,14 +274,15 @@ def cmd_scaling(args, cfg):
         cfg.rho0,
         cfg.params,
         cfg.horizon,
-        cfg.scaling_runs,
+        cfg.dt,
+        cfg.snapshot_times,
+        cfg.runs,
         cfg.seed,
         mode=args.mode,
-        snapshot_times=cfg.snapshot_times or None,
         closure_rule=cfg.closure,
         population_cap=cfg.population_cap,
     )
-    runs = cfg.scaling_runs if args.mode == "microsim" else 0
+    runs = cfg.runs if args.mode == "microsim" else 0
     source = "report.csv"
     return {
         source: (

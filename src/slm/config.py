@@ -56,8 +56,7 @@ _KEYS = {
             "population_cap": (int, str(DEFAULT_POPULATION_CAP), _AT_LEAST_1)},
     "theory": {"alpha_up": (float, None)},
     "stats": {"pair_bins": (int, "24", _AT_LEAST_1)},
-    "scaling": {"eps_list": (list, "1 0.5 0.25 0.1", (bool, "at least one number")),
-                "scaling_runs": (int, "200", _AT_LEAST_2)},
+    "scaling": {"eps_list": (list, "1 0.5 0.25 0.1", (bool, "at least one number"))},
     "hierarchy": {"closure": (str, "mean-field", CLOSURES), "slice_offsets": (list, "")},
 }
 
@@ -78,7 +77,6 @@ class RunConfig:
     alpha_up: float | None
     pair_bins: int
     eps_list: list
-    scaling_runs: int
     closure: str
     slice_offsets: list
     resolved: dict = field(default_factory=dict)

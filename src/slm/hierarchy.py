@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ClosureSingularityError, InvalidParameterError
 from .grid import Field, Grid, require_same_grid
 from .kernels import Kernel, convolve_spectra, spectral_work
-from .kinetic import integrate_rk4, stability_dt
+from .kinetic import integrate_rk4
 from .model import CLOSURES, ModelParams
 
 KIRKWOOD_FLOOR_FACTOR = 1e-8
@@ -79,11 +79,6 @@ class TruncatedState:
     @property
     def grid(self) -> Grid:
         return self.k1.grid
-
-
-def witness(k1_max: float, k2_max: float) -> float:
-    """max(max k1, sqrt(max k2)), the witness C from the maxima of k1 and k2."""
-    return max(k1_max, float(np.sqrt(max(k2_max, 0.0))))
 
 
 # -- closures ------------------------------------------------------------
@@ -215,9 +210,9 @@ def solve_hierarchy(
     dt: float,
     snapshot_times,
 ) -> tuple:
-    """RK4 on the coupled (k1, k2) system (:func:`integrate_rk4`), with
-    the kinetic guard evaluated at the witness C of the current state
-    before every step.
+    """RK4 on the coupled (k1, k2) system (:func:`integrate_rk4`), which
+    checks dt against the kinetic guard at the witness C = max(max k1,
+    sqrt(max k2)) of the current state before every step.
 
     Returns (snapshots, diagnostics): one TruncatedState per requested
     time, and the largest symmetry defect of k2 over the snapshots.  With
@@ -239,14 +234,7 @@ def solve_hierarchy(
         rhs_k1(st, params, out[0])
         rhs_k2(st, closure_rule, params, out[1], work)
 
-    values = integrate_rk4(
-        (state0.k1.values, state0.k2),
-        rhs,
-        horizon,
-        dt,
-        snapshot_times,
-        lambda peaks: stability_dt(params, witness(*peaks)),
-    )
+    values = integrate_rk4((state0.k1.values, state0.k2), rhs, horizon, dt, snapshot_times, params)
     snaps = [state(y) for y in values]
     drift = max((symmetry_defect(st.k2, work[1]) for st in snaps), default=0.0)
     return snaps, {"max_symmetry_drift": drift}

@@ -10,6 +10,8 @@ carrying capacity are read from the model's *discrete* kernel masses, so
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InstabilityError, InvalidParameterError
@@ -120,7 +122,9 @@ def _clip_negatives(values, t, scale):
     np.maximum(values, 0.0, out=values)
 
 
-def integrate_rk4(y: tuple, rhs, horizon: float, dt: float, snapshot_times, guard) -> list:
+def integrate_rk4(
+    y: tuple, rhs, horizon: float, dt: float, snapshot_times, params: ModelParams
+) -> list:
     """Classical RK4 for dy/dt = rhs(y), with y a tuple of nonnegative
     arrays; returns the state at each sorted snapshot time.
 
@@ -132,10 +136,11 @@ def integrate_rk4(y: tuple, rhs, horizon: float, dt: float, snapshot_times, guar
 
     Segments between snapshots are covered by round(segment/dt) equal
     steps so snapshots land exactly on requested times.  Before each step
-    dt is checked against ``guard(peaks)``, the explicit-stepping limit
-    at the current per-component maxima of y.  After each step every
-    component has round-off negatives clipped against its own running
-    maximum.
+    dt is checked against :func:`stability_dt` of the model at the
+    witness C of the paper's bound k^(n) <= C^n, from the current
+    maxima of y: max(max k1, sqrt(max k2)), which is max rho for the
+    kinetic equation.  After each step every component has round-off
+    negatives clipped against its own running maximum.
     """
     times = sorted(float(t) for t in snapshot_times)
     if dt <= 0:
@@ -149,16 +154,21 @@ def integrate_rk4(y: tuple, rhs, horizon: float, dt: float, snapshot_times, guar
     scales = [max(p, 1e-300) for p in peaks]
     out = []
     t = 0.0
+    c0 = None
     for n, target in enumerate(times, 1):
         seg = target - t
         if seg > 1e-12:
             nsteps = max(1, round(seg / dt))
             step = seg / nsteps
             for _ in range(nsteps):
-                limit = guard(peaks)
+                c = max([peaks[0]] + [math.sqrt(max(p, 0.0)) for p in peaks[1:]])
+                c0 = c if c0 is None else c0
+                limit = stability_dt(params, c)
                 if dt > limit * (1 + 1e-9):
+                    grew = (f": the state outgrew the guard, its witness C grew from {c0:.6g}"
+                            f" at t=0 to {c:.6g}") if t > 0 else ""
                     raise InvalidParameterError(
-                        f"dt={dt:.3g} exceeds the stability guard {limit:.3g} at t={t:.6g}"
+                        f"dt={dt:.6g} exceeds the stability guard {limit:.6g} at t={t:.6g}{grew}"
                     )
                 _rk4_step(y, step, rhs, k, stage)
                 t += step
@@ -183,8 +193,5 @@ def solve_kinetic(rho0: Field, params: ModelParams, horizon: float, dt: float, s
     def rhs(y, out):
         kinetic_rhs(Field(rho0.grid, y[0]), params, out[0], work)
 
-    def guard(peaks):
-        return stability_dt(params, peaks[0])
-
-    snaps = integrate_rk4((rho0.values,), rhs, horizon, dt, snapshot_times, guard)
+    snaps = integrate_rk4((rho0.values,), rhs, horizon, dt, snapshot_times, params)
     return [Field(rho0.grid, values) for (values,) in snaps]

@@ -1,7 +1,9 @@
 """Weak-interaction scaling experiment: densities of order 1/eps,
 competition of order eps, time unscaled.  Rescaled observations are
 compared against the kinetic solution to measure convergence as
-eps -> 0.
+eps -> 0.  Every level runs at the step, snapshot times and run count
+it is given, as ``slm kinetic``, ``slm hierarchy`` and ``slm simulate``
+do with the same config.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .grid import Field
 from .hierarchy import TruncatedState, require_pair_grid, solve_hierarchy
-from .kinetic import solve_kinetic, stability_dt
+from .kinetic import solve_kinetic
 from .microsim import DEFAULT_POPULATION_CAP, run_ensemble
 from .model import ModelParams
 from .stats import density_estimate
@@ -27,7 +29,6 @@ class ScalingReport:
 
     epsilons: list
     errors: list
-    mode: str
     mc_se: list  # per-eps Monte Carlo SE of the rescaled density (microsim mode)
 
 
@@ -49,10 +50,11 @@ def vlasov_error(
     rho0: Field,
     params: ModelParams,
     T: float,
+    dt: float,
+    snapshot_times,
     runs: int,
     seed: int,
     mode: str = "hierarchy",
-    snapshot_times=None,
     closure_rule: str = "mean-field",
     population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> ScalingReport:
@@ -60,10 +62,13 @@ def vlasov_error(
     density by eps, and take the sup over snapshot times of the max-cell
     discrepancy against the kinetic solution.
 
-    ``eps_list``, the model's epsilon, the horizon T (positive), the grid
-    (hierarchy mode) and ``runs`` (microsim mode, at least 2; hierarchy
-    mode ignores it) are checked before the kinetic reference is solved.
-    T is not checked against the theory's existence horizon T*.
+    The kinetic reference and every hierarchy solve step at ``dt``, each
+    checked against the stability guard by :func:`integrate_rk4`; the
+    microsim mode averages ``runs`` runs.  ``eps_list``, the model's
+    epsilon, ``snapshot_times`` (at least one), the grid (hierarchy mode)
+    and ``runs`` (microsim mode, at least 2; hierarchy mode ignores it)
+    are checked before the kinetic reference is solved.  T is not checked
+    against the theory's existence horizon T*.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -78,16 +83,12 @@ def vlasov_error(
             f"scaling compares against the eps -> 0 limit of the model at epsilon = 1, "
             f"got epsilon = {params.epsilon}"
         )
-    if not T > 0:
-        # the step dt <= T / 20 would be 0
-        raise InvalidParameterError(f"scaling needs a positive horizon, got horizon = {T}")
+    if len(snapshot_times) == 0:
+        raise InvalidParameterError("scaling needs at least one snapshot time to compare at")
     if mode == "hierarchy":
         require_pair_grid(rho0.grid)
     elif runs < 2:
         raise InvalidParameterError("density estimation needs at least 2 runs")
-    if snapshot_times is None:
-        snapshot_times = list(np.linspace(T / 4.0, T, 4))
-    dt = min(0.5 * stability_dt(params, max(rho0.max, 1.0)), T / 20.0)
 
     reference = solve_kinetic(rho0, params, T, dt, snapshot_times)
     errors, ses = [], []
@@ -103,9 +104,9 @@ def vlasov_error(
         else:
             sparams, srho0 = scaled_params(params, rho0, eps)
             # compared at the snapshot times only, so a run stops after the last
-            last = max(snapshot_times, default=0.0)
             trajectories = run_ensemble(
-                srho0, sparams, last, snapshot_times, seed, runs, population_cap=population_cap
+                srho0, sparams, max(snapshot_times), snapshot_times, seed, runs,
+                population_cap=population_cap,
             )
             err = 0.0
             se = 0.0
@@ -115,4 +116,4 @@ def vlasov_error(
                 se = max(se, eps * float(np.max(est.se)))
             ses.append(se)
         errors.append(err)
-    return ScalingReport(eps_list, errors, mode, ses)
+    return ScalingReport(eps_list, errors, ses)

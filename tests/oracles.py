@@ -33,7 +33,7 @@ from slm.errors import (
     ClosureSingularityError,
     InvalidParameterError,
 )
-from slm.hierarchy import CLOSURES, KIRKWOOD_FLOOR_FACTOR, witness
+from slm.hierarchy import CLOSURES, KIRKWOOD_FLOOR_FACTOR
 from slm.kernels import make_indicator_kernel
 from slm.microsim import (
     AUDIT_TOLERANCE,
@@ -296,8 +296,8 @@ def is_even(kernel, tol=0.0):
 
 
 def witness_C(state):
-    """The witness C of a TruncatedState's k1 and k2."""
-    return witness(state.k1.max, float(state.k2.max()))
+    """The witness C = max(max k1, sqrt(max k2)) of a TruncatedState's bound k^(n) <= C^n."""
+    return max(state.k1.max, float(np.sqrt(max(state.k2.max(), 0.0))))
 
 
 def unit_mass_indicator(grid, radius):

@@ -138,8 +138,12 @@ def test_criterion_05_weak_interaction_convergence(announce):
     )
     x = grid.centers()
     rho0 = Field(grid, 0.4 + 0.1 * np.sin(2 * np.pi * x / grid.side))
+    # four snapshot times to T, at half the stability guard of max(rho0, 1) and at most T / 20
+    T = 0.8 * t_star
+    dt = min(0.5 * stability_dt(params, max(rho0.max, 1.0)), T / 20.0)
     report = vlasov_error(
-        [1.0, 0.5, 0.25, 0.1], rho0, params, T=0.8 * t_star, runs=0, seed=0, mode="hierarchy"
+        [1.0, 0.5, 0.25, 0.1], rho0, params, T, dt, list(np.linspace(T / 4.0, T, 4)),
+        runs=0, seed=0, mode="hierarchy",
     )
     ok = all(b < a for a, b in zip(report.errors, report.errors[1:]))
     announce(

@@ -104,10 +104,12 @@ class TestConfig:
             parse_config("/nonexistent/run.cfg")
 
     def test_unknown_key_rejected(self, tmp_path):
+        # scaling runs [run] runs, so [scaling] has no runs key of its own
         p = tmp_path / "bad.cfg"
-        p.write_text(BASE_CFG + "\n[model]\nmortality_rate = 1\n")
-        with pytest.raises(ConfigError):
-            parse_config(str(p))
+        for section, key in [("model", "mortality_rate"), ("scaling", "scaling_runs")]:
+            p.write_text(with_key(BASE_CFG, section, key, "5"))
+            with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: [{section}] {key}")):
+                parse_config(str(p))
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -167,7 +169,6 @@ class TestConfig:
             ("run", "population_cap", "0"),
             ("run", "population_cap", "-3"),
             ("stats", "pair_bins", "24.5"),
-            ("scaling", "scaling_runs", "5.5"),
             ("scaling", "eps_list", "1 half"),
             ("hierarchy", "slice_offsets", "0 0.4x"),
             ("run", "snapshot_times", "0.5 one"),
@@ -210,9 +211,6 @@ class TestConfig:
             ("kernel.competition", "height", "0", "[kernel.competition] height: not positive: '0'"),
             ("kernel.competition", "cutoff", "-1", "[kernel.competition] cutoff: not nonnegative: '-1'"),
             ("initial", "density", "-1", "[initial] density: not nonnegative: '-1'"),
-            ("scaling", "scaling_runs", "-3", "[scaling] scaling_runs: not at least 2: '-3'"),
-            ("scaling", "scaling_runs", "0", "[scaling] scaling_runs: not at least 2: '0'"),
-            ("scaling", "scaling_runs", "1", "[scaling] scaling_runs: not at least 2: '1'"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, section, key, value, message):
@@ -594,7 +592,7 @@ class TestCommands:
         assert "error-category: invalid-parameter" in err and "t=2.0" in err
 
     def test_scaling_outputs(self, tmp_path):
-        cfg = BASE_CFG + "\n[scaling]\neps_list = 1 0.5\nscaling_runs = 5\n"
+        cfg = BASE_CFG + "\n[scaling]\neps_list = 1 0.5\n"
         p = tmp_path / "s.cfg"
         p.write_text(cfg)
         out = str(tmp_path / "sc")
@@ -604,9 +602,34 @@ class TestCommands:
         assert len(report) == 3
         assert os.path.exists(os.path.join(out, "plot_manifest.json"))
 
+    def test_scaling_reads_the_run_section(self, tmp_path, monkeypatch):
+        # the reference steps at [run] dt to [run] snapshot_times, and microsim averages [run] runs
+        from slm import scaling
+
+        solve, simulate, calls = scaling.solve_kinetic, scaling.run_ensemble, []
+
+        def kinetic(rho0, params, horizon, dt, times):
+            calls.append((horizon, dt, times))
+            return solve(rho0, params, horizon, dt, times)
+
+        def ensemble(rho0, params, horizon, times, seed, runs, **kwargs):
+            calls.append((seed, runs))
+            return simulate(rho0, params, horizon, times, seed, runs, **kwargs)
+
+        monkeypatch.setattr(scaling, "solve_kinetic", kinetic)
+        monkeypatch.setattr(scaling, "run_ensemble", ensemble)
+        p = tmp_path / "s.cfg"
+        p.write_text(BASE_CFG + "\n[scaling]\neps_list = 1 0.5\n")
+        out = str(tmp_path / "sc")
+        assert main(["scaling", "--config", str(p), "--out", out, "--mode", "microsim"]) == 0
+        assert calls == [(1.0, 0.02, [0.5, 1.0]), (3, 4), (3, 4)]
+        assert [row.split(",")[-1] for row in read(os.path.join(out, "report.csv")).splitlines()] == [
+            "runs", "4", "4"
+        ]
+
     @pytest.mark.parametrize("mode", ["hierarchy", "microsim"])
     def test_scaling_rejects_eps_outside_unit_interval(self, tmp_path, capsys, mode):
-        cfg = BASE_CFG + "\n[scaling]\neps_list = 2 1 -0.5\nscaling_runs = 5\n"
+        cfg = BASE_CFG + "\n[scaling]\neps_list = 2 1 -0.5\n"
         p = tmp_path / "s.cfg"
         p.write_text(cfg)
         out = str(tmp_path / "sc")
@@ -619,7 +642,7 @@ class TestCommands:
     def test_scaling_rejects_a_model_epsilon_other_than_one(self, tmp_path, capsys, mode):
         cfg = BASE_CFG.replace("mortality = 0.3", "mortality = 0.3\nepsilon = 0.5", 1)
         p = tmp_path / "s.cfg"
-        p.write_text(cfg + "\n[scaling]\neps_list = 1 0.5\nscaling_runs = 5\n")
+        p.write_text(cfg + "\n[scaling]\neps_list = 1 0.5\n")
         out = str(tmp_path / "sc")
         assert main(["scaling", "--config", str(p), "--out", out, "--mode", mode]) == 2
         err = capsys.readouterr().err
@@ -689,7 +712,7 @@ class TestOutputPath:
     )
     def test_manifest_lists_every_written_file(self, tmp_path, argv):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_CFG + "\n[scaling]\neps_list = 1 0.5\nscaling_runs = 5\n")
+        cfg.write_text(BASE_CFG + "\n[scaling]\neps_list = 1 0.5\n")
         sim = str(tmp_path / "sim")
         assert main(["simulate", "--config", str(cfg), "--out", sim]) == 0
         out = str(tmp_path / "out")
@@ -1119,10 +1142,13 @@ class TestFailures:
         assert not (tmp_path / "made").exists()
 
     def test_kinetic_dt_guard_category(self, tmp_path, capsys):
+        # slm scaling steps its kinetic reference at [run] dt too
         cfg = BASE_CFG.replace("dt = 0.02", "dt = 5.0")
         p = tmp_path / "dt.cfg"
         p.write_text(cfg)
         out = str(tmp_path / "o")
-        assert main(["kinetic", "--config", str(p), "--out", out]) == 2
-        assert "error-category: invalid-parameter" in capsys.readouterr().err
-        assert not os.path.exists(out)  # a failed command writes nothing
+        for argv in ["kinetic"], ["scaling", "--mode", "hierarchy"], ["scaling", "--mode", "microsim"]:
+            assert main([*argv, "--config", str(p), "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error-category: invalid-parameter: dt=5 exceeds the stability guard")
+            assert not os.path.exists(out)  # a failed command writes nothing

@@ -6,10 +6,15 @@ from oracles import unit_mass_indicator
 import slm.scaling
 from slm.errors import InvalidParameterError
 from slm.grid import Grid
-from slm.kinetic import Field
+from slm.hierarchy import solve_hierarchy
+from slm.kinetic import Field, solve_kinetic
 from slm.microsim import run_ensemble
 from slm.model import ModelParams
 from slm.scaling import scaled_params, vlasov_error
+
+# four snapshot times up to T = 1 and a step under the stability guard of the fixtures
+TIMES = [0.25, 0.5, 0.75, 1.0]
+DT = 0.02
 
 
 @pytest.fixture
@@ -54,8 +59,7 @@ class TestScaledParams:
 
 class TestVlasovError:
     def test_hierarchy_errors_decrease(self, params, rho0):
-        report = vlasov_error([1.0, 0.5, 0.1], rho0, params, T=1.0, runs=0, seed=0)
-        assert report.mode == "hierarchy"
+        report = vlasov_error([1.0, 0.5, 0.1], rho0, params, 1.0, DT, TIMES, runs=0, seed=0)
         assert all(b < a for a, b in zip(report.errors, report.errors[1:]))
         # near-linear decay in eps: the eps = 0.1 error sits well below
         # the eps = 1 error
@@ -63,7 +67,8 @@ class TestVlasovError:
 
     def test_microsim_mode_runs(self, params, rho0):
         report = vlasov_error(
-            [0.5, 0.2], rho0, params, T=0.5, runs=30, seed=7, mode="microsim"
+            [0.5, 0.2], rho0, params, 0.5, DT, [0.125, 0.25, 0.375, 0.5], runs=30, seed=7,
+            mode="microsim",
         )
         assert len(report.errors) == 2
         assert all(e >= 0 for e in report.errors)
@@ -78,14 +83,29 @@ class TestVlasovError:
             return run_ensemble(rho0, params, horizon, *args, **kwargs)
 
         monkeypatch.setattr(slm.scaling, "run_ensemble", ensemble)
-        vlasov_error(
-            [1.0, 0.5], rho0, params, T=1.0, runs=2, seed=0, mode="microsim", snapshot_times=[0.25]
-        )
+        vlasov_error([1.0, 0.5], rho0, params, 1.0, DT, [0.25], runs=2, seed=0, mode="microsim")
         assert horizons == [0.25, 0.25]
+
+    def test_every_solve_steps_at_the_given_dt(self, params, rho0, monkeypatch):
+        # the kinetic reference and the hierarchy at each eps, all at the caller's dt and times
+        dt, calls = 0.035, []
+
+        def kinetic(rho0, params, horizon, dt, times):
+            calls.append(("kinetic", horizon, dt, times))
+            return solve_kinetic(rho0, params, horizon, dt, times)
+
+        def hierarchy(state0, rule, params, horizon, dt, times):
+            calls.append(("hierarchy", horizon, dt, times))
+            return solve_hierarchy(state0, rule, params, horizon, dt, times)
+
+        monkeypatch.setattr(slm.scaling, "solve_kinetic", kinetic)
+        monkeypatch.setattr(slm.scaling, "solve_hierarchy", hierarchy)
+        vlasov_error([1.0, 0.5], rho0, params, 1.0, dt, TIMES, runs=0, seed=0)
+        assert calls == [(name, 1.0, dt, TIMES) for name in ("kinetic", "hierarchy", "hierarchy")]
 
     def test_eps_list_must_decrease(self, params, rho0):
         with pytest.raises(InvalidParameterError):
-            vlasov_error([0.5, 1.0], rho0, params, T=1.0, runs=0, seed=0)
+            vlasov_error([0.5, 1.0], rho0, params, 1.0, DT, TIMES, runs=0, seed=0)
 
     @pytest.mark.parametrize("mode", ["hierarchy", "microsim"])
     def test_every_eps_checked_before_the_reference(self, params, rho0, monkeypatch, mode):
@@ -95,7 +115,7 @@ class TestVlasovError:
         monkeypatch.setattr(slm.scaling, "solve_kinetic", solve)
         for eps_list in ([2.0, 1.0, -0.5], [1.0, 0.5, 0.0], [1.5]):
             with pytest.raises(InvalidParameterError, match="eps must lie in"):
-                vlasov_error(eps_list, rho0, params, T=1.0, runs=2, seed=0, mode=mode)
+                vlasov_error(eps_list, rho0, params, 1.0, DT, TIMES, runs=2, seed=0, mode=mode)
 
     @pytest.mark.parametrize("mode", ["hierarchy", "microsim"])
     def test_model_epsilon_other_than_one_is_rejected(self, params, rho0, monkeypatch, mode):
@@ -105,18 +125,17 @@ class TestVlasovError:
         monkeypatch.setattr(slm.scaling, "solve_kinetic", solve)
         with pytest.raises(InvalidParameterError, match="epsilon = 0.5"):
             vlasov_error(
-                [1.0, 0.5], rho0, params.with_epsilon(0.5), T=1.0, runs=2, seed=0, mode=mode
+                [1.0, 0.5], rho0, params.with_epsilon(0.5), 1.0, DT, TIMES, runs=2, seed=0, mode=mode
             )
 
     @pytest.mark.parametrize("mode", ["hierarchy", "microsim"])
-    def test_horizon_checked_before_the_reference(self, params, rho0, monkeypatch, mode):
+    def test_snapshot_times_checked_before_the_reference(self, params, rho0, monkeypatch, mode):
         def solve(*args):
-            raise AssertionError("kinetic reference solved before the horizon was checked")
+            raise AssertionError("kinetic reference solved before the snapshot times were checked")
 
         monkeypatch.setattr(slm.scaling, "solve_kinetic", solve)
-        for T in (0.0, -1.0):
-            with pytest.raises(InvalidParameterError, match=f"positive horizon, got horizon = {T}"):
-                vlasov_error([1.0, 0.5], rho0, params, T=T, runs=2, seed=0, mode=mode)
+        with pytest.raises(InvalidParameterError, match="at least one snapshot time"):
+            vlasov_error([1.0, 0.5], rho0, params, 1.0, DT, [], runs=2, seed=0, mode=mode)
 
     @pytest.mark.parametrize("runs", [1, 0, -5])
     def test_microsim_runs_checked_before_the_reference(self, params, rho0, monkeypatch, runs):
@@ -125,8 +144,8 @@ class TestVlasovError:
 
         monkeypatch.setattr(slm.scaling, "solve_kinetic", solve)
         with pytest.raises(InvalidParameterError, match="at least 2 runs"):
-            vlasov_error([1.0, 0.5], rho0, params, T=1.0, runs=runs, seed=0, mode="microsim")
+            vlasov_error([1.0, 0.5], rho0, params, 1.0, DT, TIMES, runs=runs, seed=0, mode="microsim")
 
     def test_unknown_mode(self, params, rho0):
         with pytest.raises(InvalidParameterError):
-            vlasov_error([1.0], rho0, params, T=1.0, runs=0, seed=0, mode="pde")
+            vlasov_error([1.0], rho0, params, 1.0, DT, TIMES, runs=0, seed=0, mode="pde")

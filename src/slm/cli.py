@@ -207,6 +207,15 @@ def cmd_hierarchy(args, cfg):
 # -- stats ---------------------------------------------------------------
 
 
+def _split_runs(rows, runs):
+    """The positions (columns 2 on) of the rows of each run in ``runs``, in
+    file order: two bounds per run in one stable sort of the rows by run."""
+    order = np.argsort(rows[:, 0], kind="stable")
+    by_run = rows[order, 0]
+    lo, hi = (np.searchsorted(by_run, runs, side) for side in ("left", "right"))
+    return [rows[order[a:b], 2:] for a, b in zip(lo, hi)]
+
+
 def cmd_stats(args, cfg):
     from .stats import default_pair_edges, estimate_correlations, subpoisson_diagnostic
 
@@ -241,8 +250,7 @@ def cmd_stats(args, cfg):
         runs, counts = rows[:, 0], rows[:, 2]
         if not counts.any():
             raise InvalidParameterError(f"every run is empty at t={t}; nothing to estimate")
-        sel = data[data[:, 1] == t]
-        ensemble = [sel[sel[:, 0] == r][:, 2:] for r in runs]
+        ensemble = _split_runs(data[data[:, 1] == t], runs)
         if [len(p) for p in ensemble] != list(counts):
             raise SLMError(f"snapshots.csv and summary.csv disagree at t={t}")
         est = estimate_correlations(ensemble, cfg.grid, edges)

@@ -115,7 +115,10 @@ def closure_contraction(
         np.add(t1, np.multiply(own[:, None], k1[None, :], out=w), out=t1)
         np.add(t1, np.multiply(k1[:, None], competition_k2, out=w), out=t1)
         return np.divide(t1, 3.0, out=t1)
-    floor = KIRKWOOD_FLOOR_FACTOR * max(float(k1.max()), 0.0)
+    top = float(k1.max())
+    if not top > 0.0:
+        raise ClosureSingularityError(f"kirkwood closure: k1 has no positive value (max {top:.3g})")
+    floor = KIRKWOOD_FLOOR_FACTOR * top
     if float(k1.min()) < floor or floor == 0.0:
         raise ClosureSingularityError(f"kirkwood closure needs k1 >= {floor:.3g} everywhere")
     # k2 (((cm k2) / k1[None, :]) @ k2) / outer(k1, k1)

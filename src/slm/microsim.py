@@ -9,10 +9,10 @@ proposals come at rate N B, each picks a particle uniformly and a level
 u uniform on [0, B), and u selects a birth, a natural death, a competitive
 death or, above <a+> + m + eps * c_i, a null proposal that changes
 nothing.  This has the law of the direct method and costs O(1) per
-proposal instead of a sum over all particles.  Competitive rates are
-maintained incrementally through a cell list and audited against a
-recomputation over the pair search of :mod:`slm.grid`, whose cells the
-cell list shares.
+proposal instead of a sum over all particles.  :class:`Configuration`,
+the one particle store, keeps the particles in the cells of the pair
+search of :mod:`slm.grid`, updates the competitive rates around a birth
+or death with one ``ufunc.at`` call, and audits them against that search.
 
 A run draws its randomness from three streams of its Generator, one per
 kind of draw (:class:`Draws`), in blocks of Python numbers, so a proposal
@@ -89,88 +89,6 @@ def uniform_index(word, n: int) -> int:
     return m >> 64
 
 
-class CellList:
-    """Array-backed spatial hash in the cells that :func:`grid.sort_by_cell`
-    gives a search within the competition support radius, so interacting
-    pairs always sit in neighbouring cells.
-
-    Particle i fills slot ``slot_of[i]`` of cell ``cell_of[i]``, i.e.
-    ``members[cell_of[i], slot_of[i]] == i``, and cell c fills its first
-    ``count[c]`` slots, which ``occupied[c]`` marks: the candidates' mask,
-    kept so that a search needs no compare.  ``nbr[c]`` lists the 3^d
-    cells around c, or c alone when one cell holds every point.
-    """
-
-    def __init__(self, side: float, interaction_radius: float, positions: np.ndarray):
-        # the stable sort puts a cell's members in index order, as n successive adds would
-        order, keys, self.ncells = sort_by_cell(positions, side, interaction_radius)
-        dim = positions.shape[1]
-        self.width = side / self.ncells
-        self.strides = self.ncells ** np.arange(dim - 1, -1, -1)
-        self._strides = self.strides.tolist()
-        total = self.ncells**dim
-        steps = (-1, 0, 1) if self.ncells > 1 else (0,)
-        shell = np.array(list(itertools.product(steps, repeat=dim)))
-        grid_keys = np.indices((self.ncells,) * dim).reshape(dim, -1).T
-        self.nbr = ((grid_keys[:, None, :] + shell) % self.ncells) @ self.strides
-        cells = keys @ self.strides
-        self.count = np.bincount(cells, minlength=total)
-        slots = np.arange(len(cells)) - np.repeat(np.cumsum(self.count) - self.count, self.count)
-        self.members = np.empty((total, max(8, 2 * int(self.count.max()))), dtype=np.intp)
-        self.members[cells, slots] = order
-        self.occupied = np.zeros(self.members.shape, dtype=bool)
-        self.occupied[cells, slots] = True
-        cap = max(16, 2 * len(cells))
-        self.cell_of = np.zeros(cap, dtype=np.intp)
-        self.slot_of = np.zeros(cap, dtype=np.intp)
-        self.cell_of[order], self.slot_of[order] = cells, slots
-
-    def cell(self, pos) -> int:
-        """Flat cell index of one position, a sequence of dim floats:
-        ``grid.cell_keys`` in plain Python, which on one point is faster
-        than its array form."""
-        top, width, c = self.ncells - 1, self.width, 0
-        for x, s in zip(pos, self._strides):
-            k = int(x / width)
-            c += (k if k < top else top) * s
-        return c
-
-    def candidates(self, c: int) -> np.ndarray:
-        """Indices in the cells around cell c: a superset of the particles
-        within one cell width of any point of c."""
-        cells = self.nbr[c]
-        return self.members.take(cells, axis=0)[self.occupied.take(cells, axis=0)]
-
-    def add(self, i: int, c: int):
-        k = self.count[c]
-        if k == self.members.shape[1]:
-            self.members = np.concatenate([self.members, np.empty_like(self.members)], axis=1)
-            self.occupied = np.concatenate([self.occupied, np.zeros_like(self.occupied)], axis=1)
-        if i == len(self.cell_of):
-            self.cell_of = np.concatenate([self.cell_of, np.zeros_like(self.cell_of)])
-            self.slot_of = np.concatenate([self.slot_of, np.zeros_like(self.slot_of)])
-        self.members[c, k] = i
-        self.occupied[c, k] = True
-        self.count[c] = k + 1
-        self.cell_of[i], self.slot_of[i] = c, k
-
-    def remove(self, i: int):
-        """Drop i; the last member of its cell moves into its slot."""
-        c, s = self.cell_of[i], self.slot_of[i]
-        k = self.count[c] - 1
-        moved = self.members[c, k]
-        self.members[c, s] = moved
-        self.slot_of[moved] = s
-        self.occupied[c, k] = False
-        self.count[c] = k
-
-    def relabel(self, old: int, new: int):
-        """Particle ``old`` is now called ``new``."""
-        c, s = self.cell_of[old], self.slot_of[old]
-        self.members[c, s] = new
-        self.cell_of[new], self.slot_of[new] = c, s
-
-
 class Configuration:
     """Finite point configuration with incrementally maintained
     competitive death rates c_i (unscaled by epsilon) and a bound
@@ -178,6 +96,16 @@ class Configuration:
     raises the bound to the rates it touches; deaths only lower rates, so
     it stays valid until :meth:`tighten` resets it to the maximum.  The
     torus is the competition kernel's grid: its side and dimension.
+
+    With a competition kernel of positive support the configuration also
+    keeps its particles in the cells that :func:`grid.sort_by_cell` gives a
+    search within the support radius, so interacting pairs always sit in
+    neighbouring cells.  Particle i fills slot ``slot_of[i]`` of cell
+    ``cell_of[i]``, i.e. ``members[cell_of[i], slot_of[i]] == i``, and
+    cell c fills its first ``count[c]`` slots, which ``occupied[c]`` marks:
+    the candidates' mask, kept so that a search needs no compare.
+    ``nbr[c]`` lists the 3^d cells around c, or c alone when one cell
+    holds every point.
     """
 
     def __init__(self, positions: np.ndarray, competition: Kernel):
@@ -198,11 +126,44 @@ class Configuration:
         self.crate = np.zeros(cap)
         self.n = n
         if self.interacting:
-            self.cells = CellList(side, competition.support_radius, positions)
+            # the stable sort puts a cell's members in index order, as n successive adds would
+            order, keys, k = sort_by_cell(positions, side, competition.support_radius)
+            self.ncells, self.width = k, side / k
+            self.strides = [k**a for a in range(dim - 1, -1, -1)]
+            steps = (-1, 0, 1) if k > 1 else (0,)
+            shell = np.array(list(itertools.product(steps, repeat=dim)))
+            grid_keys = np.indices((k,) * dim).reshape(dim, -1).T
+            self.nbr = ((grid_keys[:, None, :] + shell) % k) @ self.strides
+            cells = keys @ self.strides
+            self.count = np.bincount(cells, minlength=k**dim)
+            slots = np.arange(n) - np.repeat(np.cumsum(self.count) - self.count, self.count)
+            self.members = np.empty((k**dim, max(8, 2 * int(self.count.max()))), dtype=np.intp)
+            self.members[cells, slots] = order
+            self.occupied = np.zeros(self.members.shape, dtype=bool)
+            self.occupied[cells, slots] = True
+            cell_of, slot_of = np.empty((2, n), dtype=np.intp)
+            cell_of[order], slot_of[order] = cells, slots
+            self.cell_of, self.slot_of = cell_of.tolist(), slot_of.tolist()
             self.crate[:n] = self._exact_rates()
         self.tighten()
 
     # -- geometry --------------------------------------------------------
+
+    def cell(self, pos) -> int:
+        """Flat cell index of one position, a sequence of dim floats:
+        ``grid.cell_keys`` in plain Python, which on one point is faster
+        than its array form."""
+        top, width, c = self.ncells - 1, self.width, 0
+        for x, s in zip(pos, self.strides):
+            k = int(x / width)
+            c += (k if k < top else top) * s
+        return c
+
+    def candidates(self, c: int) -> np.ndarray:
+        """Indices in the cells around cell c: a superset of the particles
+        within one cell width of any point of c."""
+        cells = self.nbr[c]
+        return self.members.take(cells, axis=0)[self.occupied.take(cells, axis=0)]
 
     def _kernel_from(self, pos, idx):
         """a-(x_j - pos) for the particles ``idx``; ``pos`` broadcasts
@@ -228,52 +189,61 @@ class Configuration:
 
     # -- mutation --------------------------------------------------------
 
-    def _grow(self):
-        cap = 2 * len(self.pos)
-        pos = np.zeros((cap, self.dim))
-        pos[: self.n] = self.pos[: self.n]
-        crate = np.zeros(cap)
-        crate[: self.n] = self.crate[: self.n]
-        self.pos, self.crate = pos, crate
-
     def add_particle(self, position) -> int:
         """Add a particle at ``position`` wrapped as :func:`grid.wrap` does,
         in Python floats: ``x % L`` is the IEEE arithmetic of ``np.mod``."""
-        if self.n == len(self.pos):
-            self._grow()
         i = self.n
+        if i == len(self.pos):
+            self.pos = np.concatenate([self.pos, np.zeros_like(self.pos)])
+            self.crate = np.concatenate([self.crate, np.zeros_like(self.crate)])
         side = self.side
         pos = [x % side for x in map(float, position)]
         pos = [0.0 if x == side else x for x in pos]
         self.pos[i] = pos
-        self.n += 1
+        self.n = i + 1
         if self.interacting:
-            c = self.cells.cell(pos)
-            idx = self.cells.candidates(c)
+            c = self.cell(pos)
+            idx = self.candidates(c)
             vals = self._kernel_from(self.pos[i], idx)
-            touched = self.crate.take(idx)
-            touched += vals
-            self.crate.put(idx, touched)
+            np.add.at(self.crate, idx, vals)
             # the ufunc reductions that .sum() and .max() wrap, without the wrappers
             self.crate[i] = own = np.add.reduce(vals)
-            top = np.maximum.reduce(touched, initial=own)
+            top = np.maximum.reduce(self.crate.take(idx), initial=own)
             if top > self.crate_bound:
                 self.crate_bound = float(top)
-            self.cells.add(i, c)
+            k = self.count[c]
+            if k == self.members.shape[1]:
+                self.members = np.concatenate([self.members, np.empty_like(self.members)], axis=1)
+                self.occupied = np.concatenate([self.occupied, np.zeros_like(self.occupied)], axis=1)
+            self.members[c, k] = i
+            self.occupied[c, k] = True
+            self.count[c] = k + 1
+            self.cell_of.append(c)
+            self.slot_of.append(k)
         return i
 
     def remove_particle(self, i: int):
-        if self.interacting:
-            # the candidates include i itself; c_i is overwritten or dropped below
-            idx = self.cells.candidates(self.cells.cell_of[i])
-            self.crate.put(idx, self.crate.take(idx) - self._kernel_from(self.pos[i], idx))
-            self.cells.remove(i)
+        """Drop particle i; the last particle takes its index, and the last
+        member of its cell takes its slot."""
         last = self.n - 1
+        if self.interacting:
+            c, s = self.cell_of[i], self.slot_of[i]
+            # the candidates include i itself; c_i is overwritten or dropped below
+            idx = self.candidates(c)
+            np.subtract.at(self.crate, idx, self._kernel_from(self.pos[i], idx))
+            k = self.count[c] - 1
+            moved = self.members[c, k]
+            self.members[c, s] = moved
+            self.slot_of[moved] = s
+            self.occupied[c, k] = False
+            self.count[c] = k
+            c, s = self.cell_of.pop(), self.slot_of.pop()
+            if i != last:
+                self.members[c, s] = i
+                self.cell_of[i], self.slot_of[i] = c, s
         if i != last:
             self.pos[i] = self.pos[last]
             self.crate[i] = self.crate[last]
-            if self.interacting:
-                self.cells.relabel(last, i)
         self.n = last
 
     def tighten(self):

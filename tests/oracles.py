@@ -22,7 +22,8 @@ proposal, reading either the same block draws as ``microsim.run`` or one
 Generator call per value, as before block draws; ``step_event`` makes
 those proposals until the first real one, for tests of a single jump.
 ``is_even``, ``witness_C`` and ``unit_mass_indicator`` are helpers that
-only tests call.
+only tests call, and ``contact_correlations`` is the closed form of the
+contact model's (k1, k2), which the hierarchy must reach at a- = 0.
 """
 import numpy as np
 
@@ -79,7 +80,10 @@ def closure_tensor(rule, state):
             + k2[:, None, :] * k1[None, :, None]
             + k2[None, :, :] * k1[:, None, None]
         ) / 3.0
-    floor = KIRKWOOD_FLOOR_FACTOR * max(float(k1.max()), 0.0)
+    top = float(k1.max())
+    if not top > 0.0:
+        raise ClosureSingularityError(f"kirkwood closure: k1 has no positive value (max {top:.3g})")
+    floor = KIRKWOOD_FLOOR_FACTOR * top
     if float(k1.min()) < floor or floor == 0.0:
         raise ClosureSingularityError(f"kirkwood closure needs k1 >= {floor:.3g} everywhere")
     return (
@@ -304,6 +308,28 @@ def unit_mass_indicator(grid, radius):
     """Indicator kernel rescaled so its tabulated mass is exactly 1."""
     k = make_indicator_kernel(1.0, radius, grid.dim, grid)
     return make_indicator_kernel(1.0 / k.mass, radius, grid.dim, grid)
+
+
+def contact_correlations(dispersal, mortality, rho0, epsilon, t):
+    """(k1, c) of the contact model (a- = 0) at time t from a Poisson start
+    of density rho0, on the dispersal kernel's grid: k1 = rho0 e^{rt} with
+    r = <a+> - m, and k2(x, y) = k1^2 + c(x - y), c given by its torus
+    modes k as
+
+        c_k(t) = 2 eps rho0 a_k (e^{rt} - e^{lam t}) / (L^d (r - lam)),
+
+    lam = 2 (a_k - m), with a_k = h^d DFT(values)[k] the grid's
+    coefficient of a+.  c is returned on the kernel's offsets, c[j] =
+    c(j h), so a 1-d k2[i, j] is k1^2 + c[(i - j) mod M]."""
+    grid = dispersal.grid
+    r = dispersal.mass - mortality
+    a_k = grid.cell_volume * np.fft.fftn(dispersal.values).real
+    lam = 2.0 * (a_k - mortality)
+    # (e^{rt} - e^{lam t}) / (r - lam) = t e^{lam t} expm1(z) / z with z = (r - lam) t, 1 at z = 0
+    z = (r - lam) * t
+    ratio = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
+    c_k = 2.0 * epsilon * rho0 * a_k * t * np.exp(lam * t) * ratio / grid.side**grid.dim
+    return rho0 * np.exp(r * t), grid.size * np.fft.ifftn(c_k).real
 
 
 def rel_err(value, reference):

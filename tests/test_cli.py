@@ -992,6 +992,18 @@ class TestFailures:
         assert main(["simulate", "--config", str(p), "--out", out]) == 2
         assert "error-category: blow-up" in capsys.readouterr().err
 
+    def test_kirkwood_on_an_empty_start_says_k1_has_no_positive_value(self, tmp_path, capsys):
+        # an all-zero k1 passes "k1 >= 0 everywhere"; what fails is that no value is positive
+        p = tmp_path / "empty.cfg"
+        p.write_text(with_key(BASE_CFG, "initial", "density", "0.0"))
+        out = tmp_path / "o"
+        argv = ["hierarchy", "--config", str(p), "--out", str(out), "--closure", "kirkwood"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error-category: closure-singularity: kirkwood closure: k1 has no positive value (max 0)\n"
+        )
+        assert not out.exists()
+
     def test_header_only_summary_is_one_error_line(self, cfg_path, tmp_path, capsys):
         sim = tmp_path / "sim"
         sim.mkdir()

@@ -422,3 +422,36 @@ class TestSolver:
     def test_stability_guard_positive(self, grid, params):
         st = TruncatedState.poisson_like(Field.constant(grid, 1.0), 1.0)
         assert 0 < stability_dt(params, oracles.witness_C(st)) < 1.0
+
+
+class TestContactModel:
+    """With a- = 0 the k3 term vanishes under either closure, so the
+    hierarchy is exact and must reach the contact model's closed form
+    (oracles.contact_correlations) to RK4's order."""
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    @pytest.mark.parametrize("rule", CLOSURES)
+    def test_matches_the_closed_form_to_rk4_order(self, rule, eps):
+        # 1-d, L = 10, M = 100, unit-mass indicator of radius 0.5, m = 0.2, rho0 = 0.5
+        g = Grid(1, 10.0, 100)
+        dispersal = unit_mass_indicator(g, 0.5)
+        params = ModelParams(0.2, dispersal, make_zero_kernel(g), eps)
+        offsets = np.subtract.outer(np.arange(100), np.arange(100)) % 100
+        errors = {}
+        for dt in (0.02, 0.01):
+            st0 = TruncatedState.poisson_like(Field.constant(g, 0.5), eps)
+            snaps, diag = solve_hierarchy(st0, rule, params, 2.0, dt, [1.0, 2.0])
+            assert diag["max_symmetry_drift"] == 0.0
+            errors[dt] = np.zeros(3)
+            for t, st in zip([1.0, 2.0], snaps):
+                k1, c = oracles.contact_correlations(dispersal, 0.2, 0.5, eps, t)
+                c = c[offsets]
+                k1_hat = st.k1.values
+                err = [rel_err(k1_hat, np.full(100, k1)), rel_err(st.k2, k1**2 + c),
+                       rel_err(st.k2 - np.outer(k1_hat, k1_hat), c)]
+                errors[dt] = np.maximum(errors[dt], err)
+        # RK4's global error at dt = 0.02 (read: k1 8.6e-10, k2 2.6e-8, c 1.1e-7 at
+        # eps = 0.1), about twice that, and it falls by about 2^4 = 16 at half the step
+        assert np.all(errors[0.02] <= [2e-9, 5e-8, 2.5e-7])
+        ratio = errors[0.02] / errors[0.01]
+        assert np.all((12 < ratio) & (ratio < 20))

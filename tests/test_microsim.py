@@ -333,10 +333,10 @@ class TestRun:
 # data/same_seed_event_times.json also holds every event time of the 1d
 # and 2d runs.  1d and 2d are under 100 events; 3d is longer, and
 # 2d-audited runs over 3000 events, audits every 500 and grows from 5
-# particles past the starting sizes of the position arrays and of the cell
-# list's rows, so that ``_grow``, the doubling of ``members``, the audits
-# and ``tighten`` all take part.  data/record_same_seed.py re-records them
-# all when the event stream of a seed changes on purpose.
+# particles past the starting sizes of the position arrays and of the
+# cells' rows, so that the doubling of ``pos`` and of ``members``, the
+# audits and ``tighten`` all take part.  data/record_same_seed.py
+# re-records them all when the event stream of a seed changes on purpose.
 SAME_SEED = {
     "1d": dict(events=59, proposals=93, births=28, natural=14, competition=17, n_end=11, peak_n=14,
                digest="af657b29731fa5c94c95929140473c2c0ef537638b9f1f10ed9feed7c8b243f2",
@@ -412,7 +412,7 @@ def guard_run(case, keep_events=True, simulate=run):
         )
         rng = run_rng(2025, 2)
         config = init_poisson(0.1, params.competition, rng)
-        assert config.n == 5 and (len(config.pos), config.cells.members.shape[1]) == (16, 8)
+        assert config.n == 5 and (len(config.pos), config.members.shape[1]) == (16, 8)
         args = (12.0, [6.0, 12.0])
     with pytest.MonkeyPatch.context() as mp:
         if case == "2d-audited":
@@ -449,7 +449,7 @@ def test_long_same_seed_runs_keep_their_events(case):
     config, traj = guard_run(case)
     assert event_record(config, traj) == LONG_SEED[case]
     if case == "2d-audited":
-        assert len(config.pos) > 16 and config.cells.members.shape[1] > 8
+        assert len(config.pos) > 16 and config.members.shape[1] > 8
 
 
 @pytest.mark.parametrize("case", ["1d", "2d", "3d", "2d-audited"])
@@ -608,16 +608,16 @@ def within(config, query, radius):
 @given(mutated_configurations())
 def test_cell_list_finds_every_interacting_particle(case):
     config, query = case
-    cl, n, radius = config.cells, config.n, config.competition.support_radius
-    assert cl.width >= radius or cl.ncells == 1
+    n, radius = config.n, config.competition.support_radius
+    assert config.width >= radius or config.ncells == 1
     # every particle sits in the slot its cell index says, and in the cell of its position
-    assert cl.count.sum() == n
-    assert np.array_equal(cl.occupied, np.arange(cl.members.shape[1]) < cl.count[:, None])
+    assert config.count.sum() == n == len(config.cell_of) == len(config.slot_of)
+    assert np.array_equal(config.occupied, np.arange(config.members.shape[1]) < config.count[:, None])
     for i in range(n):
-        assert cl.members[cl.cell_of[i], cl.slot_of[i]] == i
-        assert cl.cell_of[i] == cl.cell(config.pos[i])
+        assert config.members[config.cell_of[i], config.slot_of[i]] == i
+        assert config.cell_of[i] == config.cell(config.pos[i])
     for pos in list(config.positions()) + [np.asarray(query)]:
-        found = cl.candidates(cl.cell(pos))
+        found = config.candidates(config.cell(pos))
         assert len(set(found.tolist())) == len(found)
         assert within(config, pos, radius) <= set(found.tolist())
 
@@ -628,13 +628,12 @@ def test_cell_is_the_scalar_form_of_cell_keys(dim):
     comp = make_indicator_kernel(1.0, 0.5, dim, Grid(dim, side, 20))
     rng = np.random.default_rng(dim)
     config = Configuration(rng.uniform(0.0, side, (20, dim)), comp)
-    cl = config.cells
     # coordinates on every cell edge, one ulp below each, and one ulp below L
-    edges = np.arange(cl.ncells) * cl.width
+    edges = np.arange(config.ncells) * config.width
     axis = np.concatenate([edges, np.nextafter(edges[1:], 0.0), [np.nextafter(side, 0.0)]])
     pts = np.concatenate([rng.choice(axis, (500, dim)), rng.uniform(0.0, side, (100, dim))])
-    expected = cell_keys(pts, side, cl.ncells) @ cl.strides
-    assert [cl.cell(p) for p in pts] == expected.tolist()
+    expected = cell_keys(pts, side, config.ncells) @ config.strides
+    assert [config.cell(p) for p in pts] == expected.tolist()
 
 
 def test_half_cell_offsets_keep_incremental_rates_exact():
@@ -659,14 +658,16 @@ def test_audit_matches_dense_oracle(case, noise):
 
 
 def test_cell_list_size_is_bounded():
-    # cells as narrow as the kernel would number 1e9 in 3-d; wider ones stay correct
+    # cells as narrow as the kernel (the origin cell: radius h/2 = 0.078) would
+    # number 127^3 = 2e6 in 3-d; wider ones stay correct
     from slm.grid import MAX_CELLS
-    from slm.microsim import CellList
 
-    cl = CellList(10.0, 0.01, np.random.default_rng(0).uniform(0.0, 10.0, size=(50, 3)))
-    assert cl.ncells == 40 and cl.ncells**3 <= MAX_CELLS
-    assert cl.nbr.nbytes + cl.members.nbytes < 20e6
-    assert cl.width >= 0.01
+    comp = make_indicator_kernel(1.0, 0.01, 3, Grid(3, 10.0, 64))
+    config = Configuration(np.random.default_rng(0).uniform(0.0, 10.0, size=(50, 3)), comp)
+    assert comp.support_radius == 0.078125
+    assert config.ncells == 40 and config.ncells**3 <= MAX_CELLS
+    assert config.nbr.nbytes + config.members.nbytes < 20e6
+    assert config.width >= comp.support_radius
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -679,7 +680,7 @@ def test_exact_rates_blockwise_when_one_cell_holds_all(dim, monkeypatch):
     kernel = make_indicator_kernel(1.0, 1.5, dim, grid)
     pts = np.random.default_rng(dim).uniform(0.0, 4.0, size=(40, dim))
     config = Configuration(pts, kernel)
-    assert config.cells.ncells == 1
+    assert config.ncells == 1
     assert np.allclose(config.crate[:40], oracles.pair_rates(pts, grid.side, kernel), rtol=1e-13)
 
 

@@ -29,8 +29,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise InvalidParameterError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.side <= 0:
-            raise InvalidParameterError("torus side must be positive")
+        if not 0 < self.side < np.inf:
+            raise InvalidParameterError(f"torus side must be finite and positive, got {self.side}")
         if self.cells < 2:
             raise InvalidParameterError("need at least 2 cells per axis")
 

@@ -119,7 +119,12 @@ def closure_contraction(
     if not top > 0.0:
         raise ClosureSingularityError(f"kirkwood closure: k1 has no positive value (max {top:.3g})")
     floor = KIRKWOOD_FLOOR_FACTOR * top
-    if float(k1.min()) < floor or floor == 0.0:
+    if floor == 0.0:
+        raise ClosureSingularityError(
+            f"kirkwood closure: its density floor {KIRKWOOD_FLOOR_FACTOR:g} * max k1 underflows to 0"
+            f" at max k1 = {top:.3g}"
+        )
+    if float(k1.min()) < floor:
         raise ClosureSingularityError(f"kirkwood closure needs k1 >= {floor:.3g} everywhere")
     # k2 (((cm k2) / k1[None, :]) @ k2) / outer(k1, k1)
     np.divide(np.multiply(cm, k2, out=t1), k1[None, :], out=t1)

@@ -4,7 +4,9 @@ A kernel is stored as its values on the offset lattice of a :class:`Grid`
 and is treated everywhere (simulation, quadrature, sampling) as the step
 function that is constant on each offset cell.  Consequently the cached
 mass ``h^d * sum(values)`` is the *exact* integral of the kernel actually
-simulated, and micro- and mesoscopic levels share one object.
+simulated, and micro- and mesoscopic levels share one object.  One
+helper, ``_radial``, owns the rule for a valid radial kernel (its grid
+dimension, and a reach below L/2) and its tabulation on the offset cells.
 """
 from __future__ import annotations
 
@@ -196,53 +198,46 @@ def convolve_spectra(
 # -- constructors --------------------------------------------------------
 
 
-def _check_support(radius: float, grid: Grid):
-    if radius >= 0.5 * grid.side:
-        raise InvalidParameterError(
-            f"kernel radius {radius} must be below half the torus side {grid.side / 2}"
-        )
+def _radial(dim: int, grid: Grid, reach: float, profile) -> Kernel:
+    """``profile`` of the centre radius on each offset cell up to ``reach``,
+    0 beyond: a reach below L/2 reads every pair at its minimum image, and
+    NaN fails every test of it."""
+    if dim != grid.dim:
+        raise InvalidParameterError(f"dim {dim} does not match grid dim {grid.dim}")
+    if not reach >= 0:
+        raise InvalidParameterError(f"kernel radius {reach} is not a nonnegative number")
+    if not reach < 0.5 * grid.side:
+        raise InvalidParameterError(f"kernel radius {reach} must be below half the torus side {grid.side / 2}")
+    r = grid.offset_radii()
+    return Kernel(grid, np.where(r <= reach, profile(r), 0.0))
 
 
 def make_indicator_kernel(height: float, radius: float, dim: int, grid: Grid) -> Kernel:
     """Uniform bump: a(x) = height for |x| <= radius, else 0."""
-    if height <= 0 or radius <= 0:
+    if not (height > 0 and radius > 0):
         raise InvalidParameterError("indicator kernel needs positive height and radius")
-    if dim != grid.dim:
-        raise InvalidParameterError(f"dim {dim} does not match grid dim {grid.dim}")
-    _check_support(radius, grid)
-    r = grid.offset_radii()
-    return Kernel(grid, np.where(r <= radius, height, 0.0))
+    return _radial(dim, grid, radius, lambda r: height)
 
 
 def make_gaussian_kernel(
     sigma: float, dim: int, grid: Grid, height: float | None = None, cutoff: float | None = None
 ) -> Kernel:
     """Truncated Gaussian bump.  ``height=None`` normalizes the untruncated
-    profile to unit mass; ``cutoff`` defaults to 5 sigma.
-    """
-    if sigma <= 0:
+    profile to unit mass; ``cutoff`` defaults to 5 sigma."""
+    if not sigma > 0:
         raise InvalidParameterError("sigma must be positive")
-    if dim != grid.dim:
-        raise InvalidParameterError(f"dim {dim} does not match grid dim {grid.dim}")
-    if cutoff is None:
-        cutoff = 5.0 * sigma
-    _check_support(cutoff, grid)
     if height is None:
         height = (2.0 * np.pi * sigma * sigma) ** (-0.5 * dim)
-    elif height <= 0:
+    elif not height > 0:
         raise InvalidParameterError("height must be positive")
-    r = grid.offset_radii()
-    vals = height * np.exp(-0.5 * (r / sigma) ** 2)
-    vals[r > cutoff] = 0.0
-    return Kernel(grid, vals)
+    reach = 5.0 * sigma if cutoff is None else cutoff
+    return _radial(dim, grid, reach, lambda r: height * np.exp(-0.5 * (r / sigma) ** 2))
 
 
 def make_tabulated_kernel(offsets: np.ndarray, profile: np.ndarray, dim: int, grid: Grid) -> Kernel:
-    """Kernel from a radial profile sampled at strictly increasing offsets.
-
-    The profile is linearly interpolated onto |offset| of every grid cell
-    and is zero beyond the last tabulated offset.
-    """
+    """Kernel from a radial profile sampled at strictly increasing offsets,
+    linearly interpolated onto |offset| of every grid cell and zero beyond
+    the last tabulated offset."""
     offsets = np.asarray(offsets, dtype=float)
     profile = np.asarray(profile, dtype=float)
     if offsets.ndim != 1 or offsets.shape != profile.shape or offsets.size < 2:
@@ -251,12 +246,7 @@ def make_tabulated_kernel(offsets: np.ndarray, profile: np.ndarray, dim: int, gr
         raise InvalidParameterError("tabulated offsets must be strictly increasing")
     if not np.all(np.isfinite(profile) & (profile >= 0)):
         raise InvalidParameterError("tabulated values must be finite and nonnegative")
-    if dim != grid.dim:
-        raise InvalidParameterError(f"dim {dim} does not match grid dim {grid.dim}")
-    _check_support(float(offsets[-1]), grid)
-    r = grid.offset_radii()
-    vals = np.interp(r, offsets, profile, right=0.0)
-    return Kernel(grid, vals)
+    return _radial(dim, grid, float(offsets[-1]), lambda r: np.interp(r, offsets, profile))
 
 
 def make_zero_kernel(grid: Grid) -> Kernel:

@@ -143,8 +143,10 @@ def integrate_rk4(
     negatives clipped against its own running maximum.
     """
     times = sorted(float(t) for t in snapshot_times)
-    if dt <= 0:
-        raise InvalidParameterError("dt must be positive")
+    if not dt > 0:
+        raise InvalidParameterError(f"dt must be positive, got {dt}")
+    if not np.all(np.isfinite([horizon, *times])):
+        raise InvalidParameterError("horizon and snapshot times must be finite")
     if times and (times[0] < 0 or times[-1] > horizon + 1e-12):
         raise InvalidParameterError("snapshot times must lie in [0, horizon]")
     y = tuple(np.array(v, dtype=float) for v in y)

@@ -265,8 +265,8 @@ class Configuration:
 def init_poisson(intensity: float, competition: Kernel, rng: np.random.Generator) -> Configuration:
     """Homogeneous Poisson configuration on the competition kernel's torus:
     N ~ Poisson(intensity * L^d), positions i.i.d. uniform."""
-    if intensity < 0:
-        raise InvalidParameterError("intensity must be nonnegative")
+    if not 0 <= intensity < np.inf:
+        raise InvalidParameterError(f"intensity must be finite and nonnegative, got {intensity}")
     side, dim = competition.grid.side, competition.grid.dim
     n = rng.poisson(intensity * side**dim)
     return Configuration(rng.uniform(0.0, side, size=(n, dim)), competition)
@@ -328,14 +328,18 @@ def run(
     of each event: its time, its kind and the position of the particle
     born or removed.
 
-    Mutates ``config``.  Raises BlowUpError when the population cap is
-    exceeded, and AuditDriftError when an audit, every AUDIT_INTERVAL
-    events, finds the incremental competitive rates more than
-    AUDIT_TOLERANCE off; an absorbed (empty, rateless) state simply
-    freezes the remaining snapshots.
+    Mutates ``config``; an infinite horizon runs until the state is
+    absorbed or the cap stops it, and a NaN one is refused, as it would
+    never end.  Raises BlowUpError when the population cap is exceeded,
+    and AuditDriftError when an audit, every AUDIT_INTERVAL events, finds
+    the incremental competitive rates more than AUDIT_TOLERANCE off; an
+    absorbed (empty, rateless) state simply freezes the remaining
+    snapshots.
     """
     _require_kernel(config, params)
     times = sorted(float(s) for s in snapshot_times)
+    if np.isnan(horizon) or not np.all(np.isfinite(times)):
+        raise InvalidParameterError("the horizon must be a number and the snapshot times finite")
     if times and times[-1] > horizon + 1e-12:
         raise InvalidParameterError("snapshot times must not exceed the horizon")
     traj = Trajectory(times=times, snapshots=[], n0=config.n)

@@ -28,8 +28,8 @@ class ModelParams:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.mortality < 0:
-            raise InvalidParameterError("mortality must be nonnegative")
+        if not 0 <= self.mortality < np.inf:
+            raise InvalidParameterError(f"mortality must be finite and nonnegative, got {self.mortality}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise InvalidParameterError("epsilon must lie in [0, 1]")
         require_same_grid(self.dispersal.grid, self.competition.grid)

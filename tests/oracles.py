@@ -23,7 +23,9 @@ Generator call per value, as before block draws; ``step_event`` makes
 those proposals until the first real one, for tests of a single jump.
 ``is_even``, ``witness_C`` and ``unit_mass_indicator`` are helpers that
 only tests call, and ``contact_correlations`` is the closed form of the
-contact model's (k1, k2), which the hierarchy must reach at a- = 0.
+contact model's (k1, k2), which the hierarchy must reach at a- = 0;
+``contact_pair_g`` is its continuum pair correlation, which the simulator
+must reach.
 """
 import numpy as np
 
@@ -84,7 +86,12 @@ def closure_tensor(rule, state):
     if not top > 0.0:
         raise ClosureSingularityError(f"kirkwood closure: k1 has no positive value (max {top:.3g})")
     floor = KIRKWOOD_FLOOR_FACTOR * top
-    if float(k1.min()) < floor or floor == 0.0:
+    if floor == 0.0:
+        raise ClosureSingularityError(
+            f"kirkwood closure: its density floor {KIRKWOOD_FLOOR_FACTOR:g} * max k1 underflows to 0"
+            f" at max k1 = {top:.3g}"
+        )
+    if float(k1.min()) < floor:
         raise ClosureSingularityError(f"kirkwood closure needs k1 >= {floor:.3g} everywhere")
     return (
         k2[:, :, None] * k2[:, None, :] * k2[None, :, :]
@@ -310,26 +317,48 @@ def unit_mass_indicator(grid, radius):
     return make_indicator_kernel(1.0 / k.mass, radius, grid.dim, grid)
 
 
-def contact_correlations(dispersal, mortality, rho0, epsilon, t):
-    """(k1, c) of the contact model (a- = 0) at time t from a Poisson start
-    of density rho0, on the dispersal kernel's grid: k1 = rho0 e^{rt} with
-    r = <a+> - m, and k2(x, y) = k1^2 + c(x - y), c given by its torus
-    modes k as
+def contact_modes(a_k, mass, mortality, rho0, epsilon, t, volume):
+    """(k1, c_k) of the contact model (a- = 0) at time t from a Poisson
+    start of density rho0: k1 = rho0 e^{rt} with r = <a+> - m (``mass``
+    is <a+>), and the torus modes of c = k2 - k1^2,
 
         c_k(t) = 2 eps rho0 a_k (e^{rt} - e^{lam t}) / (L^d (r - lam)),
 
-    lam = 2 (a_k - m), with a_k = h^d DFT(values)[k] the grid's
-    coefficient of a+.  c is returned on the kernel's offsets, c[j] =
-    c(j h), so a 1-d k2[i, j] is k1^2 + c[(i - j) mod M]."""
-    grid = dispersal.grid
-    r = dispersal.mass - mortality
-    a_k = grid.cell_volume * np.fft.fftn(dispersal.values).real
+    lam = 2 (a_k - m), for the coefficients a_k of a+ and L^d = ``volume``."""
+    r = mass - mortality
     lam = 2.0 * (a_k - mortality)
     # (e^{rt} - e^{lam t}) / (r - lam) = t e^{lam t} expm1(z) / z with z = (r - lam) t, 1 at z = 0
     z = (r - lam) * t
     ratio = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
-    c_k = 2.0 * epsilon * rho0 * a_k * t * np.exp(lam * t) * ratio / grid.side**grid.dim
-    return rho0 * np.exp(r * t), grid.size * np.fft.ifftn(c_k).real
+    return rho0 * np.exp(r * t), 2.0 * epsilon * rho0 * a_k * t * np.exp(lam * t) * ratio / volume
+
+
+def contact_correlations(dispersal, mortality, rho0, epsilon, t):
+    """(k1, c) of the contact model on the dispersal kernel's grid: the
+    :func:`contact_modes` of a_k = h^d DFT(values)[k], the grid's
+    coefficient of a+.  c is returned on the kernel's offsets, c[j] =
+    c(j h), so a 1-d k2[i, j] is k1^2 + c[(i - j) mod M]."""
+    grid = dispersal.grid
+    a_k = grid.cell_volume * np.fft.fftn(dispersal.values).real
+    k1, c_k = contact_modes(a_k, dispersal.mass, mortality, rho0, epsilon, t, grid.side**grid.dim)
+    return k1, grid.size * np.fft.ifftn(c_k).real
+
+
+def contact_pair_g(dispersal, mortality, rho0, t, edges, modes=1 << 14):
+    """Pair correlation g = 1 + c/k1^2 of the contact model at eps = 1 on
+    the continuum 1-d torus, averaged over each bin [lo, hi) of ``edges``,
+    as the simulator's step-function a+ gives it: its coefficients are
+    a_k = h DFT(values)[k mod M] sinc(k/M) for every integer k, summed over
+    |k| < ``modes`` (in the tests the tail moves no bin by 1e-6)."""
+    grid = dispersal.grid
+    k = np.arange(modes)
+    a_k = grid.spacing * np.fft.fft(dispersal.values).real[k % grid.cells] * np.sinc(k / grid.cells)
+    k1, c_k = contact_modes(a_k, dispersal.mass, mortality, rho0, 1.0, t, grid.side)
+    # the mean of c_0 + 2 sum_k c_k cos(w_k x) over [lo, hi), w_k = 2 pi k / L
+    lo, hi = np.asarray(edges[:-1])[:, None], np.asarray(edges[1:])[:, None]
+    w = 2.0 * np.pi * k[1:] / grid.side
+    mean_c = c_k[0] + 2.0 * ((np.sin(w * hi) - np.sin(w * lo)) / (w * (hi - lo))) @ c_k[1:]
+    return 1.0 + mean_c / k1**2
 
 
 def rel_err(value, reference):

@@ -319,6 +319,8 @@ class TestConfig:
         out = str(tmp_path / "o")
         for table, message in [
             ("0.0,1.0\n0.25,nan\n0.5,1.0\n", "tabulated values must be finite"),
+            # every offset negative: it ran with a kernel of mass 0 before the reach was checked
+            ("-1.0,1.0\n-0.5,1.0\n", "kernel radius -0.5 is not a nonnegative number"),
             ("0.0,1.0,1.0\n0.5,1.0,1.0\n", f"{tmp_path / 'a.csv'}: expected two columns (offset, value)"),
         ]:
             (tmp_path / "a.csv").write_text(table)

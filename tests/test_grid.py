@@ -2,11 +2,20 @@ from collections import Counter
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slm.grid
-from slm.grid import MAX_CELLS, PAIR_BLOCK, pair_blocks, sort_by_cell, wrap
+from slm.errors import InvalidParameterError
+from slm.grid import MAX_CELLS, PAIR_BLOCK, Grid, pair_blocks, sort_by_cell, wrap
+
+
+@pytest.mark.parametrize("side", [np.nan, np.inf, 0.0, -1.0])
+def test_side_must_be_finite_and_positive(side):
+    # a NaN or infinite side gave a grid of spacing nan or inf
+    with pytest.raises(InvalidParameterError, match="torus side must be finite and positive"):
+        Grid(1, side, 10)
 
 
 @st.composite

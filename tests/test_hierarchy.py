@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,17 @@ class TestClosures:
             closure_tensor("kirkwood", st)
         with pytest.raises(ClosureSingularityError):
             rhs_k2(st, "kirkwood", params)
+
+    def test_kirkwood_floor_that_underflows_says_so(self):
+        # max k1 = 1e-320 is positive and k1 >= 0 holds, but 1e-8 * max k1 underflows to 0
+        g = Grid(1, 10.0, 16)
+        params = ModelParams(0.2, unit_mass_indicator(g, 0.8), unit_mass_indicator(g, 0.6))
+        st = TruncatedState(Field.constant(g, 1e-320), np.full((16, 16), 1e-320), 1.0)
+        message = "kirkwood closure: its density floor 1e-08 * max k1 underflows to 0 at max k1 = 1e-320"
+        with pytest.raises(ClosureSingularityError, match=f"^{re.escape(message)}$"):
+            rhs_k2(st, "kirkwood", params)
+        with pytest.raises(ClosureSingularityError, match=f"^{re.escape(message)}$"):
+            closure_tensor("kirkwood", st)
 
     def test_unknown_rule(self, grid, params):
         st = TruncatedState.poisson_like(Field.constant(grid, 1.0), 1.0)

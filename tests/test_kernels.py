@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,32 @@ class TestConstruction:
             make_indicator_kernel(1.0, 0.0, 1, grid)
         with pytest.raises(InvalidParameterError):
             make_indicator_kernel(1.0, 6.0, 1, grid)  # support >= L/2
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda g: make_gaussian_kernel(0.3, 1, g, cutoff=np.nan),
+         "kernel radius nan is not a nonnegative number"),
+        (lambda g: make_gaussian_kernel(0.3, 1, g, cutoff=-1.0),
+         "kernel radius -1.0 is not a nonnegative number"),
+        (lambda g: make_indicator_kernel(1.0, np.nan, 1, g),
+         "indicator kernel needs positive height and radius"),
+        (lambda g: make_tabulated_kernel([-2, -1], [1, 1], 1, g),
+         "kernel radius -1.0 is not a nonnegative number"),
+        (lambda g: make_gaussian_kernel(0.3, 1, g, cutoff=np.inf),
+         "kernel radius inf must be below half the torus side 5.0"),
+    ], ids=["nan-cutoff", "negative-cutoff", "nan-radius", "negative-offsets", "infinite-cutoff"])
+    def test_nan_or_negative_reach_is_rejected(self, grid, build, message):
+        # before the reach was checked, the first four returned a kernel:
+        # an untruncated one, or one of mass 0
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            build(grid)
+
+    def test_reach_at_half_the_side_keeps_its_message(self, grid):
+        message = "^kernel radius 5.0 must be below half the torus side 5.0$"
+        for build in (lambda: make_indicator_kernel(1.0, 5.0, 1, grid),
+                      lambda: make_gaussian_kernel(1.0, 1, grid),
+                      lambda: make_tabulated_kernel([0.0, 5.0], [1.0, 0.0], 1, grid)):
+            with pytest.raises(InvalidParameterError, match=message):
+                build()
 
     def test_evenness_on_grid(self, grid):
         for k in (

@@ -290,6 +290,23 @@ class TestSolver:
         with pytest.raises(InvalidParameterError, match=r"^dt=10 exceeds the stability guard 0\.0454545 at t=0$"):
             solve_kinetic(Field.constant(grid, 1.0), params, 1.0, 10.0, [1.0])
 
+    @pytest.mark.parametrize("horizon, dt, times, message", [
+        (1.0, np.nan, [1.0], "dt must be positive, got nan"),
+        (np.nan, 0.01, [1.0], "horizon and snapshot times must be finite"),
+        (np.inf, 0.01, [1.0], "horizon and snapshot times must be finite"),
+        (1.0, 0.01, [np.nan], "horizon and snapshot times must be finite"),
+    ])
+    def test_non_finite_step_or_horizon_is_rejected(self, grid, params, horizon, dt, times, message):
+        # a NaN dt leaked "cannot convert float NaN to integer", which is not an SLMError
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            solve_kinetic(Field.constant(grid, 1.0), params, horizon, dt, times)
+
+    @pytest.mark.parametrize("mortality", [np.nan, np.inf])
+    def test_non_finite_mortality_is_rejected(self, grid, mortality):
+        # a NaN mortality gave the carrying capacity nan
+        with pytest.raises(InvalidParameterError, match="mortality must be finite and nonnegative"):
+            ModelParams(mortality, unit_mass_indicator(grid, 0.5), unit_mass_indicator(grid, 0.4))
+
     def test_dt_guard_rechecked_per_segment(self, grid):
         # the guard at t = 0 (0.043) admits dt = 0.04, but rho grows towards
         # q = 2 and the guard falls below dt within the first segment (t = 0.52)

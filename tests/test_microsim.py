@@ -28,6 +28,7 @@ from slm.microsim import (
     uniform_index,
 )
 from slm.model import ModelParams
+from slm.stats import default_pair_edges, pair_correlation
 
 
 @pytest.fixture
@@ -121,6 +122,12 @@ class TestInit:
     def test_negative_intensity_rejected(self, grid, params):
         with pytest.raises(InvalidParameterError):
             init_poisson(-1.0, params.competition, run_rng(0, 0))
+
+    @pytest.mark.parametrize("intensity", [np.nan, np.inf])
+    def test_non_finite_intensity_rejected(self, params, intensity):
+        # NumPy's own poisson error is not an SLMError
+        with pytest.raises(InvalidParameterError, match="intensity must be finite and nonnegative"):
+            init_poisson(intensity, params.competition, run_rng(0, 0))
 
     def test_poisson_field_on_another_grid_is_rejected(self, params):
         # the torus is the kernel's grid; a start drawn on another one is not on it
@@ -257,6 +264,18 @@ class TestRun:
             run(config, params, 50.0, [50.0], rng, population_cap=500)
         assert exc.value.population > 500
 
+    @pytest.mark.parametrize("horizon, times", [(np.nan, []), (np.nan, [1.0]), (1.0, [np.nan]),
+                                                (np.inf, [np.inf])])
+    def test_nan_horizon_or_non_finite_snapshot_time_is_rejected(self, grid, horizon, times):
+        # a NaN horizon never ends the loop (t > nan is never true): this
+        # pure-birth run would grow until its cap stopped it
+        params = ModelParams(0.0, unit_mass_indicator(grid, 0.5), make_zero_kernel(grid))
+        rng = run_rng(6, 0)
+        config = init_poisson(1.2, params.competition, rng)
+        message = "^the horizon must be a number and the snapshot times finite$"
+        with pytest.raises(InvalidParameterError, match=message):
+            run(config, params, horizon, times, rng, population_cap=50)
+
     def test_blow_up_error_with_competition(self, grid):
         # a- of mass 0.01: the carrying capacity (5 - 0)/0.01 per unit length is far above the cap
         aminus = make_indicator_kernel(0.01, 0.5, 1, grid)
@@ -324,6 +343,32 @@ class TestRun:
         traj = run(config, params, 2.0, [1.0, 2.0], rng)
         assert len(traj.snapshots) == 2
         assert config.audit() < 1e-12
+
+
+class TestContactModel:
+    """With a- = 0 the pair correlation has a closed form
+    (oracles.contact_pair_g); the simulator's must reach it."""
+
+    def test_pair_correlation_matches_the_continuum_closed_form(self):
+        # criterion 7(a)'s model: 1-d, L = 10, M = 100, unit-mass indicator
+        # a+ of radius 0.5, m = 0.2, rho0 = 0.5.  The gate, set before the
+        # first run at these seeds: |z| <= 4 over all 24 bins x 3 times.
+        # Read: max |z| 2.39; a same-mass a+ of radius 0.45 (9 cells, not 11) reads 13.73
+        g = Grid(1, 10.0, 100)
+        params = ModelParams(0.2, unit_mass_indicator(g, 0.5), make_zero_kernel(g))
+        edges = default_pair_edges(g.side, 0.5)
+        times, runs = [0.25, 0.75, 2.0], 3000
+        ensembles = [[] for _ in times]
+        for i in range(runs):
+            rng = run_rng(2033, i)
+            config = init_poisson(0.5, params.competition, rng)
+            for ensemble, pts in zip(ensembles, run(config, params, times[-1], times, rng).snapshots):
+                ensemble.append(pts)
+        for t, ensemble in zip(times, ensembles):
+            pair_g, se = pair_correlation(ensemble, g.side, 1, edges)
+            assert np.all(se > 0)
+            z = (pair_g - oracles.contact_pair_g(params.dispersal, 0.2, 0.5, t, edges)) / se
+            assert np.max(np.abs(z)) <= 4.0, (t, z)
 
 
 # -- same-seed guards --------------------------------------------------------

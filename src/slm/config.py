@@ -24,7 +24,7 @@ from .kernels import (
     make_tabulated_kernel,
     make_zero_kernel,
 )
-from .model import CLOSURES, DEFAULT_POPULATION_CAP, ModelParams
+from .model import CLOSURES, DEFAULT_POPULATION_CAP, ModelParams, snapshot_schedule
 
 # accepted values: a tuple of words, or a test of the value and the phrase that names it
 _POSITIVE = (lambda v: v > 0, "positive")
@@ -207,10 +207,8 @@ def parse_config(path, overrides=None) -> RunConfig:
     unused = sorted(f"[{s}] {k}" for s, entries in raw.items() for k in entries if (s, k) not in resolved)
     if unused:
         raise ConfigError("unused config keys: " + ", ".join(unused))
-    times = plain["snapshot_times"] = sorted(plain["snapshot_times"])
-    repeated = [a for a, b in zip(times, times[1:]) if a == b]
-    if repeated:
-        raise ConfigError(f"[run] snapshot_times: {repeated[0]!r} is repeated")
-    if times and (times[0] < 0 or times[-1] > plain["horizon"]):
-        raise ConfigError("[run] snapshot_times must lie within [0, horizon]")
+    try:
+        plain["snapshot_times"] = snapshot_schedule(plain["horizon"], plain["snapshot_times"])
+    except InvalidParameterError as exc:
+        raise ConfigError(f"[run] {exc}") from None
     return RunConfig(grid, params, rho0, **plain, resolved=resolved)

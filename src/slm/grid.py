@@ -166,7 +166,8 @@ def pair_blocks(keys: np.ndarray, k: int, cost: int = 1):
             nbr = np.ravel_multi_index((keys + off).T, (k,) * dim, mode="wrap")
             spans.append((start[nbr], start[nbr + 1]))
     block = PAIR_BLOCK // cost
-    count = np.arange(max(block, n))  # a block is at most that many pairs or one row
+    # a block is at most that many pairs or one row of at most n, and a span has at most n^2 pairs
+    count = np.arange(min(max(block, n), n * n))
     for lo, hi in spans:
         width = hi - lo
         ends = np.cumsum(width)

@@ -219,8 +219,8 @@ def solve_hierarchy(
     snapshot_times,
 ) -> tuple:
     """RK4 on the coupled (k1, k2) system (:func:`integrate_rk4`), which
-    checks dt against the kinetic guard at the witness C = max(max k1,
-    sqrt(max k2)) of the current state before every step.
+    checks the times, and dt against the kinetic guard at the witness
+    C = max(max k1, sqrt(max k2)) of the current state before every step.
 
     Returns (snapshots, diagnostics): one TruncatedState per requested
     time, and the largest symmetry defect of k2 over the snapshots.  With

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InstabilityError, InvalidParameterError
 from .grid import Field, require_same_grid
 from .kernels import Kernel, convolve_spectra, spectral_work
-from .model import ModelParams
+from .model import ModelParams, snapshot_schedule
 
 
 # -- homogeneous (Bernoulli) dynamics ------------------------------------
@@ -126,7 +126,7 @@ def integrate_rk4(
     y: tuple, rhs, horizon: float, dt: float, snapshot_times, params: ModelParams
 ) -> list:
     """Classical RK4 for dy/dt = rhs(y), with y a tuple of nonnegative
-    arrays; returns the state at each sorted snapshot time.
+    arrays; returns the state at each time of :func:`model.snapshot_schedule`.
 
     ``rhs(y, out)`` writes the derivative at y into the tuple of arrays
     ``out``.  The state is stepped in a copy of y, and every stage in
@@ -142,13 +142,11 @@ def integrate_rk4(
     kinetic equation.  After each step every component has round-off
     negatives clipped against its own running maximum.
     """
-    times = sorted(float(t) for t in snapshot_times)
+    times = snapshot_schedule(horizon, snapshot_times)
     if not dt > 0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    if not np.all(np.isfinite([horizon, *times])):
-        raise InvalidParameterError("horizon and snapshot times must be finite")
-    if times and (times[0] < 0 or times[-1] > horizon + 1e-12):
-        raise InvalidParameterError("snapshot times must lie in [0, horizon]")
+    if horizon == np.inf:
+        raise InvalidParameterError("horizon: not finite: inf")
     y = tuple(np.array(v, dtype=float) for v in y)
     k = tuple(tuple(np.empty_like(v) for v in y) for _ in range(2))
     stage = tuple(np.empty_like(v) for v in y)
@@ -184,8 +182,8 @@ def integrate_rk4(
 
 
 def solve_kinetic(rho0: Field, params: ModelParams, horizon: float, dt: float, snapshot_times) -> list:
-    """Classical RK4 integration (:func:`integrate_rk4`); returns one
-    Field per snapshot time."""
+    """Classical RK4 integration (:func:`integrate_rk4`, which checks the
+    times); returns one Field per snapshot time."""
     require_same_grid(rho0.grid, params.grid)
     if rho0.min < 0:
         raise InvalidParameterError("initial density must be nonnegative")

@@ -25,6 +25,7 @@ writes as its row.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import AuditDriftError, BlowUpError, InvalidParameterError
 from .grid import pair_blocks, require_same_grid, sort_by_cell, wrap
 from .kernels import Kernel
-from .model import DEFAULT_POPULATION_CAP, ModelParams
+from .model import DEFAULT_POPULATION_CAP, ModelParams, snapshot_schedule
 
 AUDIT_INTERVAL = 10_000
 AUDIT_TOLERANCE = 1e-9
@@ -116,6 +117,8 @@ class Configuration:
             raise InvalidParameterError(
                 f"positions of shape {positions.shape} are not points of the {dim}-d kernel grid"
             )
+        if not np.isfinite(positions).all():
+            raise InvalidParameterError("positions must be finite")
         positions = wrap(positions.reshape(-1, dim), side)
         self.competition = competition
         self.interacting = competition.sup > 0
@@ -191,14 +194,22 @@ class Configuration:
 
     def add_particle(self, position) -> int:
         """Add a particle at ``position`` wrapped as :func:`grid.wrap` does,
-        in Python floats: ``x % L`` is the IEEE arithmetic of ``np.mod``."""
+        in Python floats: ``x % L`` is the IEEE arithmetic of ``np.mod``.
+        A position that is not a finite point of the torus is refused before
+        any state changes."""
+        side = self.side
+        pos = [x % side for x in map(float, position)]
+        # x % L is nan for an infinite or nan x, so the sum is finite when every x is
+        if len(pos) != self.dim or not math.isfinite(sum(pos)):
+            raise InvalidParameterError(
+                f"position {np.asarray(position, dtype=float).tolist()} is not a finite point"
+                f" of the {self.dim}-d torus"
+            )
+        pos = [0.0 if x == side else x for x in pos]
         i = self.n
         if i == len(self.pos):
             self.pos = np.concatenate([self.pos, np.zeros_like(self.pos)])
             self.crate = np.concatenate([self.crate, np.zeros_like(self.crate)])
-        side = self.side
-        pos = [x % side for x in map(float, position)]
-        pos = [0.0 if x == side else x for x in pos]
         self.pos[i] = pos
         self.n = i + 1
         if self.interacting:
@@ -328,20 +339,18 @@ def run(
     of each event: its time, its kind and the position of the particle
     born or removed.
 
-    Mutates ``config``; an infinite horizon runs until the state is
-    absorbed or the cap stops it, and a NaN one is refused, as it would
-    never end.  Raises BlowUpError when the population cap is exceeded,
-    and AuditDriftError when an audit, every AUDIT_INTERVAL events, finds
-    the incremental competitive rates more than AUDIT_TOLERANCE off; an
-    absorbed (empty, rateless) state simply freezes the remaining
-    snapshots.
+    Mutates ``config``; the times follow :func:`model.snapshot_schedule`,
+    and an infinite horizon runs until the state is absorbed or the cap
+    stops it.  Raises BlowUpError when the population exceeds the cap, at
+    the start too, and AuditDriftError when an audit, every AUDIT_INTERVAL
+    events, finds the incremental competitive rates more than
+    AUDIT_TOLERANCE off; an absorbed (empty, rateless) state simply
+    freezes the remaining snapshots.
     """
     _require_kernel(config, params)
-    times = sorted(float(s) for s in snapshot_times)
-    if np.isnan(horizon) or not np.all(np.isfinite(times)):
-        raise InvalidParameterError("the horizon must be a number and the snapshot times finite")
-    if times and times[-1] > horizon + 1e-12:
-        raise InvalidParameterError("snapshot times must not exceed the horizon")
+    times = snapshot_schedule(horizon, snapshot_times)
+    if config.n > population_cap:
+        raise BlowUpError(0.0, config.n, population_cap)
     traj = Trajectory(times=times, snapshots=[], n0=config.n)
     draws = Draws(rng)
     exponential, word, uniform = draws.exponential, draws.word, draws.random
@@ -445,8 +454,8 @@ def run_ensemble(
     Poisson start from the Field ``rho0`` and its events from
     ``run_rng(seed, i)``, so the result does not depend on ``jobs``.
     """
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
+    if jobs < 1 or runs < 1:
+        raise InvalidParameterError(f"jobs and runs must be at least 1, got jobs={jobs}, runs={runs}")
     member = partial(
         _ensemble_member, rho0, params, horizon, snapshot_times, seed, population_cap, keep_events
     )

@@ -14,6 +14,25 @@ from .kernels import Kernel
 DEFAULT_POPULATION_CAP = 1_000_000
 # the closures for k3 of the truncated hierarchy
 CLOSURES = ("mean-field", "kirkwood")
+# how far a snapshot time may pass the horizon: the round-off of a horizon summed from steps
+SNAPSHOT_TOLERANCE = 1e-12
+
+
+def snapshot_schedule(horizon: float, snapshot_times) -> list:
+    """The snapshot times sorted, or InvalidParameterError worded ``key: fault``:
+    the horizon is a number >= 0 (inf runs until the state is absorbed), and
+    the times are finite, distinct and in [0, horizon + SNAPSHOT_TOLERANCE]."""
+    horizon, times = float(horizon), sorted(float(t) for t in snapshot_times)
+    if not horizon >= 0:
+        raise InvalidParameterError(f"horizon: not nonnegative: {horizon!r}")
+    for before, t in zip([None, *times], times):
+        if not abs(t) < np.inf:
+            raise InvalidParameterError(f"snapshot_times: {t!r} is not finite")
+        if t == before:
+            raise InvalidParameterError(f"snapshot_times: {t!r} is repeated")
+        if not 0 <= t <= horizon + SNAPSHOT_TOLERANCE:
+            raise InvalidParameterError(f"snapshot_times: {t!r} is outside [0, horizon = {horizon!r}]")
+    return times
 
 
 @dataclass(frozen=True)

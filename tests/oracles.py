@@ -46,6 +46,7 @@ from slm.microsim import (
     _require_kernel,
     uniform_index,
 )
+from slm.model import snapshot_schedule
 
 
 def roll_convolution(kernel, f):
@@ -344,20 +345,38 @@ def contact_correlations(dispersal, mortality, rho0, epsilon, t):
     return k1, grid.size * np.fft.ifftn(c_k).real
 
 
-def contact_pair_g(dispersal, mortality, rho0, t, edges, modes=1 << 14):
+def contact_pair_g(dispersal, mortality, rho0, t, edges, modes=1 << 14, lattice=1 << 10):
     """Pair correlation g = 1 + c/k1^2 of the contact model at eps = 1 on
-    the continuum 1-d torus, averaged over each bin [lo, hi) of ``edges``,
-    as the simulator's step-function a+ gives it: its coefficients are
-    a_k = h DFT(values)[k mod M] sinc(k/M) for every integer k, summed over
-    |k| < ``modes`` (in the tests the tail moves no bin by 1e-6)."""
+    the continuum 1-d or 2-d torus, averaged over each bin [lo, hi) of
+    ``edges``, as the simulator's step-function a+ gives it: its
+    coefficients are a_k = h^d DFT(values)[k mod M] sinc(k_1/M)...sinc(k_d/M)
+    for every integer k.  In 1-d each bin mean is exact in the modes
+    |k| < ``modes`` (in the tests the tail moves no bin by 1e-6).  In 2-d
+    c is summed on the ``lattice``^2 points of the torus, from the modes
+    -lattice/2 <= k_i < lattice/2, and averaged over the points in each
+    annulus (in the tests a lattice twice as fine moves no bin by 2e-3)."""
     grid = dispersal.grid
-    k = np.arange(modes)
-    a_k = grid.spacing * np.fft.fft(dispersal.values).real[k % grid.cells] * np.sinc(k / grid.cells)
-    k1, c_k = contact_modes(a_k, dispersal.mass, mortality, rho0, 1.0, t, grid.side)
-    # the mean of c_0 + 2 sum_k c_k cos(w_k x) over [lo, hi), w_k = 2 pi k / L
+    if grid.dim == 1:
+        k = np.arange(modes)
+    else:
+        k = np.fft.fftfreq(lattice, 1.0 / lattice).astype(int)
+    a_k = grid.cell_volume * np.fft.fftn(dispersal.values).real[np.ix_(*[k % grid.cells] * grid.dim)]
+    for axis in range(grid.dim):
+        a_k *= np.sinc(k / grid.cells).reshape((-1,) + (1,) * (grid.dim - 1 - axis))
+    k1, c_k = contact_modes(a_k, dispersal.mass, mortality, rho0, 1.0, t, grid.side**grid.dim)
     lo, hi = np.asarray(edges[:-1])[:, None], np.asarray(edges[1:])[:, None]
-    w = 2.0 * np.pi * k[1:] / grid.side
-    mean_c = c_k[0] + 2.0 * ((np.sin(w * hi) - np.sin(w * lo)) / (w * (hi - lo))) @ c_k[1:]
+    if grid.dim == 1:
+        # the mean of c_0 + 2 sum_k c_k cos(w_k x) over [lo, hi), w_k = 2 pi k / L
+        w = 2.0 * np.pi * k[1:] / grid.side
+        mean_c = c_k[0] + 2.0 * ((np.sin(w * hi) - np.sin(w * lo)) / (w * (hi - lo))) @ c_k[1:]
+    else:
+        # c at the lattice points k L / lattice, each at its minimum-image distance
+        c = lattice**2 * np.fft.ifft2(c_k).real
+        x = k * (grid.side / lattice)
+        r = np.hypot(x[:, None], x[None, :]).ravel()
+        nbins = len(edges) - 1
+        b = np.searchsorted(edges, r, side="right") - 1  # the bin [lo, hi) of each point; nbins past the last
+        mean_c = np.bincount(b, c.ravel(), nbins + 1)[:nbins] / np.bincount(b, minlength=nbins + 1)[:nbins]
     return 1.0 + mean_c / k1**2
 
 
@@ -407,9 +426,7 @@ def thinned_run(
     microsim.AUDIT_INTERVAL events, as that constant reads at the call."""
     _require_kernel(config, params)
     draws = draws(rng)
-    times = sorted(float(s) for s in snapshot_times)
-    if times and times[-1] > horizon + 1e-12:
-        raise InvalidParameterError("snapshot times must not exceed the horizon")
+    times = snapshot_schedule(horizon, snapshot_times)
     traj = Trajectory(times=times, snapshots=[], n0=config.n, peak_n=config.n)
     log = traj.event_log if keep_events else None
     audit_interval = microsim.AUDIT_INTERVAL

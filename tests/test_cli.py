@@ -192,6 +192,8 @@ class TestConfig:
             ("run", "seed", "-1", "[run] seed: not nonnegative: '-1'"),
             ("scaling", "eps_list", "", "[scaling] eps_list: not at least one number: ''"),
             ("run", "snapshot_times", "1.0 0.5 1", "[run] snapshot_times: 1.0 is repeated"),
+            ("run", "snapshot_times", "0.5 1.5", "[run] snapshot_times: 1.5 is outside [0, horizon = 1.0]"),
+            ("run", "snapshot_times", "-0.5 0.5", "[run] snapshot_times: -0.5 is outside [0, horizon = 1.0]"),
             ("run", "dt", "0", "[run] dt: not positive: '0'"),
             ("run", "horizon", "-1", "[run] horizon: not nonnegative: '-1'"),
             ("run", "runs", "0", "[run] runs: not at least 1: '0'"),

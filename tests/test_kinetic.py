@@ -24,7 +24,8 @@ from slm.kinetic import (
     solve_kinetic,
     stability_dt,
 )
-from slm.model import ModelParams
+from slm.hierarchy import TruncatedState, solve_hierarchy
+from slm.model import SNAPSHOT_TOLERANCE, ModelParams, snapshot_schedule
 
 
 @pytest.fixture
@@ -292,14 +293,26 @@ class TestSolver:
 
     @pytest.mark.parametrize("horizon, dt, times, message", [
         (1.0, np.nan, [1.0], "dt must be positive, got nan"),
-        (np.nan, 0.01, [1.0], "horizon and snapshot times must be finite"),
-        (np.inf, 0.01, [1.0], "horizon and snapshot times must be finite"),
-        (1.0, 0.01, [np.nan], "horizon and snapshot times must be finite"),
+        (np.nan, 0.01, [1.0], "horizon: not nonnegative: nan"),
+        (np.inf, 0.01, [1.0], "horizon: not finite: inf"),
+        (1.0, 0.01, [np.nan], "snapshot_times: nan is not finite"),
     ])
     def test_non_finite_step_or_horizon_is_rejected(self, grid, params, horizon, dt, times, message):
         # a NaN dt leaked "cannot convert float NaN to integer", which is not an SLMError
         with pytest.raises(InvalidParameterError, match=f"^{message}$"):
             solve_kinetic(Field.constant(grid, 1.0), params, horizon, dt, times)
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.5, 0.5], "snapshot_times: 0.5 is repeated"),
+        ([-0.5, 1.0], r"snapshot_times: -0.5 is outside \[0, horizon = 1.0\]"),
+    ])
+    def test_schedule_outside_the_rule_is_rejected(self, grid, params, times, message):
+        # both solvers returned a duplicated snapshot for [0.5, 0.5]
+        rho0 = Field.constant(grid, 1.0)
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            solve_kinetic(rho0, params, 1.0, 0.01, times)
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            solve_hierarchy(TruncatedState.poisson_like(rho0, 1.0), "mean-field", params, 1.0, 0.01, times)
 
     @pytest.mark.parametrize("mortality", [np.nan, np.inf])
     def test_non_finite_mortality_is_rejected(self, grid, mortality):
@@ -362,3 +375,36 @@ class TestSolver:
         params = ModelParams(5.0, make_indicator_kernel(0.1, 0.5, 1, grid), competition)
         with pytest.raises((InstabilityError, InvalidParameterError)):
             solve_kinetic(Field(grid, vals), params, 5.0, 0.5, [5.0])
+
+
+class TestSnapshotSchedule:
+    """model.snapshot_schedule is the one rule for the config, the simulator
+    and the RK4 stepper."""
+
+    def test_returns_the_times_sorted_as_floats(self):
+        times = snapshot_schedule(2, [2, np.float64(0.5), 0])
+        assert times == [0.0, 0.5, 2.0] and all(type(t) is float for t in times)
+
+    def test_infinite_horizon_and_no_times_are_kept(self):
+        assert snapshot_schedule(np.inf, [3.0, 1e300]) == [3.0, 1e300]
+        assert snapshot_schedule(0.0, []) == []
+
+    def test_tolerance_past_the_horizon(self):
+        assert snapshot_schedule(1.0, [1.0 + SNAPSHOT_TOLERANCE]) == [1.0 + SNAPSHOT_TOLERANCE]
+        with pytest.raises(InvalidParameterError, match="is outside"):
+            snapshot_schedule(1.0, [1.0 + 2 * SNAPSHOT_TOLERANCE])
+
+    @pytest.mark.parametrize("horizon, times, message", [
+        (np.nan, [], "horizon: not nonnegative: nan"),
+        (-np.inf, [], "horizon: not nonnegative: -inf"),
+        (-1e-300, [], "horizon: not nonnegative: -1e-300"),
+        (1.0, [0.5, np.nan], "snapshot_times: nan is not finite"),
+        (np.inf, [np.inf], "snapshot_times: inf is not finite"),
+        (1.0, [-np.inf], "snapshot_times: -inf is not finite"),
+        (1.0, [0.0, 1.0, 0.0], "snapshot_times: 0.0 is repeated"),
+        (1.0, [-1e-300], r"snapshot_times: -1e-300 is outside \[0, horizon = 1.0\]"),
+        (0.0, [0.5], r"snapshot_times: 0.5 is outside \[0, horizon = 0.0\]"),
+    ])
+    def test_each_fault_is_named(self, horizon, times, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            snapshot_schedule(horizon, times)

@@ -140,6 +140,37 @@ class TestInit:
             with pytest.raises(InvalidParameterError):
                 Configuration(pts, params.competition)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("shape", ["gaussian", "zero"])
+    def test_non_finite_positions_are_rejected(self, dim, shape):
+        # a gaussian store leaked NumPy's ValueError and a zero-kernel one stored NaN
+        g = Grid(dim, 10.0, 20)
+        kernel = make_gaussian_kernel(0.3, dim, g) if shape == "gaussian" else make_zero_kernel(g)
+        for bad in (np.nan, np.inf, -np.inf):
+            point = [bad] + [1.0] * (dim - 1)
+            for pts in ([point], [point, [1.0] * dim]):
+                with pytest.raises(InvalidParameterError, match="^positions must be finite$"):
+                    Configuration(pts, kernel)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("shape", ["gaussian", "zero"])
+    def test_failed_birth_leaves_the_store_unchanged(self, dim, shape):
+        # a NaN birth on a gaussian store raised after n went from 2 to 3, with
+        # cell_of still at 2 entries; on a zero-kernel store it was stored
+        g = Grid(dim, 10.0, 20)
+        kernel = make_gaussian_kernel(0.3, dim, g) if shape == "gaussian" else make_zero_kernel(g)
+        config = Configuration([[1.0] * dim, [1.1] * dim], kernel)
+        # every attribute but the kernel, which the store shares
+        before = copy.deepcopy({k: v for k, v in vars(config).items() if k != "competition"})
+        for bad in ([np.nan] * dim, [1.0] * (dim - 1) + [np.inf], [-np.inf] * dim, [1.0] * (dim + 1)):
+            with pytest.raises(InvalidParameterError, match="is not a finite point of the"):
+                config.add_particle(bad)
+            assert vars(config).keys() == before.keys() | {"competition"}
+            for key, value in before.items():
+                after = getattr(config, key)
+                assert np.array_equal(after, value) if isinstance(value, np.ndarray) else after == value, key
+        assert config.add_particle([2.0] * dim) == 2 and config.audit() < 1e-12
+
 
 class TestEnsemble:
     @pytest.mark.parametrize("jobs, runs, pools", [(500, 3, [3]), (2, 3, [2]), (4, 1, []), (1, 3, [])])
@@ -172,6 +203,12 @@ class TestEnsemble:
     def test_fewer_than_one_job_is_rejected(self, grid, params, jobs):
         with pytest.raises(InvalidParameterError):
             run_ensemble(Field.constant(grid, 0.8), params, 1.0, [1.0], 4, 3, jobs=jobs)
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_fewer_than_one_run_is_rejected(self, grid, params, runs):
+        # these returned [] while jobs=0 raised
+        with pytest.raises(InvalidParameterError, match=f"^jobs and runs must be at least 1, got jobs=1, runs={runs}$"):
+            run_ensemble(Field.constant(grid, 0.8), params, 1.0, [1.0], 4, runs)
 
     def test_run_i_uses_stream_i(self, grid, params):
         # run i is init_poisson_field then run, both on run_rng(seed, i)
@@ -272,9 +309,40 @@ class TestRun:
         params = ModelParams(0.0, unit_mass_indicator(grid, 0.5), make_zero_kernel(grid))
         rng = run_rng(6, 0)
         config = init_poisson(1.2, params.competition, rng)
-        message = "^the horizon must be a number and the snapshot times finite$"
-        with pytest.raises(InvalidParameterError, match=message):
+        # the rule of model.snapshot_schedule checks the horizon first
+        message = "horizon: not nonnegative: nan" if np.isnan(horizon) else f"snapshot_times: {times[0]} is not finite"
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
             run(config, params, horizon, times, rng, population_cap=50)
+
+    @pytest.mark.parametrize("horizon, times, message", [
+        (1.0, [-1.0, 0.5], r"snapshot_times: -1.0 is outside \[0, horizon = 1.0\]"),
+        (1.0, [0.5, 1.0 + 1e-9], r"snapshot_times: 1.000000001 is outside \[0, horizon = 1.0\]"),
+        (-1.0, [-2.0], "horizon: not nonnegative: -1.0"),
+        (-1.0, [], "horizon: not nonnegative: -1.0"),
+        (1.0, [0.5, 0.25, 0.5], "snapshot_times: 0.5 is repeated"),
+    ])
+    def test_schedule_outside_the_rule_is_rejected(self, grid, params, horizon, times, message):
+        # the first and third returned the start labelled t = -1 and t = -2,
+        # and the last a duplicated snapshot
+        rng = run_rng(6, 0)
+        config = init_poisson(1.0, params.competition, rng)
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            run(config, params, horizon, times, rng)
+
+    def test_schedule_within_the_tolerance_is_kept(self, grid, params):
+        # a last time up to model.SNAPSHOT_TOLERANCE past the horizon is a
+        # horizon summed from steps, and runs to that time
+        rng = run_rng(6, 0)
+        config = init_poisson(1.0, params.competition, rng)
+        traj = run(config, params, 1.0, [1.0 + 5e-13, 0.0], rng)
+        assert traj.times == [0.0, 1.0 + 5e-13] and len(traj.snapshots) == 2
+
+    def test_start_above_the_cap_is_a_blow_up(self, grid, params):
+        # this returned n_end = 5 after 0 events
+        config = Configuration([[1.0], [2.0], [3.0], [4.0], [5.0]], params.competition)
+        with pytest.raises(BlowUpError) as exc:
+            run(config, params, 1e-9, [], run_rng(6, 0), population_cap=4)
+        assert (exc.value.time, exc.value.population, exc.value.cap) == (0.0, 5, 4)
 
     def test_blow_up_error_with_competition(self, grid):
         # a- of mass 0.01: the carrying capacity (5 - 0)/0.01 per unit length is far above the cap
@@ -366,6 +434,27 @@ class TestContactModel:
                 ensemble.append(pts)
         for t, ensemble in zip(times, ensembles):
             pair_g, se = pair_correlation(ensemble, g.side, 1, edges)
+            assert np.all(se > 0)
+            z = (pair_g - oracles.contact_pair_g(params.dispersal, 0.2, 0.5, t, edges)) / se
+            assert np.max(np.abs(z)) <= 4.0, (t, z)
+
+    def test_2d_pair_correlation_matches_the_continuum_closed_form(self):
+        # 2-d, L = 5, M = 50, unit-mass indicator a+ of radius 0.5 (81
+        # cells), m = 0.2, rho0 = 0.5.  The gate, set before the first run
+        # at these seeds: |z| <= 4 over all 24 bins x 3 times.  Seeds 555
+        # and 556 built the test.
+        g = Grid(2, 5.0, 50)
+        params = ModelParams(0.2, unit_mass_indicator(g, 0.5), make_zero_kernel(g))
+        edges = default_pair_edges(g.side, 0.5)
+        times, runs = [0.25, 0.75, 2.0], 1500
+        ensembles = [[] for _ in times]
+        for i in range(runs):
+            rng = run_rng(2034, i)
+            config = init_poisson(0.5, params.competition, rng)
+            for ensemble, pts in zip(ensembles, run(config, params, times[-1], times, rng).snapshots):
+                ensemble.append(pts)
+        for t, ensemble in zip(times, ensembles):
+            pair_g, se = pair_correlation(ensemble, g.side, 2, edges)
             assert np.all(se > 0)
             z = (pair_g - oracles.contact_pair_g(params.dispersal, 0.2, 0.5, t, edges)) / se
             assert np.max(np.abs(z)) <= 4.0, (t, z)

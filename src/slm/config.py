@@ -24,7 +24,7 @@ from .kernels import (
     make_tabulated_kernel,
     make_zero_kernel,
 )
-from .model import CLOSURES, DEFAULT_POPULATION_CAP, ModelParams, snapshot_schedule
+from .model import CLOSURES, DEFAULT_POPULATION_CAP, ModelParams, require_density, snapshot_schedule
 
 # accepted values: a tuple of words, or a test of the value and the phrase that names it
 _POSITIVE = (lambda v: v > 0, "positive")
@@ -49,8 +49,8 @@ _KEYS = {
     "kernel.dispersal": _KERNEL_KEYS,
     "kernel.competition": _KERNEL_KEYS,
     "initial": {"kind": (str, "constant", ("constant", "table")),
-                "density": (float, None, _NONNEGATIVE), "file": (str, None)},
-    "run": {"horizon": (float, None, _NONNEGATIVE), "dt": (float, None, _POSITIVE),
+                "density": (float, None), "file": (str, None)},
+    "run": {"horizon": (float, None), "dt": (float, None, _POSITIVE),
             "snapshot_times": (list, None), "seed": (int, "0", _NONNEGATIVE),
             "runs": (int, "100", _AT_LEAST_1),
             "population_cap": (int, str(DEFAULT_POPULATION_CAP), _AT_LEAST_1)},
@@ -188,16 +188,17 @@ def parse_config(path, overrides=None) -> RunConfig:
     params = ModelParams(mortality, dispersal, competition, epsilon)
 
     if get("initial", "kind") == "constant":
-        rho0 = Field.constant(grid, get("initial", "density"))
+        density = get("initial", "density")
     else:
-        vals = read_table(os.path.join(base_dir, get("initial", "file")))
-        if vals.size != grid.size:
-            raise ConfigError(f"initial table has {vals.size} values, grid needs {grid.size}")
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("initial table has a non-finite value")
-        rho0 = Field(grid, vals.reshape(grid.shape))
-        if rho0.min < 0:
-            raise ConfigError("initial density must be nonnegative")
+        density = read_table(os.path.join(base_dir, get("initial", "file")))
+        if density.size != grid.size:
+            raise ConfigError(f"initial table has {density.size} values, grid needs {grid.size}")
+        density = density.reshape(grid.shape)
+    try:
+        require_density(density)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"[initial] {exc}") from None
+    rho0 = Field(grid, density) if np.ndim(density) else Field.constant(grid, density)
 
     # the plain keys are read in table order, which decides the fault
     # reported first; [theory] alpha_up is the one optional among them

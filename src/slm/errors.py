@@ -54,7 +54,8 @@ class InstabilityError(SLMError):
 
     def __init__(self, time, cell, value):
         super().__init__(
-            f"large negative value {value:.6g} in cell {cell} at t={time:.6g}"
+            f"the solution left the finite nonnegative densities at t={time:.6g}:"
+            f" {value:.6g} in cell {cell}"
         )
         self.time = time
         self.cell = cell

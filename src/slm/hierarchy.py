@@ -181,7 +181,7 @@ def rhs_k2(
         out = np.empty_like(k2)
     elif any(np.may_share_memory(out, a) for a in (k1, k2, w1, *spectral)):
         raise InvalidParameterError("rhs_k2 output must not overlap the state or the work buffers")
-    if symmetry_defect(k2, w1) > 0:
+    if not symmetry_defect(k2, w1) == 0:  # NaN fails too
         raise InvalidParameterError("k2 must be symmetric")
     spec, conv = spectral
     # int a+(x_i - w) k2(w, x_j) dw; mean-field also takes a- * k2 from the same transform
@@ -219,8 +219,9 @@ def solve_hierarchy(
     snapshot_times,
 ) -> tuple:
     """RK4 on the coupled (k1, k2) system (:func:`integrate_rk4`), which
-    checks the times, and dt against the kinetic guard at the witness
-    C = max(max k1, sqrt(max k2)) of the current state before every step.
+    checks the times, k1 and k2 as densities, and dt against the kinetic
+    guard at the witness C = max(max k1, sqrt(max k2)) of the current
+    state before every step.
 
     Returns (snapshots, diagnostics): one TruncatedState per requested
     time, and the largest symmetry defect of k2 over the snapshots.  With

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InstabilityError, InvalidParameterError
 from .grid import Field, require_same_grid
 from .kernels import Kernel, convolve_spectra, spectral_work
-from .model import ModelParams, snapshot_schedule
+from .model import ModelParams, require_density, snapshot_schedule
 
 
 # -- homogeneous (Bernoulli) dynamics ------------------------------------
@@ -31,8 +31,7 @@ def bernoulli_solution(u0: float, t, params: ModelParams):
     closed form with q < 0, an exponential-decay branch.  <a-> = 0 reduces
     to pure exponential growth/decay.
     """
-    if u0 < 0:
-        raise InvalidParameterError("u0 must be nonnegative")
+    require_density(u0)
     t = np.asarray(t, dtype=float)
     r = params.dispersal.mass - params.mortality
     c = params.competition.mass
@@ -79,22 +78,23 @@ def stability_dt(params: ModelParams, rho_max: float) -> float:
     return 0.1 / denom if denom > 0 else np.inf
 
 
-def _rk4_step(y: tuple, dt: float, rhs, k: tuple, stage: tuple):
-    """One classical RK4 step of y in place: y + dt/6 (k1 + 2 k2 + 2 k3 + k4),
-    every product and sum the one of fresh arrays, in the same order, so
-    the result is the same to the bit.  ``rhs(y, out)`` writes the
-    derivative at y into the arrays of ``out``.  Each partial sum is formed
-    as soon as its terms are known, so the two work tuples ``k`` and the
-    tuple ``stage``, each shaped like y, hold every stage."""
+def _rk4_step(y: tuple, t: float, dt: float, rhs, k: tuple, stage: tuple):
+    """One classical RK4 step of y in place from time t: y + dt/6 (k1 + 2 k2
+    + 2 k3 + k4), every product and sum the one of fresh arrays, in the
+    same order, so the result is the same to the bit.  ``rhs(y, out)``
+    writes the derivative at y into the arrays of ``out``.  Each partial
+    sum is formed as soon as its terms are known, so the two work tuples
+    ``k`` and the tuple ``stage``, each shaped like y, hold every stage.
+    A stage that is not finite raises InstabilityError at its time."""
     p, q = k
     rhs(y, p)  # p = k1
-    _stage(y, 0.5 * dt, p, stage)
+    _stage(y, 0.5 * dt, p, stage, t)
     rhs(stage, q)  # q = k2
-    _stage(y, 0.5 * dt, q, stage)
+    _stage(y, 0.5 * dt, q, stage, t)
     for a, b in zip(p, q):
         np.add(a, np.multiply(2.0, b, out=b), out=b)  # q = k1 + 2 k2
     rhs(stage, p)  # p = k3
-    _stage(y, dt, p, stage)
+    _stage(y, dt, p, stage, t)
     for b, c in zip(q, p):
         np.add(b, np.multiply(2.0, c, out=c), out=c)  # p = k1 + 2 k2 + 2 k3
     rhs(stage, q)  # q = k4
@@ -103,30 +103,43 @@ def _rk4_step(y: tuple, dt: float, rhs, k: tuple, stage: tuple):
         np.add(v, np.multiply(dt / 6.0, d, out=d), out=v)
 
 
-def _stage(y: tuple, coef: float, k: tuple, out: tuple):
-    """out = y + coef * k, per component."""
+def _stage(y: tuple, coef: float, k: tuple, out: tuple, t: float):
+    """out = y + coef * k, per component, the state at time t + coef."""
     for v, kv, s in zip(y, k, out):
         np.add(v, np.multiply(coef, kv, out=s), out=s)
+        _bounds(s, t + coef, -math.inf)
 
 
-def _clip_negatives(values, t, scale):
-    """Tolerance-clip tiny round-off negatives in place; hard-fail on real
-    excursions."""
-    low = float(values.min())
-    if low >= 0.0:
-        return
-    tol = 1e-12 * max(scale, 1e-300)
-    if low < -tol:
-        cell = tuple(int(c) for c in np.unravel_index(int(np.argmin(values)), values.shape))
-        raise InstabilityError(t, cell, low)
-    np.maximum(values, 0.0, out=values)
+def _bounds(values, t, floor) -> tuple:
+    """(min, max) of a state at time t; InstabilityError naming its first
+    NaN, else its lowest value if that is below ``floor`` or -inf, else
+    its first +inf (a NaN makes both the min and the max NaN)."""
+    low, peak = float(values.min()), float(values.max())
+    if not (low >= floor and math.isfinite(low)):
+        index = values.argmin()
+    elif not math.isfinite(peak):
+        index = values.argmax()
+    else:
+        return low, peak
+    cell = tuple(int(c) for c in np.unravel_index(int(index), values.shape))
+    raise InstabilityError(t, cell, float(values[cell]))
+
+
+def _clip_negatives(values, t, scale) -> float:
+    """Tolerance-clip tiny round-off negatives in place and return the
+    peak; hard-fail on real excursions and on a value that is not finite."""
+    low, peak = _bounds(values, t, -1e-12 * scale)
+    if low < 0.0:
+        np.maximum(values, 0.0, out=values)
+    return max(peak, 0.0)
 
 
 def integrate_rk4(
     y: tuple, rhs, horizon: float, dt: float, snapshot_times, params: ModelParams
 ) -> list:
-    """Classical RK4 for dy/dt = rhs(y), with y a tuple of nonnegative
-    arrays; returns the state at each time of :func:`model.snapshot_schedule`.
+    """Classical RK4 for dy/dt = rhs(y), with y a tuple of arrays that
+    :func:`model.require_density` accepts; returns the state at each time
+    of :func:`model.snapshot_schedule`.
 
     ``rhs(y, out)`` writes the derivative at y into the tuple of arrays
     ``out``.  The state is stepped in a copy of y, and every stage in
@@ -140,7 +153,9 @@ def integrate_rk4(
     witness C of the paper's bound k^(n) <= C^n, from the current
     maxima of y: max(max k1, sqrt(max k2)), which is max rho for the
     kinetic equation.  After each step every component has round-off
-    negatives clipped against its own running maximum.
+    negatives clipped against its own running maximum.  A stage or a step
+    with a value that is not finite, or a negative beyond round-off, stops
+    the run with InstabilityError, which names the value, its cell and t.
     """
     times = snapshot_schedule(horizon, snapshot_times)
     if not dt > 0:
@@ -148,6 +163,8 @@ def integrate_rk4(
     if horizon == np.inf:
         raise InvalidParameterError("horizon: not finite: inf")
     y = tuple(np.array(v, dtype=float) for v in y)
+    for v in y:
+        require_density(v)
     k = tuple(tuple(np.empty_like(v) for v in y) for _ in range(2))
     stage = tuple(np.empty_like(v) for v in y)
     peaks = [float(v.max()) for v in y]
@@ -170,11 +187,9 @@ def integrate_rk4(
                     raise InvalidParameterError(
                         f"dt={dt:.6g} exceeds the stability guard {limit:.6g} at t={t:.6g}{grew}"
                     )
-                _rk4_step(y, step, rhs, k, stage)
+                _rk4_step(y, t, step, rhs, k, stage)
                 t += step
-                for v, s in zip(y, scales):
-                    _clip_negatives(v, t, s)
-                peaks = [float(v.max()) for v in y]
+                peaks = [_clip_negatives(v, t, s) for v, s in zip(y, scales)]
                 scales = [max(s, p) for s, p in zip(scales, peaks)]
             t = target
         out.append(y if n == len(times) else tuple(v.copy() for v in y))
@@ -183,11 +198,8 @@ def integrate_rk4(
 
 def solve_kinetic(rho0: Field, params: ModelParams, horizon: float, dt: float, snapshot_times) -> list:
     """Classical RK4 integration (:func:`integrate_rk4`, which checks the
-    times); returns one Field per snapshot time."""
+    times and the start density); returns one Field per snapshot time."""
     require_same_grid(rho0.grid, params.grid)
-    if rho0.min < 0:
-        raise InvalidParameterError("initial density must be nonnegative")
-
     work = spectral_work(params.spectra, params.grid, params.grid.shape)
 
     def rhs(y, out):

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import AuditDriftError, BlowUpError, InvalidParameterError
 from .grid import pair_blocks, require_same_grid, sort_by_cell, wrap
 from .kernels import Kernel
-from .model import DEFAULT_POPULATION_CAP, ModelParams, snapshot_schedule
+from .model import DEFAULT_POPULATION_CAP, ModelParams, require_density, snapshot_schedule
 
 AUDIT_INTERVAL = 10_000
 AUDIT_TOLERANCE = 1e-9
@@ -276,8 +276,7 @@ class Configuration:
 def init_poisson(intensity: float, competition: Kernel, rng: np.random.Generator) -> Configuration:
     """Homogeneous Poisson configuration on the competition kernel's torus:
     N ~ Poisson(intensity * L^d), positions i.i.d. uniform."""
-    if not 0 <= intensity < np.inf:
-        raise InvalidParameterError(f"intensity must be finite and nonnegative, got {intensity}")
+    require_density(intensity)
     side, dim = competition.grid.side, competition.grid.dim
     n = rng.poisson(intensity * side**dim)
     return Configuration(rng.uniform(0.0, side, size=(n, dim)), competition)
@@ -287,6 +286,7 @@ def init_poisson_field(rho0, competition: Kernel, rng: np.random.Generator) -> C
     """Inhomogeneous Poisson start with cellwise intensity from a Field
     on the competition kernel's grid."""
     grid = require_same_grid(rho0.grid, competition.grid)
+    require_density(rho0.values)
     counts = rng.poisson(rho0.values * grid.cell_volume)
     # the cells in C order, each repeated by its count, take one uniform
     # draw per coordinate from a single call

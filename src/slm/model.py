@@ -35,6 +35,19 @@ def snapshot_schedule(horizon: float, snapshot_times) -> list:
     return times
 
 
+def require_density(values) -> None:
+    """InvalidParameterError unless every value is finite and >= 0: the one
+    density rule for the start state of every level, worded
+    ``density: not finite and nonnegative: <value>``, followed by
+    `` in cell <cell>`` for an array."""
+    values = np.asarray(values, dtype=float)
+    ok = np.isfinite(values) & (values >= 0)
+    if not ok.all():
+        cell = np.unravel_index(int(np.argmin(ok)), values.shape)
+        where = f" in cell {tuple(int(c) for c in cell)}" if values.ndim else ""
+        raise InvalidParameterError(f"density: not finite and nonnegative: {float(values[cell])!r}{where}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Mortality m, dispersal kernel a+, competition kernel a-, and the

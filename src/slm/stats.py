@@ -18,7 +18,6 @@ from .kernels import ball_volume
 
 @dataclass
 class FieldEstimate:
-    grid: Grid
     mean: np.ndarray
     se: np.ndarray
 
@@ -26,8 +25,7 @@ class FieldEstimate:
 @dataclass
 class CorrelationEstimate:
     k1_hat: FieldEstimate
-    edges: np.ndarray
-    pair_g: np.ndarray  # one value per bin between consecutive edges
+    pair_g: np.ndarray  # one value per distance bin
     pair_se: np.ndarray
 
     @property
@@ -54,7 +52,7 @@ def density_estimate(positions_per_run: list, grid: Grid) -> FieldEstimate:
         per_run[r] = np.bincount(cells, minlength=grid.size).reshape(grid.shape) / grid.cell_volume
     mean = per_run.mean(axis=0)
     se = per_run.std(axis=0, ddof=1) / np.sqrt(runs)
-    return FieldEstimate(grid, mean, se)
+    return FieldEstimate(mean, se)
 
 
 def _pair_counts(pts: np.ndarray, side: float, radii: np.ndarray) -> np.ndarray:
@@ -124,12 +122,11 @@ def estimate_correlations(positions_per_run: list, grid: Grid, edges: np.ndarray
     """Density and pair correlation of one snapshot of the ensemble."""
     k1_hat = density_estimate(positions_per_run, grid)  # first, so its errors come first
     g, se = pair_correlation(positions_per_run, grid.side, grid.dim, edges)
-    return CorrelationEstimate(k1_hat, edges, g, se)
+    return CorrelationEstimate(k1_hat, g, se)
 
 
 @dataclass
 class SubPoissonReport:
-    C: float
     flagged_cells: list  # cells with k1 above C beyond 3 SE
     flagged_bins: list  # indices of pair bins with k2 above C^2 beyond 3 SE
     minimal_C: float
@@ -156,4 +153,4 @@ def subpoisson_diagnostic(est: CorrelationEstimate, C: float) -> SubPoissonRepor
     # fmax, like max over Python floats, passes over a NaN bin
     k2_floor = np.fmax.reduce(excess2, initial=0.0)
     minimal = max(float(np.max(excess1)), float(np.sqrt(k2_floor)), 0.0)
-    return SubPoissonReport(C, flagged_cells, flagged_bins, minimal)
+    return SubPoissonReport(flagged_cells, flagged_bins, minimal)

@@ -195,7 +195,7 @@ class TestConfig:
             ("run", "snapshot_times", "0.5 1.5", "[run] snapshot_times: 1.5 is outside [0, horizon = 1.0]"),
             ("run", "snapshot_times", "-0.5 0.5", "[run] snapshot_times: -0.5 is outside [0, horizon = 1.0]"),
             ("run", "dt", "0", "[run] dt: not positive: '0'"),
-            ("run", "horizon", "-1", "[run] horizon: not nonnegative: '-1'"),
+            ("run", "horizon", "-1", "[run] horizon: not nonnegative: -1.0"),
             ("run", "runs", "0", "[run] runs: not at least 1: '0'"),
             ("kernel.dispersal", "shape", "gausian",
              "[kernel.dispersal] shape: not one of indicator, gaussian, tabulated, zero: 'gausian'"),
@@ -212,7 +212,7 @@ class TestConfig:
             ("kernel.competition", "sigma", "0", "[kernel.competition] sigma: not positive: '0'"),
             ("kernel.competition", "height", "0", "[kernel.competition] height: not positive: '0'"),
             ("kernel.competition", "cutoff", "-1", "[kernel.competition] cutoff: not nonnegative: '-1'"),
-            ("initial", "density", "-1", "[initial] density: not nonnegative: '-1'"),
+            ("initial", "density", "-1", "[initial] density: not finite and nonnegative: -1.0"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, section, key, value, message):
@@ -300,9 +300,9 @@ class TestConfig:
         p.write_text(TABLE_CFG)
         out = str(tmp_path / "o")
         for size, cell, message in [
-            (50, np.nan, "initial table has a non-finite value"),
+            (50, np.nan, "[initial] density: not finite and nonnegative: nan in cell (7,)"),
             (49, 0.5, "initial table has 49 values, grid needs 50"),
-            (50, -0.5, "initial density must be nonnegative"),
+            (50, -0.5, "[initial] density: not finite and nonnegative: -0.5 in cell (7,)"),
         ]:
             vals = np.full(size, 0.5)
             vals[7] = cell
@@ -840,6 +840,19 @@ def test_readme_example_config(tmp_path, capsys):
     mean_field = ["--out", str(tmp_path / "mf"), "--closure", "mean-field"]
     assert main(["hierarchy", "--config", str(cfg), *mean_field]) == 2
     assert "error-category: instability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, density", [("kinetic", "1e307"), ("hierarchy", "1e154")])
+def test_overflow_is_an_instability_and_writes_nothing(tmp_path, capsys, cmd, density):
+    # the contact model grows without bound; started near the largest float it
+    # overflows in its first steps, and no table of nan may be written
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(with_key(with_key(ZERO_CFG, "model", "mortality", "0"), "initial", "density", density))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error-category: instability: the solution left the finite nonnegative densities at t=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_library_example_runs():

@@ -235,6 +235,14 @@ class TestRhsK2:
         with pytest.raises(InvalidParameterError):
             rhs_k2(st, "mean-field", params)
 
+    def test_nan_input_rejected(self, grid, params):
+        # max |k2 - k2.T| is NaN here, which a test of "> 0" let through
+        bad = np.ones((64, 64))
+        bad[3, 5] = bad[5, 3] = np.nan
+        st = TruncatedState(Field.constant(grid, 1.0), bad, 1.0)
+        with pytest.raises(InvalidParameterError, match="k2 must be symmetric"):
+            rhs_k2(st, "mean-field", params)
+
     def test_epsilon_affine(self, grid, params):
         rng = np.random.default_rng(5)
         sym = rng.random((64, 64))

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from slm.kernels import (
 )
 from slm.kinetic import (
     Field,
+    _clip_negatives,
     bernoulli_solution,
     convolve_periodic,
     kinetic_rhs,
@@ -25,7 +27,8 @@ from slm.kinetic import (
     stability_dt,
 )
 from slm.hierarchy import TruncatedState, solve_hierarchy
-from slm.model import SNAPSHOT_TOLERANCE, ModelParams, snapshot_schedule
+from slm.microsim import init_poisson, init_poisson_field, run_rng
+from slm.model import SNAPSHOT_TOLERANCE, ModelParams, require_density, snapshot_schedule
 
 
 @pytest.fixture
@@ -363,18 +366,80 @@ class TestSolver:
         with pytest.raises(InvalidParameterError):
             solve_kinetic(Field.constant(grid, -0.1), params, 1.0, 0.01, [1.0])
 
-    def test_instability_reported_with_location(self, grid):
-        # growth with no damping and oversized dt within a rigged guard
-        aplus = make_indicator_kernel(3.0, 0.5, 1, grid)
-        params = ModelParams(0.0, aplus, make_zero_kernel(grid))
-        rho0 = Field(grid, np.full(grid.shape, 1e-6))
-        # blow-up here is exponential growth; force negativity via a crafted field
-        vals = np.full(grid.shape, 1.0)
-        vals[3] = 0.0
-        competition = make_indicator_kernel(50.0, 0.5, 1, grid)
-        params = ModelParams(5.0, make_indicator_kernel(0.1, 0.5, 1, grid), competition)
-        with pytest.raises((InstabilityError, InvalidParameterError)):
-            solve_kinetic(Field(grid, vals), params, 5.0, 0.5, [5.0])
+    def test_instability_reported_with_location(self):
+        # the contact model (a- = 0, m = 0) grows as exp(<a+> t) with <a+> = 1.5
+        # until a stage overflows near t = 709.78 / 1.5; the guard reads
+        # 0.1 / (0 + 0 * inf + 1.5) = nan there, so only the finiteness check stops it
+        g = Grid(1, 10.0, 20)
+        params = ModelParams(0.0, make_indicator_kernel(1.0, 0.5, 1, g), make_zero_kernel(g))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as info:
+            solve_kinetic(Field.constant(g, 1.0), params, 800.0, 0.05, [800.0])
+        err = info.value
+        assert err.cell == (0,) and err.value == np.inf and err.time == pytest.approx(470.925)
+        assert str(err).endswith("at t=470.925: inf in cell (0,)")
+
+    @pytest.mark.parametrize("closure", ["mean-field", "kirkwood"])
+    def test_hierarchy_overflow_is_an_instability(self, closure):
+        # the same contact model, started near the largest float so that k2 overflows in a few steps
+        g = Grid(1, 10.0, 20)
+        params = ModelParams(0.0, make_indicator_kernel(1.0, 0.5, 1, g), make_zero_kernel(g))
+        state0 = TruncatedState.poisson_like(Field.constant(g, 1e152), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as info:
+            solve_hierarchy(state0, closure, params, 10.0, 0.05, [10.0])
+        assert len(info.value.cell) == 2 and not np.isfinite(info.value.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_a_step_that_is_not_a_density_is_an_instability(self, bad):
+        # NaN fails both ">= 0" and "< -tol", so a clip that tests only those lets it through
+        values = np.array([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(InstabilityError, match=re.escape(f"at t=2: {bad:.6g} in cell (1, 0)")):
+            _clip_negatives(values, 2.0, 1.0)
+
+
+class TestDensityRule:
+    """model.require_density is the one density rule: every entry point
+    refuses a NaN and a negative start density in its words."""
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5])
+    def test_the_value_and_its_cell_are_named(self, bad):
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(f"density: not finite and nonnegative: {bad}") + "$"):
+            require_density(bad)
+        values = np.ones((3, 4))
+        values[1, 2] = bad
+        with pytest.raises(InvalidParameterError, match=re.escape(f"{bad} in cell (1, 2)") + "$"):
+            require_density(values)
+
+    def test_finite_nonnegative_values_pass(self):
+        for values in (0.0, -0.0, 1e308, np.zeros((2, 2)), [], [0.5, 2.0]):
+            require_density(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5])
+    @pytest.mark.parametrize(
+        "entry",
+        ["solve_kinetic", "hierarchy k1", "hierarchy k2", "bernoulli_solution", "init_poisson", "init_poisson_field"],
+    )
+    def test_every_entry_point_refuses(self, grid, params, entry, bad):
+        # the cell is (3,) for a field and (3, 5) for k2; the scalars have none
+        field, pair = np.full(grid.shape, 0.5), np.full((grid.cells, grid.cells), 0.25)
+        bad_field, bad_pair = field.copy(), pair.copy()
+        bad_field[3] = bad
+        bad_pair[3, 5] = bad_pair[5, 3] = bad
+
+        def hierarchy(k1, k2):
+            return solve_hierarchy(TruncatedState(Field(grid, k1), k2, 1.0), "mean-field", params, 1.0, 0.01, [1.0])
+
+        calls = {
+            "solve_kinetic": (lambda: solve_kinetic(Field(grid, bad_field), params, 1.0, 0.01, [1.0]), " in cell (3,)"),
+            "hierarchy k1": (lambda: hierarchy(bad_field, pair), " in cell (3,)"),
+            "hierarchy k2": (lambda: hierarchy(field, bad_pair), " in cell (3, 5)"),
+            "bernoulli_solution": (lambda: bernoulli_solution(bad, 1.0, params), ""),
+            "init_poisson": (lambda: init_poisson(bad, params.competition, run_rng(0, 0)), ""),
+            "init_poisson_field": (lambda: init_poisson_field(Field(grid, bad_field), params.competition,
+                                                              run_rng(0, 0)), " in cell (3,)"),
+        }
+        call, where = calls[entry]
+        with pytest.raises(InvalidParameterError, match=re.escape(f"density: not finite and nonnegative: {bad}{where}") + "$"):
+            call()
 
 
 class TestSnapshotSchedule:

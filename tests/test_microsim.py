@@ -126,7 +126,7 @@ class TestInit:
     @pytest.mark.parametrize("intensity", [np.nan, np.inf])
     def test_non_finite_intensity_rejected(self, params, intensity):
         # NumPy's own poisson error is not an SLMError
-        with pytest.raises(InvalidParameterError, match="intensity must be finite and nonnegative"):
+        with pytest.raises(InvalidParameterError, match=f"density: not finite and nonnegative: {intensity}$"):
             init_poisson(intensity, params.competition, run_rng(0, 0))
 
     def test_poisson_field_on_another_grid_is_rejected(self, params):

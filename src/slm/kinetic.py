@@ -155,7 +155,8 @@ def integrate_rk4(
     kinetic equation.  After each step every component has round-off
     negatives clipped against its own running maximum.  A stage or a step
     with a value that is not finite, or a negative beyond round-off, stops
-    the run with InstabilityError, which names the value, its cell and t.
+    the run with InstabilityError, which names the value, its cell and t,
+    so the steps run without NumPy's overflow and invalid-value warnings.
     """
     times = snapshot_schedule(horizon, snapshot_times)
     if not dt > 0:
@@ -187,7 +188,8 @@ def integrate_rk4(
                     raise InvalidParameterError(
                         f"dt={dt:.6g} exceeds the stability guard {limit:.6g} at t={t:.6g}{grew}"
                     )
-                _rk4_step(y, t, step, rhs, k, stage)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _rk4_step(y, t, step, rhs, k, stage)
                 t += step
                 peaks = [_clip_negatives(v, t, s) for v, s in zip(y, scales)]
                 scales = [max(s, p) for s, p in zip(scales, peaks)]

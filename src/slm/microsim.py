@@ -103,8 +103,7 @@ class Configuration:
     search within the support radius, so interacting pairs always sit in
     neighbouring cells.  Particle i fills slot ``slot_of[i]`` of cell
     ``cell_of[i]``, i.e. ``members[cell_of[i], slot_of[i]] == i``, and
-    cell c fills its first ``count[c]`` slots, which ``occupied[c]`` marks:
-    the candidates' mask, kept so that a search needs no compare.
+    cell c fills its first ``count[c]`` slots; every other slot holds -1.
     ``nbr[c]`` lists the 3^d cells around c, or c alone when one cell
     holds every point.
     """
@@ -138,12 +137,11 @@ class Configuration:
             grid_keys = np.indices((k,) * dim).reshape(dim, -1).T
             self.nbr = ((grid_keys[:, None, :] + shell) % k) @ self.strides
             cells = keys @ self.strides
-            self.count = np.bincount(cells, minlength=k**dim)
-            slots = np.arange(n) - np.repeat(np.cumsum(self.count) - self.count, self.count)
-            self.members = np.empty((k**dim, max(8, 2 * int(self.count.max()))), dtype=np.intp)
+            count = np.bincount(cells, minlength=k**dim)
+            slots = np.arange(n) - np.repeat(np.cumsum(count) - count, count)
+            self.members = np.full((k**dim, max(8, 2 * int(count.max()))), -1, dtype=np.intp)
             self.members[cells, slots] = order
-            self.occupied = np.zeros(self.members.shape, dtype=bool)
-            self.occupied[cells, slots] = True
+            self.count = count.tolist()
             cell_of, slot_of = np.empty((2, n), dtype=np.intp)
             cell_of[order], slot_of[order] = cells, slots
             self.cell_of, self.slot_of = cell_of.tolist(), slot_of.tolist()
@@ -165,8 +163,8 @@ class Configuration:
     def candidates(self, c: int) -> np.ndarray:
         """Indices in the cells around cell c: a superset of the particles
         within one cell width of any point of c."""
-        cells = self.nbr[c]
-        return self.members.take(cells, axis=0)[self.occupied.take(cells, axis=0)]
+        members = self.members.take(self.nbr[c], axis=0)
+        return members[members >= 0]
 
     def _kernel_from(self, pos, idx):
         """a-(x_j - pos) for the particles ``idx``; ``pos`` broadcasts
@@ -224,10 +222,8 @@ class Configuration:
                 self.crate_bound = float(top)
             k = self.count[c]
             if k == self.members.shape[1]:
-                self.members = np.concatenate([self.members, np.empty_like(self.members)], axis=1)
-                self.occupied = np.concatenate([self.occupied, np.zeros_like(self.occupied)], axis=1)
+                self.members = np.concatenate([self.members, np.full_like(self.members, -1)], axis=1)
             self.members[c, k] = i
-            self.occupied[c, k] = True
             self.count[c] = k + 1
             self.cell_of.append(c)
             self.slot_of.append(k)
@@ -246,7 +242,7 @@ class Configuration:
             moved = self.members[c, k]
             self.members[c, s] = moved
             self.slot_of[moved] = s
-            self.occupied[c, k] = False
+            self.members[c, k] = -1
             self.count[c] = k
             c, s = self.cell_of.pop(), self.slot_of.pop()
             if i != last:

@@ -745,8 +745,9 @@ def test_cell_list_finds_every_interacting_particle(case):
     n, radius = config.n, config.competition.support_radius
     assert config.width >= radius or config.ncells == 1
     # every particle sits in the slot its cell index says, and in the cell of its position
-    assert config.count.sum() == n == len(config.cell_of) == len(config.slot_of)
-    assert np.array_equal(config.occupied, np.arange(config.members.shape[1]) < config.count[:, None])
+    assert sum(config.count) == n == len(config.cell_of) == len(config.slot_of)
+    filled = np.arange(config.members.shape[1]) < np.array(config.count)[:, None]
+    assert (config.members[filled] >= 0).all() and (config.members[~filled] == -1).all()
     for i in range(n):
         assert config.members[config.cell_of[i], config.slot_of[i]] == i
         assert config.cell_of[i] == config.cell(config.pos[i])
